@@ -376,11 +376,15 @@ def evaluate(config: EvalConfig, bundle: DatasetBundle) -> EvalReport:
         return _evaluate_one(example, bundle.schemas[example.db_id],
                              databases[example.db_id], config)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(run, bundle.examples))
-    else:
-        results = [run(example) for example in bundle.examples]
+    try:
+        if config.workers > 1:
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                results = list(pool.map(run, bundle.examples))
+        else:
+            results = [run(example) for example in bundle.examples]
+    finally:
+        for db in databases.values():
+            db.close()
 
     total = len(results)
     correct = sum(r.correct for r in results)

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import IntEnum
+from itertools import repeat
 
 import numpy as np
 
@@ -70,6 +72,101 @@ def fuzzy_similarity(a: str, b: str) -> float:
         return 1.0
     indel = len(a) + len(b) - 2 * _lcs_length(a, b)
     return max(0.0, min(1.0, 1.0 - indel / min(len(a), len(b))))
+
+
+# Longest normalised literal whose LCS bit row fits a uint64 lane.
+_MAX_LANE_LITERAL = 63
+# Longest normalised value laid out as a lane; longer ones are scored one
+# at a time, which bounds the code matrix at values x this many bytes.
+_MAX_LANE_VALUE = 255
+
+
+class EncodedValues(Sequence):
+    """Candidate values normalised and encoded once for
+    :meth:`CharacterFuzzy.score_many`; a sequence of the original values.
+
+    Values whose normalised form (``strip().lower()``) is ASCII without
+    NUL and at most ``_MAX_LANE_VALUE`` long become lanes: byte codes in
+    a matrix with one row per character position and one column per lane,
+    longest lane first, so step ``j`` of the LCS recurrence touches only
+    the first ``active[j]`` lanes.  Padding is code 0, whose mask is
+    always 0.  Other non-blank values are scored one at a time; blank ones
+    cannot be scored at all.
+    """
+
+    def __init__(self, values):
+        self.values = list(values)
+        n = len(self.values)
+        normal = [v.strip().lower() for v in self.values]
+        lengths = np.fromiter(map(len, normal), np.int64, n)
+        fits = ((lengths > 0) & (lengths <= _MAX_LANE_VALUE)
+                & np.fromiter(map(str.isascii, normal), bool, n)
+                & ~np.fromiter(map(str.__contains__, normal, repeat("\0")),
+                               bool, n))
+        self.others = np.flatnonzero(~fits & (lengths > 0)).tolist()
+        lanes = np.flatnonzero(fits)
+        self.lanes = lanes[np.argsort(-lengths[lanes], kind="stable")]
+        self.lengths = lengths[self.lanes]
+        width = int(self.lengths[0]) if len(lanes) else 0
+        packed = "".join([normal[i].ljust(width, "\0")
+                          for i in self.lanes.tolist()])
+        self.codes = np.frombuffer(packed.encode("ascii"), np.uint8) \
+            .reshape(len(lanes), width).T.copy()
+        # active[j]: lanes longer than j, i.e. sum of bincount[j + 1:].
+        longer = np.cumsum(np.bincount(self.lengths, minlength=width + 1)[::-1])
+        self.active = longer[::-1][1:].tolist()
+        # rank[i]: position of values[i] in sorted order, for tie-breaks.
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[sorted(range(n), key=self.values.__getitem__)] = np.arange(n)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        return self.values[i]
+
+
+def _lane_scores(a: str, encoded: EncodedValues) -> np.ndarray:
+    """Indel similarity of ``a`` against every lane, in lane order.
+
+    ``a`` is normalised, non-empty, ASCII without NUL and at most
+    ``_MAX_LANE_LITERAL`` long.  The recurrence is the one in
+    :func:`_lcs_length`, one uint64 per lane.  Every mask, and so ``x``,
+    lies within the low ``len(a)`` bits, so the final ``x & ...`` does the
+    work of ``& full`` there, and the high bits that wrap around in the
+    uint64 subtraction are never kept.
+    """
+    bits: dict[int, int] = {}
+    for i, code in enumerate(a.encode("ascii")):
+        bits[code] = bits.get(code, 0) | (1 << i)
+    masks = np.zeros(128, dtype=np.uint64)
+    masks[list(bits)] = list(bits.values())
+    n = len(encoded.lanes)
+    row, xs, ys = (np.zeros(n, dtype=np.uint64) for _ in range(3))
+    for j, k in enumerate(encoded.active):
+        lane, x, y = row[:k], xs[:k], ys[:k]
+        masks.take(encoded.codes[j, :k], out=x)
+        np.bitwise_or(x, lane, out=x)
+        np.left_shift(lane, 1, out=y)
+        np.bitwise_or(y, 1, out=y)
+        np.subtract(x, y, out=y)
+        np.bitwise_not(y, out=y)
+        np.bitwise_and(x, y, out=lane)
+    lcs = np.bitwise_count(row).astype(np.int64)
+    indel = len(a) + encoded.lengths - 2 * lcs
+    return np.clip(1.0 - indel / np.minimum(len(a), encoded.lengths), 0.0, 1.0)
+
+
+def _score_each(backend, literal: str, values) -> np.ndarray:
+    """``backend.score(literal, v)`` for each value; NaN where it raises
+    :class:`EmptyValueError`."""
+    scores = np.full(len(values), np.nan)
+    for i, value in enumerate(values):
+        try:
+            scores[i] = backend.score(literal, value)
+        except EmptyValueError:
+            pass
+    return scores
 
 
 # --------------------------------------------------------------------------
@@ -172,6 +269,25 @@ class CharacterFuzzy:
     def score(self, a: str, b: str) -> float:
         return fuzzy_similarity(a, b)
 
+    def score_many(self, literal: str, values) -> np.ndarray:
+        """``fuzzy_similarity(literal, v)`` for each value, exactly; NaN
+        where either side is blank.  ``values`` may be an
+        :class:`EncodedValues`, which saves encoding them again."""
+        if not isinstance(values, EncodedValues):
+            values = EncodedValues(values)
+        scores = np.full(len(values), np.nan)
+        a = literal.strip().lower()
+        if not a:
+            return scores
+        if len(a) <= _MAX_LANE_LITERAL and a.isascii() and "\0" not in a:
+            scores[values.lanes] = _lane_scores(a, values)
+            singles = values.others
+        else:
+            singles = values.lanes.tolist() + values.others
+        for i in singles:
+            scores[i] = fuzzy_similarity(literal, values[i])
+        return scores
+
 
 class WordEmbedding:
     kind = "WordEmbedding"
@@ -181,6 +297,9 @@ class WordEmbedding:
 
     def score(self, a: str, b: str) -> float:
         return embedding_similarity(a, b, self.table)
+
+    def score_many(self, literal: str, values) -> np.ndarray:
+        return _score_each(self, literal, values)
 
 
 class SentenceEncoder:
@@ -209,6 +328,9 @@ class SentenceEncoder:
                             "character fuzzy matching")
                 self._warned = True
             return fuzzy_similarity(a, b)
+
+    def score_many(self, literal: str, values) -> np.ndarray:
+        return _score_each(self, literal, values)
 
 
 # --------------------------------------------------------------------------
@@ -313,75 +435,71 @@ def _resolve_column(db_schema, query: ParsedQuery, column_text: str):
     return None
 
 
-def candidate_values(level: MatchLevel, db, predicate: Predicate,
-                     query: ParsedQuery, scan_cap: int = DEFAULT_SCAN_CAP) -> list:
-    """Gather (column, value) candidates for one predicate at one level.
+def level_columns(level: MatchLevel, schema, query: ParsedQuery,
+                  predicate: Predicate) -> list:
+    """The (table, column) pairs whose values are candidates for
+    ``predicate`` at ``level``, in search order.
 
-    Column level scans only the predicate's own column; Table level scans
-    every column of the owning table (every FROM table when the column
-    does not resolve); Database level scans every column of every table.
-    Only values stored as text are returned, so the Database candidate set
-    always contains the Table set, which contains the Column set.
+    Column level is only the predicate's own column; Table level every
+    column of the owning table (every FROM table when the column does not
+    resolve); Database level every column of every table.  So each level's
+    columns include the previous level's.
     """
-    schema = db.schema
     resolved = _resolve_column(schema, query, predicate.column)
-
     if level == MatchLevel.COLUMN:
-        if resolved is None:
-            return []
-        table, column = resolved
-        return [(column, v) for v in db.distinct_text_values(table, column, scan_cap)]
-
+        return [] if resolved is None else [resolved]
     if level == MatchLevel.TABLE:
-        if resolved is not None:
-            tables = [resolved[0]]
-        else:
-            known = {t.name.lower() for t in schema.tables}
-            tables = [t for t in from_tables(query) if t.lower() in known]
+        names = [resolved[0]] if resolved is not None else from_tables(query)
+        tables = [schema.tables[ti] for ti in map(schema.table_index, names)
+                  if ti is not None]
     else:
-        tables = [t.name for t in schema.tables]
-
-    out = []
-    for table in tables:
-        ti = schema.table_index(table)
-        for col in schema.tables[ti].columns:
-            out.extend((col.name, v)
-                       for v in db.distinct_text_values(table, col.name, scan_cap))
-    return out
+        tables = schema.tables
+    return [(table.name, col.name) for table in tables for col in table.columns]
 
 
-def best_match(candidates: list, value0: str, backend,
-               level: MatchLevel = MatchLevel.COLUMN) -> MatchResult | None:
-    """Best-scoring candidate against ``value0``, or None when empty.
-
-    Ties break toward the column appearing earliest in ``candidates``,
-    then the lexicographically smaller value.
-    """
-    best_key = None
-    best: MatchResult | None = None
-    column_order: dict[str, int] = {}
-    for column, value in candidates:
-        column_order.setdefault(column, len(column_order))
-        try:
-            score = backend.score(value0, value)
-        except EmptyValueError:
-            continue
-        key = (-score, column_order[column], value)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = MatchResult(column, value, score, level)
-    return best
+def column_values(db, table: str, column: str,
+                  scan_cap: int = DEFAULT_SCAN_CAP) -> EncodedValues:
+    """The text values of one column (``db.distinct_text_values``),
+    encoded, from ``db``'s value index."""
+    return db.cached(
+        (table.lower(), column.lower(), scan_cap),
+        lambda: EncodedValues(db.distinct_text_values(table, column, scan_cap)))
 
 
-def _match_predicate(db, query: ParsedQuery, predicate: Predicate, r: float,
-                     backend, levels, scan_cap: int) -> MatchResult | None:
-    value0 = _match_value(predicate)
-    if not value0.strip():
+def best_match(candidates, value0: str, backend) -> tuple | None:
+    """Best ``(score, value)`` among one column's candidate values against
+    ``value0``, or None when none can be scored.  Equal scores go to the
+    lexicographically smaller value."""
+    if not isinstance(candidates, EncodedValues):
+        candidates = EncodedValues(candidates)
+    scores = backend.score_many(value0, candidates)
+    scored = ~np.isnan(scores)
+    if not scored.any():
         return None
+    top = scores[scored].max()
+    tied = np.flatnonzero(scores == top)
+    return float(top), candidates[tied[np.argmin(candidates.rank[tied])]]
+
+
+def _match_predicate(schema, query: ParsedQuery, predicate: Predicate, r: float,
+                     levels, column_best) -> MatchResult | None:
+    value0 = _match_value(predicate)
     overall: MatchResult | None = None
     for level in levels:
-        candidates = candidate_values(level, db, predicate, query, scan_cap)
-        result = best_match(candidates, value0, backend, level)
+        # Ties break toward the column name first seen among the columns
+        # that have candidates, then toward the smaller value.
+        order: dict[str, int] = {}
+        best_key, result = None, None
+        for table, column in level_columns(level, schema, query, predicate):
+            count, found = column_best(value0, table, column)
+            if count:
+                rank = order.setdefault(column, len(order))
+            if found is None:
+                continue
+            score, value = found
+            if best_key is None or (-score, rank, value) < best_key:
+                best_key = (-score, rank, value)
+                result = MatchResult(column, value, score, level)
         if result is None:
             continue
         if result.score >= r:
@@ -395,33 +513,48 @@ def _match_predicate(db, query: ParsedQuery, predicate: Predicate, r: float,
                        overall.level, below_threshold=True)
 
 
-def _run_match(db, query: ParsedQuery, r: float, backend, levels,
-               scan_cap: int) -> CalibrationFeedback:
-    if not 0 < r <= 1:
-        raise ValueError(f"similarity threshold must be in (0, 1], got {r}")
-    replacements = []
-    for predicate in extract_predicates(query):
-        result = _match_predicate(db, query, predicate, r, backend, levels, scan_cap)
-        if result is not None:
-            replacements.append((predicate, result))
-    return CalibrationFeedback(tuple(replacements))
+ALL_LEVELS = (MatchLevel.COLUMN, MatchLevel.TABLE, MatchLevel.DATABASE)
 
 
 def multi_level_match(db, query: ParsedQuery, r: float, backend,
-                      scan_cap: int = DEFAULT_SCAN_CAP) -> CalibrationFeedback:
+                      scan_cap: int = DEFAULT_SCAN_CAP,
+                      levels=ALL_LEVELS) -> CalibrationFeedback:
     """Match every text predicate of ``query`` against database content.
 
-    Levels widen Column -> Table -> Database, stopping at the first whose
-    best score reaches ``r``; when none does, the overall best match is
-    reported with ``below_threshold`` set.
+    ``levels`` are searched in order (by default Column -> Table ->
+    Database), stopping at the first whose best score reaches ``r``; when
+    none does, the overall best match is reported with ``below_threshold``
+    set.  Values come from ``db``'s value index, checked against the file
+    once at the start of the call, and each literal is scored against each
+    column at most once per call.
     """
-    return _run_match(db, query, r, backend,
-                      (MatchLevel.COLUMN, MatchLevel.TABLE, MatchLevel.DATABASE),
-                      scan_cap)
+    if not 0 < r <= 1:
+        raise ValueError(f"similarity threshold must be in (0, 1], got {r}")
+    predicates = [p for p in extract_predicates(query) if _match_value(p).strip()]
+    if not predicates:
+        return CalibrationFeedback()
+    db.sync()
+    schema = db.schema
+    bests: dict = {}
+
+    def column_best(value0: str, table: str, column: str) -> tuple:
+        key = (value0, table.lower(), column.lower())
+        if key not in bests:
+            values = column_values(db, table, column, scan_cap)
+            bests[key] = (len(values), best_match(values, value0, backend))
+        return bests[key]
+
+    replacements = []
+    for predicate in predicates:
+        result = _match_predicate(schema, query, predicate, r, levels,
+                                  column_best)
+        if result is not None:
+            replacements.append((predicate, result))
+    return CalibrationFeedback(tuple(replacements))
 
 
 def single_level_match(db, query: ParsedQuery, r: float, backend,
                        level: MatchLevel,
                        scan_cap: int = DEFAULT_SCAN_CAP) -> CalibrationFeedback:
     """Ablation variant of :func:`multi_level_match` fixed to one level."""
-    return _run_match(db, query, r, backend, (level,), scan_cap)
+    return multi_level_match(db, query, r, backend, scan_cap, (level,))

@@ -16,11 +16,11 @@ import os
 import sqlite3
 import threading
 import time
-import urllib.parse
+from contextlib import closing
 from dataclasses import dataclass
 
 from .errors import DatabaseAccessError
-from .schema import DatabaseSchema, schema_from_sqlite
+from .schema import DatabaseSchema, connect_readonly, schema_from_sqlite
 
 log = logging.getLogger(__name__)
 
@@ -85,8 +85,11 @@ def quote_identifier(name: str) -> str:
 class Database:
     """Read-only handle on a SQLite database file.
 
-    Each operation opens its own connection, so one Database may be shared
-    freely across threads.  Text is decoded as UTF-8 with replacement:
+    Each statement opens its own connection, so one Database may be shared
+    freely across threads.  The handle also holds one read-only
+    connection, opened on first use and released by :meth:`close`, for the
+    value scans behind calibration and for noticing content changes (see
+    :meth:`sync`).  Text is decoded as UTF-8 with replacement:
     several benchmark databases contain stray non-UTF-8 bytes, and a
     consistent lossy decode keeps gold and predicted results comparable.
     """
@@ -97,20 +100,73 @@ class Database:
             raise DatabaseAccessError(f"database file not found: {self.path}")
         self.default_timeout = default_timeout
         self._schema: DatabaseSchema | None = None
-        self._schema_lock = threading.Lock()
+        # Guards the schema, the held connection, the stamp and the index.
+        self._lock = threading.RLock()
+        self._held: sqlite3.Connection | None = None
+        self._stamp: tuple | None = None
+        self._index: dict = {}
 
     @property
     def schema(self) -> DatabaseSchema:
-        with self._schema_lock:
+        with self._lock:
             if self._schema is None:
                 self._schema = schema_from_sqlite(self.path)
             return self._schema
 
-    def connect(self) -> sqlite3.Connection:
-        uri = f"file:{urllib.parse.quote(self.path)}?mode=ro"
-        conn = sqlite3.connect(uri, uri=True)
+    def connect(self, check_same_thread: bool = True) -> sqlite3.Connection:
+        conn = connect_readonly(self.path, check_same_thread)
         conn.text_factory = lambda data: data.decode("utf-8", "replace")
         return conn
+
+    def _reader(self) -> sqlite3.Connection:
+        """The held connection; call with ``_lock`` held."""
+        if self._held is None:
+            self._held = self.connect(check_same_thread=False)
+        return self._held
+
+    def close(self) -> None:
+        """Close the held connection and empty the value index.  The
+        handle stays usable and reopens the connection when next needed."""
+        with self._lock:
+            if self._held is not None:
+                self._held.close()
+                self._held = None
+            self._stamp = None
+            self._index.clear()
+
+    def sync(self) -> None:
+        """Empty the value index if the file changed since the last call.
+
+        The stamp is the file's inode, size and modification time plus
+        ``PRAGMA data_version`` on the held connection, which moves on
+        every commit by another connection in rollback-journal and WAL
+        mode alike.  A new inode means the file was replaced: the held
+        connection still reads the old one, so it is reopened, and the
+        schema is read again.
+        """
+        with self._lock:
+            try:
+                st = os.stat(self.path)
+                if self._stamp is not None and self._stamp[0] != st.st_ino:
+                    self.close()
+                    self._schema = None
+                (version,), = self._reader().execute("PRAGMA data_version")
+            except (OSError, sqlite3.Error) as exc:
+                raise DatabaseAccessError(
+                    f"cannot read database {self.path}: {exc}") from exc
+            stamp = (st.st_ino, st.st_size, st.st_mtime_ns, version)
+            if stamp != self._stamp:
+                self._index.clear()
+                self._stamp = stamp
+
+    def cached(self, key, build):
+        """The value index: ``build()``, memoised under ``key`` until
+        :meth:`sync` or :meth:`close` empties the index.  Values built
+        before the first :meth:`sync` are dropped by it."""
+        with self._lock:
+            if key not in self._index:
+                self._index[key] = build()
+            return self._index[key]
 
     def execute(self, sql: str, timeout: float | None = None) -> ExecutionOutcome:
         """Run ``sql`` and classify the outcome.  Never raises: engine
@@ -141,7 +197,8 @@ class Database:
         """Distinct non-empty text-typed values of one column, sorted,
         capped at ``cap``.  The runtime ``typeof`` filter (rather than the
         declared column type) keeps the scan meaningful under SQLite's
-        flexible typing."""
+        flexible typing.  The scan reads to the end on the held
+        connection, so no read lock outlives it."""
         query = (
             f"SELECT DISTINCT {quote_identifier(column)} "
             f"FROM {quote_identifier(table)} "
@@ -150,8 +207,8 @@ class Database:
             f"ORDER BY 1 LIMIT ?"
         )
         try:
-            with self.connect() as conn:
-                return [row[0] for row in conn.execute(query, (cap,))]
+            with self._lock:
+                return [row[0] for row in self._reader().execute(query, (cap,))]
         except sqlite3.Error as exc:
             raise DatabaseAccessError(
                 f"cannot scan {table}.{column} in {self.path}: {exc}") from exc
@@ -162,7 +219,7 @@ class Database:
             f"WHERE {quote_identifier(column)} = ? LIMIT 1"
         )
         try:
-            with self.connect() as conn:
+            with closing(self.connect()) as conn:
                 return conn.execute(query, (value,)).fetchone() is not None
         except sqlite3.Error as exc:
             raise DatabaseAccessError(

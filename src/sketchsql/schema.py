@@ -19,6 +19,7 @@ import logging
 import os
 import re
 import sqlite3
+import urllib.parse
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -262,6 +263,17 @@ def schema_from_spider_record(record: dict) -> DatabaseSchema:
     return DatabaseSchema(str(db_id), tables, foreign_keys)
 
 
+def connect_readonly(path: str | os.PathLike,
+                     check_same_thread: bool = True) -> sqlite3.Connection:
+    """Open a SQLite file read-only.
+
+    The path is percent-quoted into the ``file:`` URI, so ``#``, ``?`` and
+    ``%`` in a file or directory name are taken literally.
+    """
+    uri = f"file:{urllib.parse.quote(os.fspath(path))}?mode=ro"
+    return sqlite3.connect(uri, uri=True, check_same_thread=check_same_thread)
+
+
 def schema_from_sqlite(path: str | os.PathLike, db_name: str | None = None) -> DatabaseSchema:
     """Introspect a SQLite database file into a schema.
 
@@ -272,7 +284,7 @@ def schema_from_sqlite(path: str | os.PathLike, db_name: str | None = None) -> D
     if not os.path.exists(path):
         raise DatabaseAccessError(f"database file not found: {path}")
     try:
-        with closing(sqlite3.connect(f"file:{path}?mode=ro", uri=True)) as conn:
+        with closing(connect_readonly(path)) as conn:
             names = [
                 row[0]
                 for row in conn.execute(

@@ -14,6 +14,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .calibration import (
+    ALL_LEVELS,
     DEFAULT_SCAN_CAP,
     DEFAULT_SIMILARITY_THRESHOLD,
     CalibrationFeedback,
@@ -24,7 +25,7 @@ from .calibration import (
     is_identity_replacement,
     multi_level_match,
     replacement_value,
-    single_level_match,
+    single_level_match,  # noqa: F401  (perfbench/spans.py traces it here)
 )
 from .errors import EmptyCandidateError, IndexResolutionError, PredicateNotFoundError, SqlParseError
 from .execution import Database
@@ -68,6 +69,11 @@ class SelectionConfig:
             raise ValueError("patience must be non-negative")
         if not 0 < self.similarity_threshold <= 1:
             raise ValueError("similarity threshold must be in (0, 1]")
+
+    @property
+    def levels(self) -> tuple:
+        """The match levels searched, in order."""
+        return ALL_LEVELS if self.match_level is None else (self.match_level,)
 
 
 # --------------------------------------------------------------------------
@@ -295,12 +301,8 @@ def _compute_feedback(db: Database, sql: str, config: SelectionConfig) -> Calibr
         # outside the dialect this package can analyze; skip calibration.
         log.debug("skipping calibration for unparseable query: %s", exc)
         return CalibrationFeedback()
-    if config.match_level is None:
-        return multi_level_match(db, parsed, config.similarity_threshold,
-                                 config.backend, config.scan_cap)
-    return single_level_match(db, parsed, config.similarity_threshold,
-                              config.backend, config.match_level,
-                              config.scan_cap)
+    return multi_level_match(db, parsed, config.similarity_threshold,
+                             config.backend, config.scan_cap, config.levels)
 
 
 def calibrate_deterministic(db: Database, sql: str,
@@ -313,14 +315,9 @@ def calibrate_deterministic(db: Database, sql: str,
     SqlParseError otherwise).  Identity suggestions are dropped; feedback
     proposing no change returns ``sql`` unchanged.
     """
-    parsed = parse_sql(sql)
-    if config.match_level is None:
-        feedback = multi_level_match(db, parsed, config.similarity_threshold,
-                                     config.backend, config.scan_cap)
-    else:
-        feedback = single_level_match(db, parsed, config.similarity_threshold,
-                                      config.backend, config.match_level,
-                                      config.scan_cap)
+    feedback = multi_level_match(db, parse_sql(sql),
+                                 config.similarity_threshold, config.backend,
+                                 config.scan_cap, config.levels)
     pairs = [(pred, match) for pred, match in feedback.replacements
              if not is_identity_replacement(pred, match)]
     if not pairs:

@@ -15,6 +15,7 @@ from sketchsql.benchmark import (
     write_report_json,
 )
 from sketchsql.errors import DatasetIntegrityError
+from sketchsql.execution import Database
 from sketchsql.gateway import StubScript, clients_from_script
 from sketchsql.selection import SelectionConfig, completion_prompt
 from sketchsql.sketches import extract_sketch_from_sql
@@ -225,6 +226,32 @@ def test_evaluate_parallel_matches_serial(dataset_root, tmp_path):
     write_report_json(serial, a)
     write_report_json(parallel, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_evaluate_two_workers_match_serial_with_calibration(tmp_path):
+    root = make_benchmark_dataset(tmp_path / "bench", 24)
+    reports = []
+    for workers in (1, 2):
+        report, _ = run_gold_echo(root, workers=workers, trace=True)
+        path = tmp_path / f"workers{workers}.json"
+        write_report_json(report, path)
+        reports.append(path.read_bytes())
+    assert b'"match_value": "timmy"' in reports[0]
+    assert reports[0] == reports[1]
+
+
+def test_evaluate_closes_its_databases(dataset_root, monkeypatch):
+    closed = []
+    close = Database.close
+
+    def recording_close(self):
+        closed.append(self.path)
+        close(self)
+
+    monkeypatch.setattr(Database, "close", recording_close)
+    report, bundle = run_gold_echo(dataset_root)
+    assert report.correct == 6
+    assert closed == [str(bundle.db_paths["school"])]
 
 
 def test_evaluate_is_deterministic(dataset_root, tmp_path):

@@ -1,13 +1,26 @@
 import logging
+import os
 import random
+import sqlite3
+import string
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import make_toy_db, oracle_multi_level, random_query, similarity_oracle
+from helpers import (
+    make_school_db,
+    make_toy_db,
+    oracle_multi_level,
+    random_query,
+    similarity_oracle,
+)
 
 from sketchsql.calibration import (
+    DEFAULT_SCAN_CAP,
     CalibrationFeedback,
     CharacterFuzzy,
     EmbeddingTable,
@@ -17,17 +30,20 @@ from sketchsql.calibration import (
     WordEmbedding,
     bare_column_name,
     best_match,
-    candidate_values,
+    column_values,
     embedding_similarity,
     fuzzy_similarity,
     is_identity_replacement,
+    level_columns,
     multi_level_match,
     replacement_value,
     sentence_similarity,
     single_level_match,
 )
 from sketchsql.errors import EmptyValueError
+from sketchsql.execution import Database
 from sketchsql.gateway import StubSentenceEncoder
+from sketchsql.selection import SelectionConfig, calibrate_deterministic
 from sketchsql.sql_analysis import Predicate, parse_sql
 
 
@@ -191,6 +207,13 @@ def test_bare_column_name():
 # --------------------------------------------------------------------------
 # Candidate gathering and best-match selection
 
+def candidate_values(level, db, predicate, query, scan_cap=DEFAULT_SCAN_CAP):
+    """The (column, value) candidates the matcher compares at ``level``."""
+    return [(column, value)
+            for table, column in level_columns(level, db.schema, query, predicate)
+            for value in column_values(db, table, column, scan_cap)]
+
+
 def test_candidate_levels_nest(school_db):
     query = parse_sql("SELECT course FROM Student WHERE given_name = 'x'")
     pred = Predicate("given_name", "=", "x")
@@ -219,13 +242,170 @@ def test_candidate_scan_cap(school_db):
 
 
 def test_best_match_tie_breaks():
-    ties = [("c1", "xx"), ("c2", "xx")]
-    best = best_match(ties, "xx", CharacterFuzzy())
-    assert (best.column, best.value) == ("c1", "xx")
-    values = [("c1", "ab"), ("c1", "aa")]
-    best = best_match(values, "a", CharacterFuzzy())
-    assert best.value == "aa"  # equal scores; smaller value wins
+    assert best_match(["xx", "xx"], "xx", CharacterFuzzy()) == (1.0, "xx")
+    best = best_match(["ab", "aa"], "a", CharacterFuzzy())
+    assert best[1] == "aa"  # equal scores; smaller value wins
     assert best_match([], "x", CharacterFuzzy()) is None
+    assert best_match(["  "], "x", CharacterFuzzy()) is None  # blank: unscored
+
+
+def test_level_tie_breaks_follow_first_column_name(tmp_path):
+    path = tmp_path / "ties.sqlite"
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.executescript("""
+            CREATE TABLE a (name TEXT);
+            CREATE TABLE b (other TEXT, name TEXT);
+            INSERT INTO a VALUES ('zz');
+            INSERT INTO b VALUES ('xx', 'xx');
+        """)
+    db = Database(path)
+    # Table level over b: equal scores, the column listed first wins.
+    query = parse_sql("SELECT other FROM b WHERE ghost = 'xx'")
+    (_, match), = multi_level_match(db, query, 0.65, CharacterFuzzy()).replacements
+    assert match == MatchResult("other", "xx", 1.0, MatchLevel.TABLE)
+    # Database level: b.name shares the rank of a.name, which comes
+    # before b.other, so it wins the tie although listed after b.other.
+    query = parse_sql("SELECT name FROM a WHERE name = 'xx'")
+    (_, match), = multi_level_match(db, query, 0.65, CharacterFuzzy()).replacements
+    assert match == MatchResult("name", "xx", 1.0, MatchLevel.DATABASE)
+
+
+# --------------------------------------------------------------------------
+# Batched scoring: exactly the scalar similarity
+
+_ASCII_VALUES = st.builds(
+    lambda lead, core, trail: lead + core + trail,
+    st.text(" \t", max_size=2),
+    st.text(string.ascii_letters + string.digits + " -", min_size=1,
+            max_size=24),
+    st.text(" \t", max_size=2))
+_VALUES = st.one_of(
+    _ASCII_VALUES,
+    st.text(" \t\n", min_size=1, max_size=3),           # whitespace only
+    st.text("abAB\x00", min_size=1, max_size=6),         # NUL
+    st.text("abcé ÄİẞK", min_size=1, max_size=8),         # non-ASCII
+    st.text("ab", min_size=250, max_size=300),            # longer than a lane
+)
+_LITERALS = st.one_of(
+    _ASCII_VALUES,
+    st.text(string.ascii_letters, min_size=63, max_size=64),
+    st.text("abcé ÄİẞK\x00", min_size=1, max_size=8),
+)
+
+
+@given(_LITERALS, st.lists(_VALUES, max_size=12))
+def test_score_many_equals_oracle_exactly(literal, values):
+    scores = CharacterFuzzy().score_many(literal, values)
+    assert len(scores) == len(values)
+    for value, score in zip(values, scores):
+        if not literal.strip() or not value.strip():
+            # fuzzy_similarity raises EmptyValueError: the pair is skipped
+            assert np.isnan(score)
+        else:
+            assert score == similarity_oracle(literal, value), value
+
+
+def test_score_many_loops_over_score_for_other_backends(table):
+    values = ["queen", "wards", "   ", "kings"]
+    for backend in (WordEmbedding(table),
+                    SentenceEncoder(StubSentenceEncoder({}))):
+        scores = backend.score_many("king", values)
+        assert scores[0] == backend.score("king", "queen")
+        assert scores[1] == backend.score("king", "wards")
+        assert np.isnan(scores[2])
+        assert scores[3] == backend.score("king", "kings")
+
+
+# --------------------------------------------------------------------------
+# Value index: matching reflects current content
+
+def _match_of(db, literal):
+    _, feedback = calibrate_deterministic(
+        db, f"SELECT course FROM Student WHERE given_name = '{literal}'",
+        SelectionConfig(completer=None))
+    (_, match), = feedback.replacements
+    return match
+
+
+@pytest.mark.parametrize("journal_mode", ["delete", "wal"])
+def test_matching_sees_commits_between_calls(school_db_path, journal_mode):
+    with closing(sqlite3.connect(school_db_path)) as conn:
+        conn.execute(f"PRAGMA journal_mode={journal_mode}")
+    db = Database(school_db_path)
+    with closing(sqlite3.connect(school_db_path)) as writer:
+        assert _match_of(db, "timmothy").value == "timmy"
+        assert _match_of(db, "wardle").value == "wardle"
+
+        writer.execute("INSERT INTO Student VALUES (3, 'timothy', 'lane', 'art', 50)")
+        writer.commit()
+        assert _match_of(db, "timmothy").value == "timothy"
+
+        writer.execute("UPDATE Student SET given_name = 'wardell' "
+                       "WHERE given_name = 'wardle'")
+        writer.commit()
+        renamed = _match_of(db, "wardle")
+        assert renamed.value == "wardell" and renamed.level == MatchLevel.COLUMN
+
+        writer.execute("DELETE FROM Student WHERE given_name = 'timothy'")
+        writer.commit()
+        assert _match_of(db, "timmothy").value == "timmy"
+    db.close()
+
+
+def test_matching_follows_a_replaced_file(tmp_path):
+    path = make_school_db(tmp_path / "school.sqlite")
+    db = Database(path)
+    assert _match_of(db, "timmothy").value == "timmy"
+    successor = make_school_db(tmp_path / "next.sqlite")
+    with closing(sqlite3.connect(successor)) as conn, conn:
+        conn.execute("UPDATE Student SET given_name = 'timothy' "
+                     "WHERE given_name = 'timmy'")
+    os.replace(successor, path)
+    assert _match_of(db, "timmothy").value == "timothy"
+    db.close()
+
+
+def test_value_index_shared_across_threads(school_db_path):
+    query = parse_sql("SELECT course FROM Student "
+                      "WHERE given_name = 'wards' AND last_name = 'timmothy'")
+    expected = multi_level_match(Database(school_db_path), query, 0.65,
+                                 CharacterFuzzy())
+    db = Database(school_db_path)
+    scans = []
+    scan = db.distinct_text_values
+
+    def counting_scan(table, column, cap):
+        scans.append((table.lower(), column.lower()))
+        return scan(table, column, cap)
+
+    db.distinct_text_values = counting_scan
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(
+                lambda _: multi_level_match(db, query, 0.65, CharacterFuzzy()),
+                range(64), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 64
+    assert len(scans) == len(set(scans))  # each column filled once
+    db.close()
+
+
+def test_held_connection_never_blocks_a_writer(school_db_path):
+    db = Database(school_db_path)
+    _match_of(db, "timmothy")
+    assert db.distinct_text_values("Student", "given_name", 10) == \
+        ["timmy", "wardle"]
+    assert db.has_value("Student", "given_name", "timmy")
+    with closing(sqlite3.connect(school_db_path, timeout=0)) as writer:
+        writer.execute("INSERT INTO Student VALUES (3, 'timothy', 'lane', 'art', 50)")
+        writer.commit()  # "database is locked" if a read were left open
+    assert _match_of(db, "timmothy").value == "timothy"
+    db.close()
+    assert _match_of(db, "timmothy").value == "timothy"  # reopens after close
+    db.close()
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sqlite3
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import CAR_1_RECORD, CAR_1_SERIALIZED_PREFIX
+from helpers import CAR_1_RECORD, CAR_1_SERIALIZED_PREFIX, make_school_db
 
 from sketchsql.errors import IndexResolutionError, SchemaLoadError
 from sketchsql.schema import (
@@ -153,6 +153,20 @@ def test_schema_from_sqlite_missing_file(tmp_path):
     from sketchsql.errors import DatabaseAccessError
     with pytest.raises(DatabaseAccessError):
         schema_from_sqlite(tmp_path / "absent.sqlite")
+
+
+def test_schema_from_sqlite_path_with_url_characters(tmp_path):
+    from sketchsql.execution import Database
+    folder = tmp_path / "odd #1 ?mode=rw %41"
+    folder.mkdir()
+    path = make_school_db(folder / "school.sqlite")
+    schema = schema_from_sqlite(path)
+    assert [t.name for t in schema.tables] == ["Course", "Student"]
+    db = Database(path)
+    assert db.schema == schema
+    assert db.distinct_text_values("Student", "given_name", 10) == \
+        ["timmy", "wardle"]
+    db.close()
 
 
 def test_load_schema_dispatch(school_db_path):
