@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -122,6 +123,27 @@ class RunConfig:
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+# Key -> the value types a config file may give it: ``(int,)``,
+# ``(str, NoneType)`` and so on.
+_CONFIG_TYPES = {key: typing.get_args(hint) or (hint,)
+                 for key, hint in typing.get_type_hints(RunConfig).items()}
+
+
+def _check_config_value(key: str, value) -> None:
+    """Raise unless ``value`` fits field ``key``.  YAML booleans are not
+    integers here; an integer is a valid float."""
+    allowed = _CONFIG_TYPES[key]
+    if isinstance(value, bool):
+        ok = bool in allowed
+    elif isinstance(value, int) and float in allowed:
+        ok = True
+    else:
+        ok = isinstance(value, allowed)
+    if not ok:
+        expected = " or ".join("null" if t is type(None) else t.__name__
+                               for t in allowed)
+        raise SketchSqlError(f"config key {key!r} must be {expected}, "
+                             f"got {type(value).__name__} {value!r}")
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
@@ -141,6 +163,7 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
             raise SketchSqlError(
                 f"unknown config key(s): {', '.join(unknown)}")
         for key, value in data.items():
+            _check_config_value(key, value)
             setattr(config, key, value)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)

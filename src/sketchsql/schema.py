@@ -268,10 +268,14 @@ def connect_readonly(path: str | os.PathLike,
     """Open a SQLite file read-only.
 
     The path is percent-quoted into the ``file:`` URI, so ``#``, ``?`` and
-    ``%`` in a file or directory name are taken literally.
+    ``%`` in a file or directory name are taken literally.  The connection
+    may attach no database, so ``ATTACH``, ``VACUUM`` and ``VACUUM INTO``
+    fail instead of creating or writing files.
     """
     uri = f"file:{urllib.parse.quote(os.fspath(path))}?mode=ro"
-    return sqlite3.connect(uri, uri=True, check_same_thread=check_same_thread)
+    conn = sqlite3.connect(uri, uri=True, check_same_thread=check_same_thread)
+    conn.setlimit(sqlite3.SQLITE_LIMIT_ATTACHED, 0)
+    return conn
 
 
 def schema_from_sqlite(path: str | os.PathLike, db_name: str | None = None) -> DatabaseSchema:

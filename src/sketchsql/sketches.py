@@ -16,6 +16,9 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from .errors import EmptyCandidateError, SchemaMismatchError, ScoreArityError
@@ -369,6 +372,31 @@ def write_records_jsonl(records, path) -> None:
 # --------------------------------------------------------------------------
 # Live candidate generation
 
+# Runs the From and Keywords requests while the calling thread makes the
+# Select request.  Made on first use and kept for the process, because an
+# executor per call would start and join threads for every question.
+_part_pool: ThreadPoolExecutor | None = None
+_part_pool_lock = threading.Lock()
+
+
+def _part_executor() -> ThreadPoolExecutor:
+    global _part_pool
+    with _part_pool_lock:
+        if _part_pool is None:
+            _part_pool = ThreadPoolExecutor(thread_name_prefix="sketch-part")
+        return _part_pool
+
+
+def _forget_part_executor() -> None:
+    # A forked child has none of the parent's pool threads, and the
+    # executor would wait for them forever.
+    global _part_pool, _part_pool_lock
+    _part_pool, _part_pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_part_executor)
+
+
 def request_candidate_sets(provider, question: str, schema: DatabaseSchema,
                            k_select: int = DEFAULT_K_SELECT,
                            k_from: int = DEFAULT_K_FROM,
@@ -378,6 +406,10 @@ def request_candidate_sets(provider, question: str, schema: DatabaseSchema,
     Keyword hypotheses are sanitized against the canonical vocabulary;
     hypotheses that are empty (or sanitize to nothing) are dropped.
     Duplicates keep their best-ranked occurrence.
+
+    The three requests are in flight together.  Every one has finished
+    when this returns or raises; when several fail, the first failure in
+    Select, From, Keywords order is raised.
     """
     def ask(kind: str, k: int) -> tuple:
         task_input = build_task_input(INSTRUCTIONS[kind], question, schema)
@@ -396,9 +428,14 @@ def request_candidate_sets(provider, question: str, schema: DatabaseSchema,
             parts.append(SketchPart(kind, content))
         return tuple(parts)
 
-    return CandidateSets(ask(PART_SELECT, k_select),
-                         ask(PART_FROM, k_from),
-                         ask(PART_KEYWORDS, k_keywords))
+    pool = _part_executor()
+    later = [pool.submit(ask, PART_FROM, k_from),
+             pool.submit(ask, PART_KEYWORDS, k_keywords)]
+    try:
+        selects = ask(PART_SELECT, k_select)
+    finally:
+        wait(later)
+    return CandidateSets(selects, later[0].result(), later[1].result())
 
 
 def build_sketches(provider, aligner, question: str, schema: DatabaseSchema,

@@ -323,6 +323,36 @@ def test_config_file_validation(tmp_path):
         effective_config(args)
 
 
+@pytest.mark.parametrize("line,message", [
+    ('patience: "2"', "config key 'patience' must be int, got str '2'"),
+    ("workers: 1.5", "config key 'workers' must be int, got float 1.5"),
+    ("threshold: true",
+     "config key 'threshold' must be float, got bool True"),
+    ("k_from: false", "config key 'k_from' must be int, got bool False"),
+    ("stub_script: 3", "config key 'stub_script' must be str or null, "
+                       "got int 3"),
+])
+def test_config_value_types_are_checked(tmp_path, school_path, caplog,
+                                        line, message):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert main(["translate", "--db", str(school_path), "--question", "Q?",
+                 "--config", str(cfg)]) == EXIT_ERROR
+    assert message in caplog.text
+
+
+def test_config_values_of_the_right_type_load(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("patience: 2\nthreshold: 1\nstatement_timeout: null\n"
+                   "limit: 5\nrecord_latency: false\nembeddings: vec.txt\n",
+                   encoding="utf-8")
+    args = build_parser().parse_args(["serialize", "--config", str(cfg)])
+    config = effective_config(args)
+    assert (config.patience, config.threshold, config.statement_timeout,
+            config.limit, config.record_latency, config.embeddings) == \
+        (2, 1, None, 5, False, "vec.txt")
+
+
 def test_unknown_backend_is_rejected(tmp_path, school_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("backend: psychic\n", encoding="utf-8")

@@ -72,6 +72,18 @@ def test_write_statement_rejected(db):
     assert db.execute("SELECT count(*) FROM item").result.rows == ((6,),)
 
 
+@pytest.mark.parametrize("statement", ["VACUUM INTO '{target}'",
+                                       "ATTACH '{target}' AS other",
+                                       "VACUUM"])
+def test_statements_that_write_files_are_rejected(db, tmp_path, statement):
+    target = tmp_path / "copy.sqlite"
+    outcome = db.execute(statement.format(target=target))
+    assert outcome.is_error
+    assert "too many attached databases" in outcome.message
+    assert not target.exists()
+    assert db.execute("SELECT count(*) FROM item").result.rows == ((6,),)
+
+
 def test_timeout_interrupts_runaway_query(db):
     slow = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
             "WHERE x < 100000000) SELECT count(*) FROM c")

@@ -1,20 +1,40 @@
 import json
+import os
+import signal
+import sys
+import threading
+import time
 
 import pytest
 
-from helpers import SCHOOL_GOLD_SQL
+from helpers import SCHOOL_GOLD_SQL, make_benchmark_dataset
 
+from sketchsql.benchmark import (
+    EvalConfig,
+    build_gold_echo_script,
+    evaluate,
+    load_dataset,
+)
 from sketchsql.errors import (
     EmptyCandidateError,
+    ProtocolError,
+    ProviderUnavailableError,
     SchemaMismatchError,
     ScoreArityError,
 )
-from sketchsql.gateway import StubAligner, StubScript, StubSketchProvider
+from sketchsql.gateway import (
+    StubAligner,
+    StubScript,
+    StubSketchProvider,
+    clients_from_script,
+)
+from sketchsql.selection import SelectionConfig
 from sketchsql.sketches import (
     INSTRUCTION_SELECT,
     INSTRUCTIONS,
     PART_FROM,
     PART_KEYWORDS,
+    PART_KINDS,
     PART_SELECT,
     AlignedPair,
     AlignerRecord,
@@ -288,3 +308,141 @@ def test_build_sketches_end_to_end(school_schema):
     assert [s.from_part.content for s in sketches] == \
         ["FROM t1", "FROM t1, t0"]
     assert [s.rank for s in sketches] == [0, 1]
+
+
+# --------------------------------------------------------------------------
+# Concurrent part requests
+
+class PartProvider:
+    """Sketch provider that answers each part's request through its own
+    callable, so a test can make one part wait, fail or meet the others."""
+
+    def __init__(self, question, schema, answers):
+        self.kind_of = {build_task_input(INSTRUCTIONS[kind], question, schema):
+                        kind for kind in PART_KINDS}
+        self.answers = answers
+
+    def generate(self, task_input, k):
+        return self.answers[self.kind_of[task_input]]()
+
+
+GOOD_ANSWERS = {PART_SELECT: ["SELECT t1.c3"], PART_FROM: ["FROM t1"],
+                PART_KEYWORDS: ["SELECT FROM WHERE"]}
+
+
+def answer(kind):
+    return lambda: list(GOOD_ANSWERS[kind])
+
+
+def test_part_requests_are_in_flight_together(school_schema):
+    barrier = threading.Barrier(3, timeout=5)
+
+    def meet(kind):
+        def call():
+            barrier.wait()  # BrokenBarrierError unless all three meet
+            return answer(kind)()
+        return call
+
+    provider = PartProvider("Q?", school_schema,
+                            {kind: meet(kind) for kind in PART_KINDS})
+    sets = request_candidate_sets(provider, "Q?", school_schema)
+    assert sets.select_candidates == (part(PART_SELECT, "SELECT t1.c3"),)
+    assert sets.from_candidates == (part(PART_FROM, "FROM t1"),)
+    assert sets.keyword_candidates == \
+        (part(PART_KEYWORDS, "SELECT FROM WHERE"),)
+
+
+FAILURES = {PART_SELECT: (ProviderUnavailableError, "select endpoint down"),
+            PART_FROM: (ProviderUnavailableError, "from endpoint down"),
+            PART_KEYWORDS: (ProtocolError, "keywords response malformed")}
+
+
+def failure(kind):
+    error, message = FAILURES[kind]
+    return error(message)
+
+
+@pytest.mark.parametrize("failing,raised", [
+    ((PART_FROM, PART_KEYWORDS), PART_FROM),
+    ((PART_SELECT, PART_FROM, PART_KEYWORDS), PART_SELECT),
+    ((PART_SELECT, PART_KEYWORDS), PART_SELECT),
+    ((PART_KEYWORDS,), PART_KEYWORDS),
+])
+def test_first_failure_in_part_order_is_raised(school_schema, failing, raised):
+    keywords_failed = threading.Event()
+
+    def fail(kind):
+        def call():
+            if kind == PART_KEYWORDS:
+                keywords_failed.set()
+            else:
+                keywords_failed.wait(timeout=5)  # fail after Keywords has
+            raise failure(kind)
+        return call
+
+    answers = {kind: fail(kind) if kind in failing else answer(kind)
+               for kind in PART_KINDS}
+    provider = PartProvider("Q?", school_schema, answers)
+    error, message = FAILURES[raised]
+    with pytest.raises(Exception) as caught:
+        request_candidate_sets(provider, "Q?", school_schema)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("failing", [PART_SELECT, PART_FROM])
+def test_no_part_request_outlives_a_failure(school_schema, failing):
+    finished = []
+
+    def slow_keywords():
+        time.sleep(0.2)
+        finished.append(PART_KEYWORDS)
+        return list(GOOD_ANSWERS[PART_KEYWORDS])
+
+    def fail():
+        raise failure(failing)
+
+    answers = {PART_SELECT: answer(PART_SELECT), PART_FROM: answer(PART_FROM),
+               PART_KEYWORDS: slow_keywords, failing: fail}
+    provider = PartProvider("Q?", school_schema, answers)
+    with pytest.raises(ProviderUnavailableError):
+        request_candidate_sets(provider, "Q?", school_schema)
+    assert finished == [PART_KEYWORDS]
+
+
+def test_part_requests_work_in_a_forked_child(school_schema):
+    provider = PartProvider("Q?", school_schema,
+                            {kind: answer(kind) for kind in PART_KINDS})
+    request_candidate_sets(provider, "Q?", school_schema)  # pool in use
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        code = 1
+        try:
+            signal.alarm(10)  # a child whose requests never run dies here
+            sets = request_candidate_sets(provider, "Q?", school_schema)
+            code = 0 if sets.from_candidates else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_concurrent_parts_keep_reports_identical(tmp_path):
+    bundle = load_dataset(make_benchmark_dataset(tmp_path / "bench", 24))
+    script = build_gold_echo_script(bundle)
+
+    def report(workers):
+        clients = clients_from_script(StubScript(script))
+        config = EvalConfig(
+            selection=SelectionConfig(completer=clients["completer"]),
+            provider=clients["sketch"], aligner=clients["aligner"],
+            workers=workers, trace=True, record_latency=False)
+        return json.dumps(evaluate(config, bundle).to_dict(), sort_keys=True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [report(2), report(1), report(2)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
+    assert json.loads(runs[0])["tokens_total"] > 0
