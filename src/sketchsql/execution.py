@@ -16,7 +16,7 @@ import os
 import sqlite3
 import threading
 import time
-from contextlib import closing
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import DatabaseAccessError
@@ -85,13 +85,18 @@ def quote_identifier(name: str) -> str:
 class Database:
     """Read-only handle on a SQLite database file.
 
-    Each statement opens its own connection, so one Database may be shared
-    freely across threads.  The handle also holds one read-only
-    connection, opened on first use and released by :meth:`close`, for the
-    value scans behind calibration and for noticing content changes (see
-    :meth:`sync`).  Text is decoded as UTF-8 with replacement:
-    several benchmark databases contain stray non-UTF-8 bytes, and a
-    consistent lossy decode keeps gold and predicted results comparable.
+    Statements run on a pool of read-only connections that are kept and
+    reused, at most one per concurrent caller, so one Database may be
+    shared freely across threads (see :meth:`_statement_connection` and
+    :func:`connect_readonly` for why a reused connection behaves like a
+    fresh one).  The handle also holds one read-only connection, opened on
+    first use, for the value scans behind calibration and for noticing
+    content changes (see :meth:`sync`).  :meth:`close` closes every
+    connection; the handle stays usable and opens new ones when next
+    needed.  Text is decoded as UTF-8 with
+    replacement: several benchmark databases contain stray non-UTF-8
+    bytes, and a consistent lossy decode keeps gold and predicted results
+    comparable.
     """
 
     def __init__(self, path, default_timeout: float = DEFAULT_STATEMENT_TIMEOUT):
@@ -105,6 +110,12 @@ class Database:
         self._held: sqlite3.Connection | None = None
         self._stamp: tuple | None = None
         self._index: dict = {}
+        # Guards the statement pool: idle (connection, inode it was opened
+        # on) pairs, and a generation that close() moves on, so that a
+        # connection in use during close() is closed when put back.
+        self._pool_lock = threading.Lock()
+        self._idle: list[tuple[sqlite3.Connection, int]] = []
+        self._generation = 0
 
     @property
     def schema(self) -> DatabaseSchema:
@@ -113,26 +124,74 @@ class Database:
                 self._schema = schema_from_sqlite(self.path)
             return self._schema
 
-    def connect(self, check_same_thread: bool = True) -> sqlite3.Connection:
-        conn = connect_readonly(self.path, check_same_thread)
+    def connect(self) -> sqlite3.Connection:
+        """A new read-only connection that any one thread at a time may use."""
+        conn = connect_readonly(self.path, check_same_thread=False)
         conn.text_factory = lambda data: data.decode("utf-8", "replace")
         return conn
 
     def _reader(self) -> sqlite3.Connection:
         """The held connection; call with ``_lock`` held."""
         if self._held is None:
-            self._held = self.connect(check_same_thread=False)
+            self._held = self.connect()
         return self._held
 
     def close(self) -> None:
-        """Close the held connection and empty the value index.  The
-        handle stays usable and reopens the connection when next needed."""
+        """Close the held connection and the pooled statement connections,
+        and empty the value index.  The handle stays usable and opens
+        connections again when next needed."""
         with self._lock:
             if self._held is not None:
                 self._held.close()
                 self._held = None
             self._stamp = None
             self._index.clear()
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+            self._generation += 1
+        for conn, _ in idle:
+            conn.close()
+
+    @contextmanager
+    def _statement_connection(self, timeout: float | None):
+        """An idle pooled connection, or a new one when none is idle, on
+        the file now at ``path``, with a deadline of ``timeout`` seconds
+        (none when 0 or None) that replaces any left by an earlier call.
+
+        Raises OSError when the file is missing.  A pooled connection
+        opened on another inode (the file was replaced) is closed and a
+        new one opened.  The connection goes back to the pool only when
+        the block ends normally and :meth:`close` did not run meanwhile.
+        """
+        inode = os.stat(self.path).st_ino
+        with self._pool_lock:
+            generation = self._generation
+            conn, opened_on = self._idle.pop() if self._idle else (None, None)
+        if conn is not None and opened_on != inode:
+            conn.close()
+            conn = None
+        if conn is None:
+            # The inode was read before opening, so a file replaced in
+            # between is noticed, and reopened, on the next call.
+            conn, opened_on = self.connect(), inode
+        try:
+            if timeout and timeout > 0:
+                deadline = time.monotonic() + timeout
+                conn.set_progress_handler(
+                    lambda: 1 if time.monotonic() > deadline else 0,
+                    _PROGRESS_INTERVAL,
+                )
+            else:
+                conn.set_progress_handler(None, 0)
+            yield conn
+        except BaseException:
+            conn.close()
+            raise
+        with self._pool_lock:
+            if generation == self._generation:
+                self._idle.append((conn, opened_on))
+                return
+        conn.close()
 
     def sync(self) -> None:
         """Empty the value index if the file changed since the last call.
@@ -174,24 +233,16 @@ class Database:
         outcomes with the underlying message preserved verbatim."""
         limit = self.default_timeout if timeout is None else timeout
         try:
-            conn = self.connect()
+            with self._statement_connection(limit) as conn:
+                try:
+                    cursor = conn.execute(sql)
+                    rows = tuple(tuple(row) for row in cursor.fetchall())
+                except Exception as exc:
+                    return ExecutionOutcome.error(str(exc))
+                column_count = len(cursor.description) if cursor.description else 0
         except Exception as exc:  # connection failure -> Error outcome
             return ExecutionOutcome.error(str(exc))
-        try:
-            if limit and limit > 0:
-                deadline = time.monotonic() + limit
-                conn.set_progress_handler(
-                    lambda: 1 if time.monotonic() > deadline else 0,
-                    _PROGRESS_INTERVAL,
-                )
-            cursor = conn.execute(sql)
-            rows = tuple(tuple(row) for row in cursor.fetchall())
-            column_count = len(cursor.description) if cursor.description else 0
-            return ExecutionOutcome.from_result(ResultSet(column_count, rows))
-        except Exception as exc:
-            return ExecutionOutcome.error(str(exc))
-        finally:
-            conn.close()
+        return ExecutionOutcome.from_result(ResultSet(column_count, rows))
 
     def distinct_text_values(self, table: str, column: str, cap: int) -> list[str]:
         """Distinct non-empty text-typed values of one column, sorted,
@@ -219,18 +270,23 @@ class Database:
             f"WHERE {quote_identifier(column)} = ? LIMIT 1"
         )
         try:
-            with closing(self.connect()) as conn:
-                return conn.execute(query, (value,)).fetchone() is not None
-        except sqlite3.Error as exc:
+            with self._statement_connection(None) as conn:
+                return bool(conn.execute(query, (value,)).fetchall())
+        except (OSError, sqlite3.Error) as exc:
             raise DatabaseAccessError(
                 f"cannot probe {table}.{column} in {self.path}: {exc}") from exc
 
 
 def execute(db, sql: str, timeout: float | None = None) -> ExecutionOutcome:
-    """Convenience wrapper: ``db`` may be a Database or a file path."""
-    if not isinstance(db, Database):
-        db = Database(db)
-    return db.execute(sql, timeout)
+    """Convenience wrapper: ``db`` may be a Database or a file path.  A
+    Database made here for a path is closed before returning."""
+    if isinstance(db, Database):
+        return db.execute(sql, timeout)
+    db = Database(db)
+    try:
+        return db.execute(sql, timeout)
+    finally:
+        db.close()
 
 
 # --------------------------------------------------------------------------

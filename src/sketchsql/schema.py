@@ -263,18 +263,54 @@ def schema_from_spider_record(record: dict) -> DatabaseSchema:
     return DatabaseSchema(str(db_id), tables, foreign_keys)
 
 
+# Authorizer actions that would leave state on a connection for later
+# statements to see: a temp object shadows a real table of the same name, an
+# open transaction pins a read snapshot.
+_STATEFUL_ACTIONS = frozenset((
+    sqlite3.SQLITE_CREATE_TEMP_INDEX, sqlite3.SQLITE_CREATE_TEMP_TABLE,
+    sqlite3.SQLITE_CREATE_TEMP_TRIGGER, sqlite3.SQLITE_CREATE_TEMP_VIEW,
+    sqlite3.SQLITE_CREATE_VTABLE, sqlite3.SQLITE_TRANSACTION,
+    sqlite3.SQLITE_SAVEPOINT,
+))
+# The only pragmas that may take an argument: they read the schema.
+_ARGUMENT_PRAGMAS = frozenset(("table_info", "foreign_key_list"))
+
+
+def _stateless_only(action, arg1, arg2, db_name, _source):
+    """Authorizer that denies what would change later statements' results
+    on the same connection: temp objects (``ANALYZE temp`` creates its
+    statistics table as a plain ``CREATE_TABLE`` in ``temp``),
+    transactions, savepoints, and pragmas that set a value."""
+    if action in _STATEFUL_ACTIONS or (
+            action == sqlite3.SQLITE_CREATE_TABLE and db_name == "temp"):
+        return sqlite3.SQLITE_DENY
+    if (action == sqlite3.SQLITE_PRAGMA and arg2 is not None
+            and arg1.lower() not in _ARGUMENT_PRAGMAS):
+        return sqlite3.SQLITE_DENY
+    return sqlite3.SQLITE_OK
+
+
 def connect_readonly(path: str | os.PathLike,
                      check_same_thread: bool = True) -> sqlite3.Connection:
-    """Open a SQLite file read-only.
+    """Open a SQLite file read-only, for any number of statements.
 
     The path is percent-quoted into the ``file:`` URI, so ``#``, ``?`` and
     ``%`` in a file or directory name are taken literally.  The connection
     may attach no database, so ``ATTACH``, ``VACUUM`` and ``VACUUM INTO``
-    fail instead of creating or writing files.
+    fail instead of creating or writing files.  It runs in autocommit
+    mode, so Python sends no ``BEGIN`` before a write and writes still
+    fail as "readonly".  An authorizer makes statements that would leave
+    state behind for the next one fail with "not authorized": ``CREATE
+    TEMP ...``, virtual tables, ``BEGIN``/``COMMIT``, savepoints, and
+    ``PRAGMA`` with an argument (except ``table_info`` and
+    ``foreign_key_list``).  So a connection that has run any statement
+    behaves like a fresh one.
     """
     uri = f"file:{urllib.parse.quote(os.fspath(path))}?mode=ro"
-    conn = sqlite3.connect(uri, uri=True, check_same_thread=check_same_thread)
+    conn = sqlite3.connect(uri, uri=True, check_same_thread=check_same_thread,
+                           isolation_level=None)
     conn.setlimit(sqlite3.SQLITE_LIMIT_ATTACHED, 0)
+    conn.set_authorizer(_stateless_only)
     return conn
 
 

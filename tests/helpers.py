@@ -358,3 +358,31 @@ def random_query(schema, rng) -> str:
             preds.append(f"{column} IN ('{word}', '{rng.choice(TOY_WORDS)}')")
     return (f"SELECT {table.columns[0].name} FROM {table.name} "
             f"WHERE {' AND '.join(preds)}")
+
+
+# --------------------------------------------------------------------------
+# Connection bookkeeping
+
+def record_connections(monkeypatch) -> list:
+    """Patch ``Database.connect`` to append every connection it opens to
+    the returned list."""
+    from sketchsql.execution import Database
+
+    opened = []
+    connect = Database.connect
+
+    def recording_connect(self, *args, **kwargs):
+        conn = connect(self, *args, **kwargs)
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(Database, "connect", recording_connect)
+    return opened
+
+
+def is_closed(conn: sqlite3.Connection) -> bool:
+    try:
+        conn.execute("SELECT 1")
+    except sqlite3.ProgrammingError:
+        return True
+    return False

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from helpers import make_benchmark_dataset, make_school_db
+from helpers import (is_closed, make_benchmark_dataset, make_school_db,
+                     record_connections)
 
 from sketchsql.benchmark import (
     EvalConfig,
@@ -252,6 +253,25 @@ def test_evaluate_closes_its_databases(dataset_root, monkeypatch):
     report, bundle = run_gold_echo(dataset_root)
     assert report.correct == 6
     assert closed == [str(bundle.db_paths["school"])]
+
+
+def test_evaluate_pools_statement_connections(tmp_path, monkeypatch):
+    root = make_benchmark_dataset(tmp_path / "bench", 24)
+    opened = record_connections(monkeypatch)
+    held = []
+    close = Database.close
+
+    def recording_close(self):
+        held.append(self._held)  # the calibration scan connection, if any
+        close(self)
+
+    monkeypatch.setattr(Database, "close", recording_close)
+    report, _ = run_gold_echo(root, workers=3)
+    assert report.correct == 24
+    assert held and held[0] is not None  # calibration scanned values
+    statement = [c for c in opened if c is not held[0]]
+    assert 1 <= len(statement) <= 3
+    assert all(is_closed(conn) for conn in opened)
 
 
 def test_evaluate_is_deterministic(dataset_root, tmp_path):

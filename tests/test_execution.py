@@ -1,7 +1,14 @@
+import os
 import sqlite3
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 from hypothesis import given, strategies as st
+
+from helpers import is_closed, record_connections
 
 from sketchsql.errors import DatabaseAccessError
 from sketchsql.execution import (
@@ -101,9 +108,116 @@ def test_missing_file_raises():
         Database("/nonexistent/dir/none.sqlite")
 
 
-def test_execute_accepts_path(db):
+def test_execute_accepts_path(db, monkeypatch):
+    opened = record_connections(monkeypatch)
     assert execute(db.path, "SELECT 1").result == ResultSet(1, ((1,),))
+    assert len(opened) == 1 and is_closed(opened[0])  # nothing left pooled
     assert execute(db, "SELECT 1").is_rows
+
+
+# --------------------------------------------------------------------------
+# Reused statement connections behave like fresh ones
+
+SLOW = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+        "WHERE x < {n}) SELECT count(*) FROM c")
+
+
+def commit_row(path, row_id, label):
+    """Insert a row from a writer that fails at once if a read is open."""
+    with closing(sqlite3.connect(path, timeout=0)) as writer:
+        writer.execute("INSERT INTO item VALUES (?, ?, 1.0)", (row_id, label))
+        writer.commit()
+
+
+@pytest.mark.parametrize("statement", [
+    "CREATE TEMP TABLE item (id, label, price)",
+    "CREATE TEMP VIEW item AS SELECT 1 AS id, 'x' AS label, 0 AS price",
+    "ANALYZE temp",
+    "PRAGMA case_sensitive_like=ON",
+    "PRAGMA main.case_sensitive_like = 1",
+    "BEGIN",
+    "SAVEPOINT pinned",
+])
+def test_statements_that_leave_state_are_rejected(db, statement):
+    outcome = db.execute(statement)
+    assert outcome.is_error
+    assert "not authorized" in outcome.message
+    like = "SELECT count(*) FROM item WHERE label LIKE 'PEN'"
+    assert db.execute(like).result.rows == ((2,),)  # real table, default LIKE
+    assert db.execute("SELECT count(*) FROM temp.sqlite_master").result.rows \
+        == ((0,),)
+    commit_row(db.path, 7, "pen")  # "database is locked" if a read is pinned
+    assert db.execute(like).result.rows == ((3,),)
+
+
+def test_deadline_does_not_outlive_its_statement(db):
+    assert db.execute(SLOW.format(n=100_000_000), timeout=0.05).is_error
+    outcome = db.execute(SLOW.format(n=300_000), timeout=0)
+    assert outcome.result == ResultSet(1, ((300_000,),))
+
+
+def test_replaced_file_is_read_afresh(db, tmp_path):
+    assert db.execute("SELECT count(*) FROM item").result.rows == ((6,),)
+    assert db.has_value("item", "label", "pen")
+    replacement = tmp_path / "replacement.sqlite"
+    with closing(sqlite3.connect(replacement)) as conn:
+        conn.executescript("CREATE TABLE item (id INTEGER, label, price REAL);"
+                           "INSERT INTO item VALUES (1, 'cap', 3.0);")
+    os.replace(replacement, db.path)
+    assert db.execute("SELECT label FROM item").result.rows == (("cap",),)
+    assert not db.has_value("item", "label", "pen")
+    os.remove(db.path)
+    assert db.execute("SELECT label FROM item").is_error
+    with pytest.raises(DatabaseAccessError):
+        db.has_value("item", "label", "cap")
+
+
+def test_writer_commits_after_any_statement(db):
+    statements = [("SELECT label FROM item", None),
+                  ("SELECT nope FROM item", None),
+                  (SLOW.format(n=100_000_000), 0.05)]
+    for i, (sql, timeout) in enumerate(statements):
+        db.execute(sql, timeout=timeout)
+        commit_row(db.path, 10 + i, "cap")
+        count = db.execute("SELECT count(*) FROM item WHERE label = 'cap'",
+                           timeout=0)
+        assert count.result.rows == ((i + 1,),)
+
+
+def test_pool_is_bounded_by_concurrent_callers(db, monkeypatch):
+    opened = record_connections(monkeypatch)
+    workers, barrier, wrong = 6, threading.Barrier(6), []
+
+    def work(i):
+        barrier.wait(timeout=30)
+        for _ in range(40):
+            rows = db.execute(f"SELECT {i}, count(*) FROM item").result.rows
+            if rows != ((i, 6),):
+                wrong.append(rows)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(work, range(workers), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    pooled = list(opened)
+    assert 1 <= len(pooled) <= workers
+    db.close()
+    assert all(is_closed(conn) for conn in pooled)
+    assert db.execute("SELECT count(*) FROM item").result.rows == ((6,),)
+    assert len(opened) == len(pooled) + 1 and not is_closed(opened[-1])
+    db.close()
+
+
+def test_close_closes_a_connection_in_use(db):
+    with db._statement_connection(None) as conn:
+        db.close()
+        assert not is_closed(conn)
+    assert is_closed(conn)
+    assert db.execute("SELECT count(*) FROM item").result.rows == ((6,),)
 
 
 # --------------------------------------------------------------------------
