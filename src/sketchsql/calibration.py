@@ -16,7 +16,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -92,11 +92,16 @@ class EncodedValues(Sequence):
     the first ``active[j]`` lanes.  Padding is code 0, whose mask is
     always 0.  Other non-blank values are scored one at a time; blank ones
     cannot be scored at all.
+
+    The values fall into segments, one per column: ``values[bounds[s]:
+    bounds[s + 1]]`` is segment ``s``.  The constructor makes one segment;
+    :meth:`concat` lays several columns out as one lane set.
     """
 
     def __init__(self, values):
         self.values = list(values)
         n = len(self.values)
+        self.bounds = np.array([0, n])
         normal = [v.strip().lower() for v in self.values]
         lengths = np.fromiter(map(len, normal), np.int64, n)
         fits = ((lengths > 0) & (lengths <= _MAX_LANE_VALUE)
@@ -112,18 +117,54 @@ class EncodedValues(Sequence):
                           for i in self.lanes.tolist()])
         self.codes = np.frombuffer(packed.encode("ascii"), np.uint8) \
             .reshape(len(lanes), width).T.copy()
-        # active[j]: lanes longer than j, i.e. sum of bincount[j + 1:].
-        longer = np.cumsum(np.bincount(self.lengths, minlength=width + 1)[::-1])
-        self.active = longer[::-1][1:].tolist()
-        # rank[i]: position of values[i] in sorted order, for tie-breaks.
+        self.active = _active_lanes(self.lengths, width)
+        # rank[i]: position of values[i] in its segment's sorted order,
+        # for tie-breaks.
         self.rank = np.empty(n, dtype=np.intp)
         self.rank[sorted(range(n), key=self.values.__getitem__)] = np.arange(n)
+
+    @classmethod
+    def concat(cls, columns: list) -> "EncodedValues":
+        """The values of ``columns`` (single-segment instances) in order,
+        one segment each, as one longest-first lane set.  A single column
+        is returned as it is."""
+        if len(columns) == 1:
+            return columns[0]
+        merged = cls.__new__(cls)
+        starts = np.cumsum([0] + [len(c) for c in columns])
+        merged.bounds = starts
+        merged.values = list(chain.from_iterable(c.values for c in columns))
+        merged.others = [i + int(s) for c, s in zip(columns, starts)
+                         for i in c.others]
+        lengths = np.concatenate([c.lengths for c in columns])
+        order = np.argsort(-lengths, kind="stable")
+        lanes = np.concatenate([c.lanes for c in columns]) + np.repeat(
+            starts[:-1], [len(c.lanes) for c in columns])
+        merged.lanes = lanes[order]
+        merged.lengths = lengths[order]
+        width = int(merged.lengths[0]) if len(order) else 0
+        codes = np.zeros((width, len(order)), np.uint8)
+        at = 0
+        for c in columns:
+            rows, count = c.codes.shape
+            codes[:rows, at:at + count] = c.codes
+            at += count
+        merged.codes = codes[:, order]
+        merged.active = _active_lanes(merged.lengths, width)
+        merged.rank = np.concatenate([c.rank for c in columns])
+        return merged
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, i):
         return self.values[i]
+
+
+def _active_lanes(lengths: np.ndarray, width: int) -> list:
+    """active[j]: how many lanes are longer than j, for j < width."""
+    longer = np.cumsum(np.bincount(lengths, minlength=width + 1)[::-1])
+    return longer[::-1][1:].tolist()
 
 
 def _lane_scores(a: str, encoded: EncodedValues) -> np.ndarray:
@@ -466,23 +507,34 @@ def column_values(db, table: str, column: str,
         lambda: EncodedValues(db.distinct_text_values(table, column, scan_cap)))
 
 
-def best_match(candidates, value0: str, backend) -> tuple | None:
-    """Best ``(score, value)`` among one column's candidate values against
-    ``value0``, or None when none can be scored.  Equal scores go to the
-    lexicographically smaller value."""
-    if not isinstance(candidates, EncodedValues):
-        candidates = EncodedValues(candidates)
+def best_match(candidates: EncodedValues, value0: str, backend) -> list:
+    """Best ``(score, value)`` of each segment (column) of ``candidates``
+    against ``value0``, or None for a segment none of whose values can be
+    scored.  All values are scored in one :meth:`score_many` call; equal
+    scores go to the lexicographically smaller value."""
     scores = backend.score_many(value0, candidates)
-    scored = ~np.isnan(scores)
-    if not scored.any():
-        return None
-    top = scores[scored].max()
-    tied = np.flatnonzero(scores == top)
-    return float(top), candidates[tied[np.argmin(candidates.rank[tied])]]
+    bounds = candidates.bounds
+    sizes = bounds[1:] - bounds[:-1]
+    filled = sizes.nonzero()[0]
+    out = [None] * len(sizes)
+    # reduceat over the starts of non-empty segments only: an empty
+    # segment's start equals the next start, which reduceat would read as
+    # a one-value segment.
+    starts, sizes = bounds[filled], sizes[filled]
+    top = np.fmax.reduceat(scores, starts)
+    tied = scores == np.repeat(top, sizes)
+    least = np.minimum.reduceat(np.where(tied, candidates.rank, len(scores)),
+                                starts)
+    winners = np.flatnonzero(tied & (candidates.rank == np.repeat(least, sizes)))
+    scored = ~np.isnan(top)
+    for s, score, i in zip(filled[scored].tolist(), top[scored].tolist(),
+                           winners.tolist()):
+        out[s] = (score, candidates[i])
+    return out
 
 
 def _match_predicate(schema, query: ParsedQuery, predicate: Predicate, r: float,
-                     levels, column_best) -> MatchResult | None:
+                     levels, column_bests) -> MatchResult | None:
     value0 = _match_value(predicate)
     overall: MatchResult | None = None
     for level in levels:
@@ -490,8 +542,9 @@ def _match_predicate(schema, query: ParsedQuery, predicate: Predicate, r: float,
         # that have candidates, then toward the smaller value.
         order: dict[str, int] = {}
         best_key, result = None, None
-        for table, column in level_columns(level, schema, query, predicate):
-            count, found = column_best(value0, table, column)
+        columns = level_columns(level, schema, query, predicate)
+        for (_, column), (count, found) in zip(
+                columns, column_bests(value0, columns)):
             if count:
                 rank = order.setdefault(column, len(order))
             if found is None:
@@ -537,17 +590,26 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
     schema = db.schema
     bests: dict = {}
 
-    def column_best(value0: str, table: str, column: str) -> tuple:
-        key = (value0, table.lower(), column.lower())
-        if key not in bests:
-            values = column_values(db, table, column, scan_cap)
-            bests[key] = (len(values), best_match(values, value0, backend))
-        return bests[key]
+    def column_bests(value0: str, columns: list) -> list:
+        """``(value count, best_match)`` of each (table, column), scoring
+        the columns this call has not scored yet in one batch."""
+        keys = [(value0, table.lower(), column.lower())
+                for table, column in columns]
+        new = {}
+        for key, (table, column) in zip(keys, columns):
+            if key not in bests:
+                new[key] = column_values(db, table, column, scan_cap)
+        if new:
+            batch = EncodedValues.concat(list(new.values()))
+            for (key, values), best in zip(
+                    new.items(), best_match(batch, value0, backend)):
+                bests[key] = (len(values), best)
+        return [bests[key] for key in keys]
 
     replacements = []
     for predicate in predicates:
         result = _match_predicate(schema, query, predicate, r, levels,
-                                  column_best)
+                                  column_bests)
         if result is not None:
             replacements.append((predicate, result))
     return CalibrationFeedback(tuple(replacements))

@@ -346,7 +346,7 @@ class StubAligner:
 
     def score(self, sequences: list[str]) -> list[float]:
         scores = [self._script.take("score", seq) for seq in sequences]
-        return _validate_scores(sequences, [float(s) for s in scores])
+        return _validate_scores(sequences, scores)
 
 
 class StubCompleter:

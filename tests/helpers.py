@@ -107,6 +107,8 @@ def _oracle_best(candidates, value0, level):
     column_order = {}
     for column, value in candidates:
         column_order.setdefault(column, len(column_order))
+        if not value.strip():
+            continue  # blank text has no similarity: not a candidate
         score = similarity_oracle(value0, value)
         key = (-score, column_order[column], value)
         if best_key is None or key < best_key:

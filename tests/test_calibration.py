@@ -24,6 +24,7 @@ from sketchsql.calibration import (
     CalibrationFeedback,
     CharacterFuzzy,
     EmbeddingTable,
+    EncodedValues,
     MatchLevel,
     MatchResult,
     SentenceEncoder,
@@ -42,7 +43,7 @@ from sketchsql.calibration import (
 )
 from sketchsql.errors import EmptyValueError
 from sketchsql.execution import Database
-from sketchsql.gateway import StubSentenceEncoder
+from sketchsql.gateway import StubScript, StubSentenceEncoder
 from sketchsql.selection import SelectionConfig, calibrate_deterministic
 from sketchsql.sql_analysis import Predicate, parse_sql
 
@@ -241,12 +242,18 @@ def test_candidate_scan_cap(school_db):
     assert capped == [("given_name", "timmy")]  # first in sorted order
 
 
+def _best_of_column(values, literal):
+    """best_match over a one-column batch."""
+    (best,) = best_match(EncodedValues(values), literal, CharacterFuzzy())
+    return best
+
+
 def test_best_match_tie_breaks():
-    assert best_match(["xx", "xx"], "xx", CharacterFuzzy()) == (1.0, "xx")
-    best = best_match(["ab", "aa"], "a", CharacterFuzzy())
+    assert _best_of_column(["xx", "xx"], "xx") == (1.0, "xx")
+    best = _best_of_column(["ab", "aa"], "a")
     assert best[1] == "aa"  # equal scores; smaller value wins
-    assert best_match([], "x", CharacterFuzzy()) is None
-    assert best_match(["  "], "x", CharacterFuzzy()) is None  # blank: unscored
+    assert _best_of_column([], "x") is None
+    assert _best_of_column(["  "], "x") is None  # blank: unscored
 
 
 def test_level_tie_breaks_follow_first_column_name(tmp_path):
@@ -314,6 +321,143 @@ def test_score_many_loops_over_score_for_other_backends(table):
         assert scores[1] == backend.score("king", "wards")
         assert np.isnan(scores[2])
         assert scores[3] == backend.score("king", "kings")
+
+
+# --------------------------------------------------------------------------
+# One lane pass per level: segments of a batch
+
+def _oracle_column_best(values, literal):
+    """Best (score, value) of one column by ``similarity_oracle``: equal
+    scores go to the smaller value; None when nothing can be scored."""
+    if not literal.strip():
+        return None
+    scored = [(similarity_oracle(literal, v), v) for v in values if v.strip()]
+    if not scored:
+        return None
+    top = max(score for score, _ in scored)
+    return top, min(v for score, v in scored if score == top)
+
+
+def _assert_batch_matches_oracle(literal, columns):
+    batch = EncodedValues.concat([EncodedValues(c) for c in columns])
+    assert len(batch) == sum(map(len, columns))
+    assert best_match(batch, literal, CharacterFuzzy()) == \
+        [_oracle_column_best(c, literal) for c in columns]
+
+
+@pytest.mark.parametrize("literal,columns", [
+    # empty columns before, between and after non-empty ones
+    ("timmy", [[], ["timmy", "tommy"], [], [], ["tim"], []]),
+    ("timmy", [[], []]),
+    # a column of blank values only
+    ("timmy", [["tom"], ["  ", "\t"], ["timmy"]]),
+    # a column of values that are no lanes: non-ASCII, NUL, over 255 chars
+    ("timmy", [["tim"], ["tîmmy", "ti\0mmy", "timmy" * 60], ["tom"]]),
+    # a literal over 63 characters scores every value one at a time
+    ("timmy" * 13, [["timmy" * 12, "tim"], [], ["timmy" * 13 + "s"]]),
+    # equal scores in one column: the smaller value wins, wherever it is
+    ("abz", [["abd", "abc", "zz"], ["aby", "abx"], ["b"]]),
+])
+def test_best_match_segments_equal_oracle(literal, columns):
+    _assert_batch_matches_oracle(literal, columns)
+
+
+@given(_LITERALS, st.lists(st.lists(_VALUES, max_size=5), min_size=1,
+                           max_size=5))
+def test_best_match_batch_equals_oracle(literal, columns):
+    _assert_batch_matches_oracle(literal, columns)
+
+
+def test_database_level_batch_matches_oracle(tmp_path):
+    path = tmp_path / "segments.sqlite"
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.executescript("""
+            CREATE TABLE a (name TEXT, none TEXT, blank TEXT, odd TEXT);
+            CREATE TABLE b (code TEXT, name TEXT);
+            CREATE TABLE c (x TEXT);
+            INSERT INTO a VALUES ('timmyb', NULL, '  ', 'tîmmy'),
+                                 ('lee', 7, ' ', 'ti' || char(0) || 'mmy');
+            INSERT INTO b VALUES ('zz', 'timmya'), ('qq', 'lee');
+            INSERT INTO c VALUES ('zzz');
+        """)
+        conn.execute("INSERT INTO a VALUES ('ward', NULL, NULL, ?)",
+                     ("timmy" * 60,))
+    db = Database(path)
+    literals = ["timmy", "timmi", "tîmmy", "timmy" * 13, "ward", "leigh"]
+    for literal in literals:
+        for column in ("x", "ghost"):
+            sql = f"SELECT x FROM c WHERE {column} = '{literal}'"
+            for r in (0.65, 1.0):
+                feedback = multi_level_match(db, parse_sql(sql), r,
+                                             CharacterFuzzy())
+                assert list(feedback.replacements) == \
+                    oracle_multi_level(db.schema, db.path, sql, r), (sql, r)
+    # a.name and b.name share a bare name, so their equal scores go to the
+    # smaller value, although a comes first.
+    sql = "SELECT x FROM c WHERE x = 'timmy'"
+    (_, match), = multi_level_match(db, parse_sql(sql), 0.65,
+                                    CharacterFuzzy()).replacements
+    assert match == MatchResult("name", "timmya", 0.8, MatchLevel.DATABASE)
+    db.close()
+
+
+def test_value_index_holds_one_entry_per_scanned_column(tmp_path):
+    path = tmp_path / "wide.sqlite"
+    with closing(sqlite3.connect(path)) as conn, conn:
+        for t in range(4):
+            conn.execute(f"CREATE TABLE t{t} (a TEXT, b TEXT, c TEXT)")
+            conn.executemany(f"INSERT INTO t{t} VALUES (?, ?, ?)",
+                             [(f"ann{t}{i}", f"bob{i}", f"cy{t}")
+                              for i in range(5)])
+    db = Database(path)
+    scanned = set()
+    scan = db.distinct_text_values
+
+    def recording_scan(table, column, cap):
+        scanned.add((table.lower(), column.lower(), cap))
+        return scan(table, column, cap)
+
+    db.distinct_text_values = recording_scan
+    for i in range(48):
+        table, column, cap = f"t{i % 4}", "abc"[i % 3], (10_000, 3)[i % 2]
+        sql = f"SELECT {column} FROM {table} WHERE {column} = 'zed{i}'"
+        multi_level_match(db, parse_sql(sql), 1.0, CharacterFuzzy(),
+                          scan_cap=cap)
+    assert len(scanned) == 4 * 3 * 2
+    assert set(db._index) <= scanned
+    db.close()
+
+
+def test_sentence_encoder_calls_score_in_search_order(school_db):
+    """The k-th score call gets the k-th literal vector of the stub queue,
+    which matches only the value documented to be scored k-th, with a
+    cosine that grows with k: so both the winner and its score pin the
+    order of the calls."""
+    # Search order: each level's columns not scored yet, values sorted.
+    order = ["timmy", "wardle",                     # Student.given_name
+             "lee", "ward", "art", "math",          # rest of Student
+             "001", "math", "jordy wu"]             # Course
+    texts = sorted(set(order))
+    onehot = {t: [float(t == u) for u in texts] + [0.0] for t in texts}
+    literal_queue = [[x * (k + 1) for x in onehot[text][:-1]] + [20.0]
+                     for k, text in enumerate(order)]
+    script = {"zed": literal_queue, **{t: [v] for t, v in onehot.items()}}
+    encoder = StubSentenceEncoder(StubScript({"encode": script}))
+    calls = []
+    encode = encoder.encode
+
+    def recording_encode(texts):
+        calls.append(tuple(texts))
+        return encode(texts)
+
+    encoder.encode = recording_encode
+    query = parse_sql("SELECT course FROM Student WHERE given_name = 'zed'")
+    feedback = multi_level_match(school_db, query, 0.65,
+                                 SentenceEncoder(encoder))
+    assert calls == [("zed", text) for text in order]
+    (_, match), = feedback.replacements
+    assert match == MatchResult("teacher", "jordy wu", 9 / np.hypot(9, 20),
+                                MatchLevel.DATABASE, below_threshold=True)
 
 
 # --------------------------------------------------------------------------

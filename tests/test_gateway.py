@@ -340,6 +340,13 @@ def test_stub_aligner_rejects_out_of_range():
         StubAligner(script).score(["a"])
 
 
+@pytest.mark.parametrize("scripted", [True, "0.5", "x"])
+def test_stub_aligner_rejects_non_numbers_like_the_client(scripted):
+    script = StubScript({"score": {"*": [scripted]}})
+    with pytest.raises(ProtocolError):
+        StubAligner(script).score(["a"])
+
+
 # --------------------------------------------------------------------------
 # Request helpers
 
