@@ -75,7 +75,7 @@ class DatasetBundle:
     db_paths: dict
 
 
-def _read_examples(path: Path, fmt: str) -> list[BenchmarkExample]:
+def _read_examples(path: Path) -> list[BenchmarkExample]:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -122,7 +122,7 @@ def load_dataset(root, fmt: str = "spider",
             raise DatasetIntegrityError(
                 f"no examples file found under {root} "
                 f"(tried {', '.join(candidates)})")
-    examples = _read_examples(examples_path, fmt)
+    examples = _read_examples(examples_path)
 
     schemas: dict[str, DatabaseSchema] = {}
     tables_path = root / "tables.json"

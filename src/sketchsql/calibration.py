@@ -457,10 +457,9 @@ def _resolve_column(db_schema, query: ParsedQuery, column_text: str):
     Qualified references go through the query's alias map; bare names are
     searched across the query's FROM tables in appearance order.
     """
-    aliases = alias_map(query)
     if "." in column_text:
         qualifier, column = column_text.split(".", 1)
-        table = aliases.get(qualifier.lower(), qualifier)
+        table = alias_map(query).get(qualifier.lower(), qualifier)
         ti = db_schema.table_index(table)
         if ti is None:
             return None

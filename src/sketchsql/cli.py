@@ -34,7 +34,6 @@ from .benchmark import (
     format_summary,
     load_dataset,
     translate_question,
-    write_report_json,
 )
 from .calibration import (
     DEFAULT_SCAN_CAP,
@@ -287,6 +286,17 @@ def cmd_serialize(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _write_json(payload, path=None) -> None:
+    """Write ``payload`` as indented, key-sorted JSON and a newline to the
+    file at ``path``, or to stdout when ``path`` is None."""
+    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def cmd_translate(args: argparse.Namespace, config: RunConfig) -> int:
     clients = build_clients(config)
     provider, aligner, completer = _require(clients, "sketch", "aligner",
@@ -298,11 +308,8 @@ def cmd_translate(args: argparse.Namespace, config: RunConfig) -> int:
         args.question, db.schema, db, provider, aligner, selection,
         config.k_select, config.k_from, config.k_keywords)
     if config.trace:
-        payload = {"config": _config_echo(config), "trace": trace.to_dict()}
-        with open(config.trace, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True,
-                      ensure_ascii=False)
-            handle.write("\n")
+        _write_json({"config": _config_echo(config), "trace": trace.to_dict()},
+                    config.trace)
         log.info("trace written to %s", config.trace)
     if sql is not None:
         print(sql)
@@ -361,21 +368,14 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
     report = evaluate(eval_config, bundle)
     payload = {"config": _config_echo(config), **report.to_dict()}
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True,
-                      ensure_ascii=False)
-            handle.write("\n")
+        _write_json(payload, config.output)
         log.info("report written to %s", config.output)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True,
-                         ensure_ascii=False))
+        _write_json(payload)
     if config.trace:
-        traces = {"config": _config_echo(config),
-                  "traces": [r.trace for r in report.per_example]}
-        with open(config.trace, "w", encoding="utf-8") as handle:
-            json.dump(traces, handle, indent=2, sort_keys=True,
-                      ensure_ascii=False)
-            handle.write("\n")
+        _write_json({"config": _config_echo(config),
+                     "traces": [r.trace for r in report.per_example]},
+                    config.trace)
         log.info("traces written to %s", config.trace)
     print(format_summary(report), file=sys.stderr)
     return EXIT_OK
@@ -575,10 +575,7 @@ def main(argv=None) -> int:
     try:
         config = effective_config(args)
         return args.handler(args, config)
-    except (SketchSqlError, ValueError) as exc:
-        log.error("%s", exc)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (SketchSqlError, ValueError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_ERROR
 

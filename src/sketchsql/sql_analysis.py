@@ -15,12 +15,18 @@ identifiers.
 The parse tree is immutable; rewrites build a new tree.  Rendering is
 canonical (uppercase keywords, single spaces, ``AS`` before aliases) and
 ``parse -> render -> parse`` is a fixpoint.
+
+One tree walk serves every analysis.  Text predicates come from WHERE and
+HAVING clauses at every depth: the outer query and subqueries anywhere in
+it, whether in a condition, a select item, a function argument, a FROM
+source, JOIN ON, GROUP BY, ORDER BY or LIMIT.  Rewriting finds predicates
+with the same walk, so every predicate that is reported can be rewritten.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import PredicateNotFoundError, SqlParseError
 
@@ -780,12 +786,34 @@ def _column_text(ref: ColumnRef) -> str:
     return ref.name if ref.table is None else f"{ref.table}.{ref.name}"
 
 
+def _is_string(node) -> bool:
+    return isinstance(node, Literal) and node.kind == "string"
+
+
 def _as_column_and_string(left, right) -> tuple[ColumnRef, Literal] | None:
-    if isinstance(left, ColumnRef) and isinstance(right, Literal) and right.kind == "string":
+    if isinstance(left, ColumnRef) and _is_string(right):
         return left, right
-    if isinstance(right, ColumnRef) and isinstance(left, Literal) and left.kind == "string":
+    if isinstance(right, ColumnRef) and _is_string(left):
         return right, left
     return None
+
+
+def _site_predicates(node, depth: int) -> tuple:
+    """The predicates ``node`` reports when it sits inside a condition."""
+    kind = type(node)
+    if kind is Binary and node.op == "=":
+        pair = _as_column_and_string(node.left, node.right)
+        if pair is not None:
+            column, literal = pair
+            return (Predicate(_column_text(column), OP_EQ, literal.string_value, depth),)
+    elif kind is Like and isinstance(node.expr, ColumnRef) and _is_string(node.pattern):
+        return (Predicate(_column_text(node.expr), OP_LIKE,
+                          node.pattern.string_value, depth),)
+    elif kind is InList and isinstance(node.expr, ColumnRef):
+        column = _column_text(node.expr)
+        return tuple(Predicate(column, OP_IN_ELEMENT, item.string_value, depth)
+                     for item in node.items if _is_string(item))
+    return ()
 
 
 def extract_predicates(query: ParsedQuery) -> list[Predicate]:
@@ -793,90 +821,11 @@ def extract_predicates(query: ParsedQuery) -> list[Predicate]:
 
     Covers ``col = 'v'`` (either orientation), ``col LIKE 'v'``, and each
     string element of ``col IN (...)``, from WHERE and HAVING clauses at
-    every query depth, including under NOT.
+    every query depth, including under NOT and in subqueries anywhere in
+    the query.  :func:`rewrite_predicate` can rewrite every one of them.
     """
-    out: list[Predicate] = []
-    _collect_select(query.root, 0, out)
-    return out
-
-
-def _collect_select(node, depth: int, out: list) -> None:
-    if isinstance(node, SetOp):
-        _collect_select(node.left, depth, out)
-        _collect_select(node.right, depth, out)
-        return
-    sel: Select = node
-    for item in sel.items:
-        _scan_expr(item.expr, False, depth, out)
-    for src in _sources(sel):
-        if isinstance(src, SubqueryTable):
-            _collect_select(src.query, depth + 1, out)
-    for join in sel.joins:
-        if join.on is not None:
-            _scan_expr(join.on, False, depth, out)
-    if sel.where is not None:
-        _scan_expr(sel.where, True, depth, out)
-    for e in sel.group_by:
-        _scan_expr(e, False, depth, out)
-    if sel.having is not None:
-        _scan_expr(sel.having, True, depth, out)
-    for o in sel.order_by:
-        _scan_expr(o.expr, False, depth, out)
-
-
-def _sources(sel: Select):
-    if sel.source is not None:
-        yield sel.source
-    for join in sel.joins:
-        yield join.source
-
-
-def _scan_expr(node, in_condition: bool, depth: int, out: list) -> None:
-    if isinstance(node, Binary):
-        if node.op == "=" and in_condition:
-            pair = _as_column_and_string(node.left, node.right)
-            if pair is not None:
-                col, lit = pair
-                out.append(Predicate(_column_text(col), OP_EQ, lit.string_value, depth))
-        _scan_expr(node.left, in_condition, depth, out)
-        _scan_expr(node.right, in_condition, depth, out)
-    elif isinstance(node, Unary):
-        _scan_expr(node.operand, in_condition, depth, out)
-    elif isinstance(node, Like):
-        if (in_condition and isinstance(node.expr, ColumnRef)
-                and isinstance(node.pattern, Literal) and node.pattern.kind == "string"):
-            out.append(Predicate(_column_text(node.expr), OP_LIKE,
-                                 node.pattern.string_value, depth))
-        _scan_expr(node.expr, in_condition, depth, out)
-        if not isinstance(node.pattern, Literal):
-            _scan_expr(node.pattern, in_condition, depth, out)
-    elif isinstance(node, InList):
-        if in_condition and isinstance(node.expr, ColumnRef):
-            for item in node.items:
-                if isinstance(item, Literal) and item.kind == "string":
-                    out.append(Predicate(_column_text(node.expr), OP_IN_ELEMENT,
-                                         item.string_value, depth))
-        _scan_expr(node.expr, in_condition, depth, out)
-        for item in node.items:
-            if not isinstance(item, Literal):
-                _scan_expr(item, in_condition, depth, out)
-    elif isinstance(node, InSelect):
-        _scan_expr(node.expr, in_condition, depth, out)
-        _collect_select(node.query, depth + 1, out)
-    elif isinstance(node, Between):
-        _scan_expr(node.expr, in_condition, depth, out)
-        _scan_expr(node.low, in_condition, depth, out)
-        _scan_expr(node.high, in_condition, depth, out)
-    elif isinstance(node, IsNull):
-        _scan_expr(node.expr, in_condition, depth, out)
-    elif isinstance(node, Exists):
-        _collect_select(node.query, depth + 1, out)
-    elif isinstance(node, ScalarSubquery):
-        _collect_select(node.query, depth + 1, out)
-    elif isinstance(node, FuncCall):
-        for arg in node.args:
-            _scan_expr(arg, in_condition, depth, out)
-    # Literal / ColumnRef: leaves.
+    return [pred for node, in_condition, depth, _ in _walk(query.root)
+            if in_condition for pred in _site_predicates(node, depth)]
 
 
 def _split_column(text: str) -> ColumnRef:
@@ -889,167 +838,110 @@ def _split_column(text: str) -> ColumnRef:
 def rewrite_predicate(query: ParsedQuery, old: Predicate, new: Predicate) -> ParsedQuery:
     """Replace the first occurrence of ``old`` with ``new`` in the query.
 
-    Only the matching column reference and literal change; everything else
-    is preserved.  For an IN element, the single matching element is
-    replaced (and the shared column reference, when ``new`` renames it).
-    Raises :class:`PredicateNotFoundError` when ``old`` does not occur.
+    The first occurrence is the first predicate of :func:`extract_predicates`
+    equal to ``old`` in column, operator and value.  Only the matching
+    column reference and literal change; everything else is preserved.
+    For an IN element, the single matching element is replaced (and the
+    shared column reference, when ``new`` renames it).  Raises
+    :class:`PredicateNotFoundError` when ``old`` does not occur.
     """
-    state = {"done": False}
-    new_root = _rewrite_node(query.root, old, new, True, state)
-    if not state["done"]:
-        raise PredicateNotFoundError(
-            f"predicate {old.column} {old.operator} {old.value!r} not found in query"
-        )
-    text = render_query(new_root)
-    return ParsedQuery(new_root, text, tuple(tokenize(text)))
+    key = (old.column, old.operator, old.value)
+    for node, in_condition, depth, link in _walk(query.root):
+        if in_condition and any((p.column, p.operator, p.value) == key
+                                for p in _site_predicates(node, depth)):
+            new_root = _rebuild(link, _rewritten(node, old, new))
+            text = render_query(new_root)
+            return ParsedQuery(new_root, text, tuple(tokenize(text)))
+    raise PredicateNotFoundError(
+        f"predicate {old.column} {old.operator} {old.value!r} not found in query"
+    )
 
 
-def _matches_eq(node: Binary, old: Predicate) -> bool:
-    pair = _as_column_and_string(node.left, node.right)
-    return (pair is not None
-            and _column_text(pair[0]) == old.column
-            and pair[1].string_value == old.value)
+def _rewritten(node, old: Predicate, new: Predicate):
+    """``node``, a site that reports ``old``, reporting ``new`` instead."""
+    column, literal = _split_column(new.column), Literal.string(new.value)
+    if type(node) is Binary:
+        if isinstance(node.left, ColumnRef):
+            return Binary(node.op, column, literal)
+        return Binary(node.op, literal, column)
+    if type(node) is Like:
+        return replace(node, expr=column, pattern=literal)
+    index = next(i for i, item in enumerate(node.items)
+                 if _is_string(item) and item.string_value == old.value)
+    return replace(node, expr=column if new.column != old.column else node.expr,
+                   items=node.items[:index] + (literal,) + node.items[index + 1:])
 
 
-def _rewrite_node(node, old, new, in_condition, state):
-    if state["done"]:
-        return node
-    if isinstance(node, SetOp):
-        left = _rewrite_node(node.left, old, new, in_condition, state)
-        right = _rewrite_node(node.right, old, new, in_condition, state)
-        return replace(node, left=left, right=right)
-    if isinstance(node, Select):
-        return _rewrite_select(node, old, new, state)
-    if isinstance(node, Binary):
-        if (in_condition and old.operator == OP_EQ and node.op == "="
-                and _matches_eq(node, old)):
-            state["done"] = True
-            new_col = _split_column(new.column)
-            new_lit = Literal.string(new.value)
-            if isinstance(node.left, ColumnRef):
-                return Binary(node.op, new_col, new_lit)
-            return Binary(node.op, new_lit, new_col)
-        left = _rewrite_node(node.left, old, new, in_condition, state)
-        right = _rewrite_node(node.right, old, new, in_condition, state)
-        return replace(node, left=left, right=right)
-    if isinstance(node, Unary):
-        return replace(node, operand=_rewrite_node(node.operand, old, new,
-                                                   in_condition, state))
-    if isinstance(node, Like):
-        if (in_condition and old.operator == OP_LIKE
-                and isinstance(node.expr, ColumnRef)
-                and isinstance(node.pattern, Literal)
-                and node.pattern.kind == "string"
-                and _column_text(node.expr) == old.column
-                and node.pattern.string_value == old.value):
-            state["done"] = True
-            return replace(node, expr=_split_column(new.column),
-                           pattern=Literal.string(new.value))
-        expr = _rewrite_node(node.expr, old, new, in_condition, state)
-        pattern = _rewrite_node(node.pattern, old, new, in_condition, state)
-        return replace(node, expr=expr, pattern=pattern)
-    if isinstance(node, InList):
-        if (in_condition and old.operator == OP_IN_ELEMENT
-                and isinstance(node.expr, ColumnRef)
-                and _column_text(node.expr) == old.column):
-            items = list(node.items)
-            for idx, item in enumerate(items):
-                if (isinstance(item, Literal) and item.kind == "string"
-                        and item.string_value == old.value):
-                    state["done"] = True
-                    items[idx] = Literal.string(new.value)
-                    expr = (_split_column(new.column)
-                            if new.column != old.column else node.expr)
-                    return replace(node, expr=expr, items=tuple(items))
-        return node
-    if isinstance(node, InSelect):
-        return replace(node, query=_rewrite_node(node.query, old, new, True, state))
-    if isinstance(node, Exists):
-        return replace(node, query=_rewrite_node(node.query, old, new, True, state))
-    if isinstance(node, ScalarSubquery):
-        return replace(node, query=_rewrite_node(node.query, old, new, True, state))
+def _rebuild(link, node):
+    """The root of a copy of the tree in which ``node`` takes the place
+    that ``link`` leads to."""
+    while link is not None:
+        link, parent, name, index = link
+        if index is not None:
+            siblings = getattr(parent, name)
+            node = siblings[:index] + (node,) + siblings[index + 1:]
+        node = replace(parent, **{name: node})
     return node
 
 
-def _rewrite_select(sel: Select, old, new, state) -> Select:
-    items = tuple(
-        replace(it, expr=_rewrite_node(it.expr, old, new, False, state))
-        for it in sel.items
-    )
-    source = sel.source
-    if isinstance(source, SubqueryTable):
-        source = replace(source, query=_rewrite_node(source.query, old, new, True, state))
-    joins = []
-    for join in sel.joins:
-        src = join.source
-        if isinstance(src, SubqueryTable):
-            src = replace(src, query=_rewrite_node(src.query, old, new, True, state))
-        joins.append(replace(join, source=src))
-    where = (_rewrite_node(sel.where, old, new, True, state)
-             if sel.where is not None else None)
-    having = (_rewrite_node(sel.having, old, new, True, state)
-              if sel.having is not None else None)
-    return replace(sel, items=items, source=source, joins=tuple(joins),
-                   where=where, having=having)
-
-
 # --------------------------------------------------------------------------
-# Query-shape helpers used by the sketch and calibration layers
+# The tree walk, and the query-shape helpers used by the sketch and
+# calibration layers
+
+_CONDITION_FIELDS = ("where", "having")
+# Annotations are strings (postponed evaluation); these mark the fields of
+# a node class that hold child nodes.
+_NODE_ANNOTATIONS = ("object", "object | None", "tuple")
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _child_fields(cls) -> tuple[str, ...]:
+    """Names of the fields of ``cls`` that hold a node or a tuple of nodes."""
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = _CHILD_FIELDS[cls] = tuple(
+            f.name for f in fields(cls) if f.type in _NODE_ANNOTATIONS)
+    return names
+
+
+def _walk(node, link=None, in_condition: bool = False, depth: int = 0):
+    """Yield ``(node, in_condition, depth, link)`` for ``node`` and every
+    node under it, in source order.
+
+    ``in_condition`` is true inside the WHERE or HAVING clause of the
+    nearest enclosing Select.  ``depth`` grows by one under the ``query``
+    of each InSelect, Exists, ScalarSubquery and SubqueryTable.  ``link``
+    leads from a node back to the root: it is None for the root and
+    ``(parent's link, parent, field name, index)`` below it, with
+    ``index`` None for a field that holds a single node.
+    """
+    yield node, in_condition, depth, link
+    is_select = type(node) is Select
+    for name in _child_fields(type(node)):
+        value = getattr(node, name)
+        if value is None:
+            continue
+        condition = name in _CONDITION_FIELDS if is_select else in_condition
+        level = depth + 1 if name == "query" else depth
+        if type(value) is tuple:
+            for index, child in enumerate(value):
+                yield from _walk(child, (link, node, name, index), condition, level)
+        else:
+            yield from _walk(value, (link, node, name, None), condition, level)
+
 
 def iter_selects(node):
     """Yield every Select node in document order."""
     if isinstance(node, ParsedQuery):
         node = node.root
-    if isinstance(node, SetOp):
-        yield from iter_selects(node.left)
-        yield from iter_selects(node.right)
-        return
-    sel: Select = node
-    yield sel
-    for item in sel.items:
-        yield from _iter_expr_selects(item.expr)
-    for src in _sources(sel):
-        if isinstance(src, SubqueryTable):
-            yield from iter_selects(src.query)
+    return (n for n, _, _, _ in _walk(node) if type(n) is Select)
+
+
+def _sources(sel: Select):
+    if sel.source is not None:
+        yield sel.source
     for join in sel.joins:
-        if join.on is not None:
-            yield from _iter_expr_selects(join.on)
-    for e in (sel.where, sel.having):
-        if e is not None:
-            yield from _iter_expr_selects(e)
-    for e in sel.group_by:
-        yield from _iter_expr_selects(e)
-    for o in sel.order_by:
-        yield from _iter_expr_selects(o.expr)
-
-
-def _iter_expr_selects(node):
-    if isinstance(node, Binary):
-        yield from _iter_expr_selects(node.left)
-        yield from _iter_expr_selects(node.right)
-    elif isinstance(node, Unary):
-        yield from _iter_expr_selects(node.operand)
-    elif isinstance(node, Like):
-        yield from _iter_expr_selects(node.expr)
-        yield from _iter_expr_selects(node.pattern)
-    elif isinstance(node, InList):
-        yield from _iter_expr_selects(node.expr)
-        for item in node.items:
-            yield from _iter_expr_selects(item)
-    elif isinstance(node, InSelect):
-        yield from _iter_expr_selects(node.expr)
-        yield from iter_selects(node.query)
-    elif isinstance(node, Between):
-        yield from _iter_expr_selects(node.expr)
-        yield from _iter_expr_selects(node.low)
-        yield from _iter_expr_selects(node.high)
-    elif isinstance(node, IsNull):
-        yield from _iter_expr_selects(node.expr)
-    elif isinstance(node, (Exists, ScalarSubquery)):
-        yield from iter_selects(node.query)
-    elif isinstance(node, FuncCall):
-        for arg in node.args:
-            yield from _iter_expr_selects(arg)
+        yield join.source
 
 
 def from_tables(query: ParsedQuery) -> list[str]:

@@ -147,6 +147,14 @@ def test_calibrate_rewrites_bad_values(school_path, capsys):
     assert capsys.readouterr().out == SCHOOL_GOLD_SQL + "\n"
 
 
+def test_calibrate_rewrites_predicate_in_function_argument(school_path, capsys):
+    sql = ("SELECT course FROM Student WHERE score >= coalesce("
+           "(SELECT max(score) FROM Student WHERE given_name = '{}'), 0)")
+    assert main(["calibrate", "--db", str(school_path),
+                 "--sql", sql.format("timmothy")]) == EXIT_OK
+    assert capsys.readouterr().out == sql.format("timmy") + "\n"
+
+
 def test_calibrate_leaves_good_values(school_path, capsys):
     assert main(["calibrate", "--db", str(school_path),
                  "--sql", SCHOOL_GOLD_SQL]) == EXIT_OK

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -309,6 +312,43 @@ def test_rewrite_escapes_quotes():
     assert extract_predicates(parse_sql(rendered))[0].value == "o'brien"
 
 
+# Subqueries in the places that condition scanning passes through: a
+# function argument, a BETWEEN bound, an IN-list item, an IS NULL operand,
+# JOIN ON, GROUP BY, ORDER BY and LIMIT.  Each reports the subquery's WHERE
+# predicate, and that predicate can be rewritten.
+_NESTED = "(SELECT max(b) FROM u WHERE name = 'x')"
+NESTED_PREDICATE_QUERIES = [
+    f"SELECT a FROM t WHERE b >= coalesce({_NESTED}, 0)",
+    f"SELECT a FROM t WHERE b BETWEEN 1 AND {_NESTED}",
+    f"SELECT a FROM t WHERE b IN (1, {_NESTED})",
+    f"SELECT a FROM t WHERE {_NESTED} IS NULL",
+    f"SELECT a FROM t JOIN v ON t.b = {_NESTED}",
+    f"SELECT a FROM t GROUP BY {_NESTED}",
+    f"SELECT a FROM t ORDER BY {_NESTED}",
+    f"SELECT a FROM t LIMIT {_NESTED}",
+]
+
+
+@pytest.mark.parametrize("sql", NESTED_PREDICATE_QUERIES)
+def test_nested_predicates_extract_and_rewrite(sql):
+    query = parse_sql(sql)
+    preds = extract_predicates(query)
+    assert canon(preds) == [("name", "=", "x", 1)]
+    out = rewrite_predicate(query, preds[0], Predicate("name", "=", "y", 1))
+    assert render_query(out) == render_query(parse_sql(sql.replace("'x'", "'y'")))
+
+
+def test_rewrite_follows_extraction_order():
+    # The select-list subquery comes first in the query, so it is the
+    # first occurrence.
+    query = parse_sql("SELECT coalesce((SELECT a FROM u WHERE k = 'v'), 0) "
+                      "FROM t WHERE k = 'v'")
+    out = rewrite_predicate(query, Predicate("k", "=", "v"),
+                            Predicate("k", "=", "w"))
+    assert canon(extract_predicates(out)) == [("k", "=", "w", 1),
+                                              ("k", "=", "v", 0)]
+
+
 # --------------------------------------------------------------------------
 # Query-shape utilities
 
@@ -358,12 +398,22 @@ _string = st.text(alphabet="abc x'_%", max_size=6).map(Literal.string)
 _scalar = st.one_of(_column, _number, _string)
 
 
-def _values(depth: int):
+# Strategies are built once per argument set: building them per draw makes
+# generation, not the code under test, the cost of these properties.
+
+def _nested(subquery):
+    """A scalar subquery when ``subquery`` is given, otherwise nothing."""
+    return st.nothing() if subquery is None else st.builds(ScalarSubquery, subquery)
+
+
+@cache
+def _values(depth: int, subquery=None):
     if depth <= 0:
-        return _scalar
-    inner = _values(depth - 1)
+        return st.one_of(_scalar, _nested(subquery))
+    inner = _values(depth - 1, subquery)
     return st.one_of(
         _scalar,
+        _nested(subquery),
         st.builds(FuncCall, st.sampled_from(("count", "max", "lower")),
                   st.tuples(inner), st.booleans()),
         st.builds(lambda name: FuncCall(name, (ColumnRef(None, "*"),)),
@@ -374,15 +424,18 @@ def _values(depth: int):
     )
 
 
+@cache
 def _conditions(depth: int, subquery):
-    value = _values(1)
+    value = _values(1, subquery)
+    nested = _nested(subquery)
     comparison = st.one_of(
         st.builds(Binary, st.sampled_from(("=", "<", ">", "<=", ">=", "<>")),
                   value, value),
         st.builds(Like, _column, _string, st.booleans()),
-        st.builds(IsNull, _column, st.booleans()),
+        st.builds(IsNull, st.one_of(_column, nested), st.booleans()),
         st.builds(InList, _column,
-                  st.lists(_scalar, min_size=1, max_size=3).map(tuple),
+                  st.lists(st.one_of(_scalar, nested),
+                           min_size=1, max_size=3).map(tuple),
                   st.booleans()),
     )
     if subquery is not None:
@@ -392,9 +445,13 @@ def _conditions(depth: int, subquery):
             st.builds(Exists, subquery),
             st.builds(Binary, st.just("="), _column,
                       st.builds(ScalarSubquery, subquery)),
+            st.builds(Binary, st.just(">="), _column,
+                      st.builds(FuncCall, st.just("coalesce"),
+                                st.tuples(nested, _number))),
         )
+    bound = st.one_of(_number, nested)
     comparison = st.one_of(comparison,
-                           st.builds(Between, _column, _number, _number,
+                           st.builds(Between, _column, bound, bound,
                                      st.booleans()))
     if depth <= 0:
         return comparison
@@ -408,9 +465,11 @@ def _conditions(depth: int, subquery):
 
 @st.composite
 def _selects(draw, depth: int = 1):
-    subquery = _selects(depth - 1) if depth > 0 else None
+    subquery = _select_strategy(depth - 1) if depth > 0 else None
+    operand = st.one_of(_column, _nested(subquery))
     items = tuple(
-        SelectItem(draw(_values(1)), draw(st.sampled_from((None, "alias_a"))))
+        SelectItem(draw(_values(1)),
+                   draw(st.sampled_from((None, "alias_a"))))
         for _ in range(draw(st.integers(1, 3))))
     source = TableRef(draw(st.sampled_from(_TABLES)),
                       draw(st.sampled_from((None, "s"))))
@@ -423,20 +482,25 @@ def _selects(draw, depth: int = 1):
         table = TableRef(draw(st.sampled_from(_TABLES)))
         on = None
         if kind in ("JOIN", "LEFT JOIN"):
-            on = Binary("=", draw(_column), draw(_column))
+            on = Binary("=", draw(_column), draw(operand))
         joins.append(Join(kind, table, on))
     where = draw(st.one_of(st.none(), _conditions(1, subquery)))
-    group_by = tuple(draw(st.lists(_column, max_size=2)))
+    group_by = tuple(draw(st.lists(operand, max_size=2)))
     having = None
     if group_by:
-        having = draw(st.one_of(st.none(), _conditions(0, None)))
+        having = draw(st.one_of(st.none(), _conditions(0, subquery)))
     order_by = tuple(
-        OrderItem(draw(_column), draw(st.sampled_from((None, "ASC", "DESC"))))
+        OrderItem(draw(operand), draw(st.sampled_from((None, "ASC", "DESC"))))
         for _ in range(draw(st.integers(0, 2))))
-    limit = draw(st.one_of(st.none(), _number))
+    limit = draw(st.one_of(st.none(), _number, _nested(subquery)))
     offset = draw(_number) if limit is not None and draw(st.booleans()) else None
     return Select(draw(st.booleans()), items, source, tuple(joins), where,
                   group_by, having, order_by, limit, offset)
+
+
+@cache
+def _select_strategy(depth: int):
+    return _selects(depth)
 
 
 _queries = st.one_of(
@@ -461,8 +525,16 @@ def test_random_tree_survives_render_parse(tree):
 def test_random_tree_predicates_extract_and_rewrite(tree):
     rendered = render_query(tree)
     query = parse_sql(rendered)
-    for pred in extract_predicates(query):
+    preds = extract_predicates(query)
+    for pred in preds:
         out = rewrite_predicate(query, pred,
                                 Predicate(pred.column, pred.operator,
                                           "swapped", pred.depth))
-        assert "swapped" in render_query(out)
+        # Exactly one entry changes: the first one equal to ``pred`` in
+        # column, operator and value.
+        first = next(i for i, p in enumerate(preds)
+                     if (p.column, p.operator, p.value)
+                     == (pred.column, pred.operator, pred.value))
+        expected = list(preds)
+        expected[first] = replace(preds[first], value="swapped")
+        assert extract_predicates(out) == expected
