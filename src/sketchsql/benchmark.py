@@ -6,12 +6,14 @@ files, examples JSON), runs the full sketch -> completion -> calibration
 scores execution accuracy.  Per-example failures never abort a run; they
 are recorded with a status.  Token accounting counts whitespace tokens of
 every prompt and response, which preserves relative cost ordering without
-tying the harness to any tokenizer.
+tying the harness to any tokenizer.  The calls counted are the ones the
+``gateway`` request helpers record inside a ``recording_calls`` block
+around each example, including the sketch-part requests made on other
+threads.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import re
@@ -22,6 +24,7 @@ from pathlib import Path
 
 from .errors import DatasetIntegrityError, SqlParseError
 from .execution import Database, results_equal
+from .gateway import recording_calls
 from .schema import DatabaseSchema, load_schema_file, schema_from_sqlite
 from .selection import (
     SelectionConfig,
@@ -173,49 +176,6 @@ def measure_tokens(calls: list) -> int:
                for request, response in calls)
 
 
-class _CallTally:
-    """Per-example record of every model call, for token accounting."""
-
-    def __init__(self):
-        self.calls: list = []
-
-    def add(self, request, response) -> None:
-        self.calls.append((request, response))
-
-    def tokens(self) -> int:
-        return measure_tokens(self.calls)
-
-
-class _TalliedProvider:
-    def __init__(self, inner, tally: _CallTally):
-        self._inner, self._tally = inner, tally
-
-    def generate(self, task_input: str, k: int) -> list[str]:
-        result = self._inner.generate(task_input, k)
-        self._tally.add({"input": task_input}, result)
-        return result
-
-
-class _TalliedAligner:
-    def __init__(self, inner, tally: _CallTally):
-        self._inner, self._tally = inner, tally
-
-    def score(self, sequences: list[str]) -> list[float]:
-        result = self._inner.score(sequences)
-        self._tally.add({"sequences": list(sequences)}, result)
-        return result
-
-
-class _TalliedCompleter:
-    def __init__(self, inner, tally: _CallTally):
-        self._inner, self._tally = inner, tally
-
-    def complete(self, prompt: str, **params) -> str:
-        result = self._inner.complete(prompt, **params)
-        self._tally.add({"prompt": prompt}, result)
-        return result
-
-
 # --------------------------------------------------------------------------
 # Pipeline
 
@@ -312,35 +272,31 @@ def _gold_order_sensitive(gold_sql: str) -> bool:
 
 def _evaluate_one(example: BenchmarkExample, schema: DatabaseSchema,
                   db: Database, config: EvalConfig) -> ExampleResult:
-    tally = _CallTally()
     started = time.monotonic()
     predicted = None
     trace_dict = None
     status = STATUS_ERROR
     error = None
-    try:
-        predicted, trace = translate_question(
-            example.question, schema, db,
-            _TalliedProvider(config.provider, tally),
-            _TalliedAligner(config.aligner, tally),
-            _selection_with_completer(config.selection,
-                                      _TalliedCompleter(
-                                          config.selection.completer, tally)),
-            config.k_select, config.k_from, config.k_keywords)
-        status = trace.status
-        if config.trace:
-            trace_dict = trace.to_dict()
-    except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        log.warning("example failed (%s / %r): %s",
-                    example.db_id, example.question, error)
+    with recording_calls() as calls:
+        try:
+            predicted, trace = translate_question(
+                example.question, schema, db, config.provider, config.aligner,
+                config.selection, config.k_select, config.k_from,
+                config.k_keywords)
+            status = trace.status
+            if config.trace:
+                trace_dict = trace.to_dict()
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            log.warning("example failed (%s / %r): %s",
+                        example.db_id, example.question, error)
     elapsed = time.monotonic() - started
     if elapsed > config.example_timeout:
         status = STATUS_TIMEOUT
 
     result = ExampleResult(example.db_id, example.question, example.gold_sql,
                            predicted, status, correct=False,
-                           tokens=tally.tokens(),
+                           tokens=measure_tokens(calls),
                            latency=elapsed if config.record_latency else None,
                            error=error, trace=trace_dict)
 
@@ -360,11 +316,6 @@ def _evaluate_one(example: BenchmarkExample, schema: DatabaseSchema,
                                    gold_outcome.result,
                                    _gold_order_sensitive(example.gold_sql))
     return result
-
-
-def _selection_with_completer(selection: SelectionConfig,
-                              completer) -> SelectionConfig:
-    return dataclasses.replace(selection, completer=completer)
 
 
 def evaluate(config: EvalConfig, bundle: DatasetBundle) -> EvalReport:

@@ -126,6 +126,12 @@ _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 # ``(str, NoneType)`` and so on.
 _CONFIG_TYPES = {key: typing.get_args(hint) or (hint,)
                  for key, hint in typing.get_type_hints(RunConfig).items()}
+# Key -> (least allowed value, whether that value itself is allowed).  A
+# statement timeout of 0 clears the deadline.
+_CONFIG_BOUNDS = {"k_select": (1, True), "k_from": (1, True),
+                  "k_keywords": (1, True), "scan_cap": (1, True),
+                  "workers": (1, True), "limit": (0, True),
+                  "example_timeout": (0, False), "statement_timeout": (0, True)}
 
 
 def _check_config_value(key: str, value) -> None:
@@ -168,6 +174,13 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
+    for key, (least, inclusive) in _CONFIG_BOUNDS.items():
+        value = getattr(config, key)
+        if value is not None and not (value >= least if inclusive
+                                      else value > least):
+            relation = "at least" if inclusive else "greater than"
+            raise SketchSqlError(f"config key {key!r} must be {relation} "
+                                 f"{least}, got {value!r}")
     if config.backend not in BACKENDS:
         raise SketchSqlError(f"unknown backend {config.backend!r}; "
                              f"expected one of {', '.join(BACKENDS)}")

@@ -8,6 +8,11 @@ Each HTTP client retries transient failures with exponential backoff,
 bounds concurrent in-flight requests, and attaches a bearer token when
 one is configured.
 
+The pipeline calls the roles only through the ``request_*`` helpers,
+which record each call that succeeds inside a :func:`recording_calls`
+block; the evaluation harness counts tokens over those records.  The
+completer is always sent temperature 0.0, top_p 1.0, frequency_penalty 0.0.
+
 For offline runs and tests, :class:`StubScript` supplies deterministic
 scripted responses keyed by request fingerprint, with in-process stub
 clients for every role.
@@ -15,11 +20,13 @@ clients for every role.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import logging
 import math
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import requests
@@ -61,36 +68,6 @@ class EndpointConfig:
             raise ValueError("max_in_flight must be at least 1")
 
 
-@dataclass
-class CallRecord:
-    role: str
-    url: str
-    request: dict
-    response: object
-    attempts: int
-    elapsed: float
-
-
-class CallLog:
-    """Thread-safe record of outbound calls, for tracing."""
-
-    def __init__(self):
-        self._records: list[CallRecord] = []
-        self._lock = threading.Lock()
-
-    def append(self, record: CallRecord) -> None:
-        with self._lock:
-            self._records.append(record)
-
-    def records(self) -> list[CallRecord]:
-        with self._lock:
-            return list(self._records)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-
 class _TransientHttpError(Exception):
     pass
 
@@ -98,12 +75,10 @@ class _TransientHttpError(Exception):
 class _HttpEndpoint:
     """One service endpoint: retry/backoff, in-flight bound, auth, logging."""
 
-    def __init__(self, config: EndpointConfig, role: str, unavailable_error,
-                 call_log: CallLog | None = None):
+    def __init__(self, config: EndpointConfig, role: str, unavailable_error):
         self.config = config
         self.role = role
         self.unavailable_error = unavailable_error
-        self.call_log = call_log
         self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
         self._session = requests.Session()
 
@@ -113,13 +88,10 @@ class _HttpEndpoint:
         if self.config.auth_token:
             headers["Authorization"] = f"Bearer {self.config.auth_token}"
         delay = self.config.backoff
-        started = time.monotonic()
         last_error: Exception | None = None
         for attempt in range(1, self.config.retries + 2):
             try:
-                data = self._post_once(url, payload, headers)
-                self._record(url, payload, data, attempt, started)
-                return data
+                return self._post_once(url, payload, headers)
             except (requests.RequestException, _TransientHttpError) as exc:
                 last_error = exc
                 log.debug("%s request attempt %d failed: %s", self.role, attempt, exc)
@@ -128,8 +100,6 @@ class _HttpEndpoint:
                     delay *= 2
         message = (f"{self.role} endpoint {url} unavailable after "
                    f"{self.config.retries + 1} attempts: {last_error}")
-        self._record(url, payload, f"<error: {last_error}>",
-                     self.config.retries + 1, started)
         raise self.unavailable_error(message) from last_error
 
     def _post_once(self, url: str, payload: dict, headers: dict) -> dict:
@@ -154,11 +124,6 @@ class _HttpEndpoint:
                 f"expected an object")
         return data
 
-    def _record(self, url, payload, response, attempts, started) -> None:
-        if self.call_log is not None:
-            self.call_log.append(CallRecord(self.role, url, payload, response,
-                                            attempts, time.monotonic() - started))
-
 
 # --------------------------------------------------------------------------
 # Role clients
@@ -180,9 +145,9 @@ def _validate_scores(sequences: list, scores) -> list[float]:
 class SketchProviderClient:
     """Client for the sketch-generation service (``POST /generate``)."""
 
-    def __init__(self, config: EndpointConfig, call_log: CallLog | None = None):
+    def __init__(self, config: EndpointConfig):
         self._endpoint = _HttpEndpoint(config, "sketch provider",
-                                       ProviderUnavailableError, call_log)
+                                       ProviderUnavailableError)
 
     def generate(self, task_input: str, k: int) -> list[str]:
         data = self._endpoint.post("/generate",
@@ -198,9 +163,9 @@ class SketchProviderClient:
 class AlignerClient:
     """Client for the sketch-ranking service (``POST /score``)."""
 
-    def __init__(self, config: EndpointConfig, call_log: CallLog | None = None):
+    def __init__(self, config: EndpointConfig):
         self._endpoint = _HttpEndpoint(config, "aligner",
-                                       ProviderUnavailableError, call_log)
+                                       ProviderUnavailableError)
 
     def score(self, sequences: list[str]) -> list[float]:
         data = self._endpoint.post("/score", {"sequences": list(sequences)})
@@ -215,10 +180,10 @@ class CompleterClient:
     ``POST /chat/completions`` with a single user message.
     """
 
-    def __init__(self, config: EndpointConfig, call_log: CallLog | None = None):
+    def __init__(self, config: EndpointConfig):
         self.config = config
         self._endpoint = _HttpEndpoint(config, "completer",
-                                       CompleterUnavailableError, call_log)
+                                       CompleterUnavailableError)
 
     def complete(self, prompt: str,
                  temperature: float = DEFAULT_TEMPERATURE,
@@ -254,9 +219,9 @@ class CompleterClient:
 class EncoderClient:
     """Client for the sentence-encoder service (``POST /encode``)."""
 
-    def __init__(self, config: EndpointConfig, call_log: CallLog | None = None):
+    def __init__(self, config: EndpointConfig):
         self._endpoint = _HttpEndpoint(config, "sentence encoder",
-                                       EncoderUnavailableError, call_log)
+                                       EncoderUnavailableError)
 
     def encode(self, texts: list[str]) -> list[list[float]]:
         data = self._endpoint.post("/encode", {"texts": list(texts)})
@@ -353,9 +318,7 @@ class StubCompleter:
     def __init__(self, script: StubScript):
         self._script = script
 
-    def complete(self, prompt: str, temperature: float = DEFAULT_TEMPERATURE,
-                 top_p: float = DEFAULT_TOP_P,
-                 frequency_penalty: float = DEFAULT_FREQUENCY_PENALTY) -> str:
+    def complete(self, prompt: str) -> str:
         response = self._script.take("complete", prompt)
         if not isinstance(response, str):
             raise StubScriptError("complete stub entries must be strings")
@@ -398,7 +361,30 @@ def clients_from_script(script: StubScript) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Role-level helpers with request validation
+# Role-level helpers with request validation and call recording
+
+# The pairs of the innermost recording_calls block, or None.  Work on another
+# thread is recorded only when run in a copy of the caller's context.
+_recorded_calls = contextvars.ContextVar("sketchsql_recorded_calls", default=None)
+
+
+@contextmanager
+def recording_calls():
+    """Collect the ``(request, response)`` pair of every call that
+    succeeds through the ``request_*`` helpers inside the block."""
+    calls: list = []
+    token = _recorded_calls.set(calls)
+    try:
+        yield calls
+    finally:
+        _recorded_calls.reset(token)
+
+
+def _record(request: dict, response) -> None:
+    calls = _recorded_calls.get()
+    if calls is not None:
+        calls.append((request, response))
+
 
 def request_candidates(endpoint, task_input: str, k: int) -> list[str]:
     """Top-k sketch-part hypotheses for ``task_input``, best first.
@@ -409,21 +395,24 @@ def request_candidates(endpoint, task_input: str, k: int) -> list[str]:
         raise ValueError("k must be at least 1")
     if not task_input:
         raise ValueError("task input must be non-empty")
-    return endpoint.generate(task_input, k)[:k]
+    hypotheses = endpoint.generate(task_input, k)
+    _record({"input": task_input}, hypotheses)
+    return hypotheses[:k]
 
 
 def request_alignment_scores(endpoint, sequences: list[str]) -> list[float]:
-    """One [0,1] alignment score per input sequence, in input order."""
+    """One [0,1] alignment score per input sequence, as validated by the
+    endpoint, in input order."""
     if not sequences:
         raise ValueError("sequences must be non-empty")
-    return _validate_scores(sequences, list(endpoint.score(sequences)))
+    scores = endpoint.score(sequences)
+    _record({"sequences": list(sequences)}, scores)
+    return scores
 
 
-def request_completion(endpoint, prompt: str,
-                       temperature: float = DEFAULT_TEMPERATURE,
-                       top_p: float = DEFAULT_TOP_P,
-                       frequency_penalty: float = DEFAULT_FREQUENCY_PENALTY) -> str:
+def request_completion(endpoint, prompt: str) -> str:
     if not prompt:
         raise ValueError("prompt must be non-empty")
-    return endpoint.complete(prompt, temperature=temperature, top_p=top_p,
-                             frequency_penalty=frequency_penalty)
+    text = endpoint.complete(prompt)
+    _record({"prompt": prompt}, text)
+    return text

@@ -14,12 +14,10 @@ import logging
 from dataclasses import dataclass, field
 
 from .calibration import (
-    ALL_LEVELS,
     DEFAULT_SCAN_CAP,
     DEFAULT_SIMILARITY_THRESHOLD,
     CalibrationFeedback,
     CharacterFuzzy,
-    MatchLevel,
     MatchResult,
     bare_column_name,
     is_identity_replacement,
@@ -29,12 +27,7 @@ from .calibration import (
 )
 from .errors import EmptyCandidateError, IndexResolutionError, PredicateNotFoundError, SqlParseError
 from .execution import Database
-from .gateway import (
-    DEFAULT_FREQUENCY_PENALTY,
-    DEFAULT_TEMPERATURE,
-    DEFAULT_TOP_P,
-    request_completion,
-)
+from .gateway import request_completion
 from .schema import DatabaseSchema, serialize_schema, translate_indexed_text
 from .sql_analysis import Predicate, parse_sql, rewrite_predicate
 from .sketches import SqlSketch
@@ -55,25 +48,14 @@ class SelectionConfig:
     patience: int = DEFAULT_PATIENCE
     similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
     backend: object = field(default_factory=CharacterFuzzy)
-    temperature: float = DEFAULT_TEMPERATURE
-    top_p: float = DEFAULT_TOP_P
-    frequency_penalty: float = DEFAULT_FREQUENCY_PENALTY
     statement_timeout: float | None = None
     scan_cap: int = DEFAULT_SCAN_CAP
-    # None runs the full Column->Table->Database search; a MatchLevel pins
-    # matching to that single level (the ablation variants).
-    match_level: MatchLevel | None = None
 
     def __post_init__(self):
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
         if not 0 < self.similarity_threshold <= 1:
             raise ValueError("similarity threshold must be in (0, 1]")
-
-    @property
-    def levels(self) -> tuple:
-        """The match levels searched, in order."""
-        return ALL_LEVELS if self.match_level is None else (self.match_level,)
 
 
 # --------------------------------------------------------------------------
@@ -202,20 +184,12 @@ def _clean_sql(text: str) -> str:
 # Pipeline steps
 
 def complete_sketch(completer, question: str, schema: DatabaseSchema,
-                    sketch: SqlSketch,
-                    temperature: float = DEFAULT_TEMPERATURE,
-                    top_p: float = DEFAULT_TOP_P,
-                    frequency_penalty: float = DEFAULT_FREQUENCY_PENALTY) -> str:
+                    sketch: SqlSketch) -> str:
     prompt = completion_prompt(question, schema, sketch)
-    return _clean_sql(request_completion(completer, prompt,
-                                         temperature=temperature, top_p=top_p,
-                                         frequency_penalty=frequency_penalty))
+    return _clean_sql(request_completion(completer, prompt))
 
 
 def execution_check(sql: str, db: Database, patience: int, completer,
-                    temperature: float = DEFAULT_TEMPERATURE,
-                    top_p: float = DEFAULT_TOP_P,
-                    frequency_penalty: float = DEFAULT_FREQUENCY_PENALTY,
                     timeout: float | None = None,
                     attempts_out: list | None = None) -> str | None:
     """Execute ``sql``; on engine errors, feed the verbatim message back to
@@ -235,9 +209,7 @@ def execution_check(sql: str, db: Database, patience: int, completer,
             return current
         if attempt < patience:
             prompt = repair_prompt(current, outcome.message)
-            current = _clean_sql(request_completion(
-                completer, prompt, temperature=temperature, top_p=top_p,
-                frequency_penalty=frequency_penalty))
+            current = _clean_sql(request_completion(completer, prompt))
     return None
 
 
@@ -266,10 +238,7 @@ def _deterministic_rewrite(sql: str, pairs: list) -> str:
     return parsed.original_text
 
 
-def apply_calibration(completer, sql: str, feedback: CalibrationFeedback,
-                      temperature: float = DEFAULT_TEMPERATURE,
-                      top_p: float = DEFAULT_TOP_P,
-                      frequency_penalty: float = DEFAULT_FREQUENCY_PENALTY) -> str:
+def apply_calibration(completer, sql: str, feedback: CalibrationFeedback) -> str:
     """Send calibration feedback to the completer and return the rewrite.
 
     Identity feedback (every suggestion equal to its predicate) returns
@@ -281,9 +250,7 @@ def apply_calibration(completer, sql: str, feedback: CalibrationFeedback,
     if not pairs:
         return sql
     prompt = calibration_prompt(sql, pairs)
-    rewritten = _clean_sql(request_completion(
-        completer, prompt, temperature=temperature, top_p=top_p,
-        frequency_penalty=frequency_penalty))
+    rewritten = _clean_sql(request_completion(completer, prompt))
     try:
         parse_sql(rewritten)
     except SqlParseError:
@@ -302,7 +269,7 @@ def _compute_feedback(db: Database, sql: str, config: SelectionConfig) -> Calibr
         log.debug("skipping calibration for unparseable query: %s", exc)
         return CalibrationFeedback()
     return multi_level_match(db, parsed, config.similarity_threshold,
-                             config.backend, config.scan_cap, config.levels)
+                             config.backend, config.scan_cap)
 
 
 def calibrate_deterministic(db: Database, sql: str,
@@ -317,7 +284,7 @@ def calibrate_deterministic(db: Database, sql: str,
     """
     feedback = multi_level_match(db, parse_sql(sql),
                                  config.similarity_threshold, config.backend,
-                                 config.scan_cap, config.levels)
+                                 config.scan_cap)
     pairs = [(pred, match) for pred, match in feedback.replacements
              if not is_identity_replacement(pred, match)]
     if not pairs:
@@ -338,11 +305,6 @@ def select_query(question: str, schema: DatabaseSchema, db: Database,
     """
     if not sketches:
         raise EmptyCandidateError("select_query needs at least one sketch")
-    sampling = {
-        "temperature": config.temperature,
-        "top_p": config.top_p,
-        "frequency_penalty": config.frequency_penalty,
-    }
     trace = SelectionTrace(question)
     last_calibrated: str | None = None
     last_completion: str | None = None
@@ -352,7 +314,7 @@ def select_query(question: str, schema: DatabaseSchema, db: Database,
         trace.sketches.append(record)
         try:
             completion = complete_sketch(config.completer, question, schema,
-                                         sketch, **sampling)
+                                         sketch)
         except IndexResolutionError as exc:
             log.warning("sketch %d has unresolvable index tokens: %s",
                         sketch.rank, exc)
@@ -362,7 +324,7 @@ def select_query(question: str, schema: DatabaseSchema, db: Database,
         last_completion = completion
 
         executable = execution_check(
-            completion, db, config.patience, config.completer, **sampling,
+            completion, db, config.patience, config.completer,
             timeout=config.statement_timeout, attempts_out=record.executions)
         if executable is None:
             record.status = "no_executable"
@@ -370,8 +332,7 @@ def select_query(question: str, schema: DatabaseSchema, db: Database,
 
         feedback = _compute_feedback(db, executable, config)
         record.calibration = _feedback_to_dicts(feedback)
-        calibrated = apply_calibration(config.completer, executable, feedback,
-                                       **sampling)
+        calibrated = apply_calibration(config.completer, executable, feedback)
         record.calibrated_sql = calibrated
 
         outcome = db.execute(calibrated, config.statement_timeout)

@@ -12,6 +12,7 @@ the aligner from gold SQL.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import json
 import logging
@@ -32,6 +33,7 @@ from .sql_analysis import (
     from_tables,
     parse_sql,
     render_expr,
+    tokenize,
 )
 
 log = logging.getLogger(__name__)
@@ -102,7 +104,8 @@ def extract_keywords(parsed: ParsedQuery) -> list[str]:
     appearance order.  Join variants count as JOIN; negations of LIKE,
     BETWEEN, and EXISTS count as the positive keyword; NOT IN is its own
     keyword."""
-    words = [tok.text.upper() for tok in parsed.tokens if tok.kind == "ident"]
+    words = [tok.text.upper() for tok in tokenize(parsed.original_text)
+             if tok.kind == "ident"]
     return _scan_keywords(words, strict=False)
 
 
@@ -428,9 +431,10 @@ def request_candidate_sets(provider, question: str, schema: DatabaseSchema,
             parts.append(SketchPart(kind, content))
         return tuple(parts)
 
+    # Copies of the caller's context carry its gateway.recording_calls list.
     pool = _part_executor()
-    later = [pool.submit(ask, PART_FROM, k_from),
-             pool.submit(ask, PART_KEYWORDS, k_keywords)]
+    later = [pool.submit(contextvars.copy_context().run, ask, kind, k)
+             for kind, k in ((PART_FROM, k_from), (PART_KEYWORDS, k_keywords))]
     try:
         selects = ask(PART_SELECT, k_select)
     finally:

@@ -26,7 +26,7 @@ with the same walk, so every predicate that is reported can be rewritten.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import PredicateNotFoundError, SqlParseError
 
@@ -250,7 +250,6 @@ class SetOp:
 class ParsedQuery:
     root: object
     original_text: str
-    tokens: tuple = field(default=(), repr=False, compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -591,7 +590,7 @@ def parse_sql(text: str) -> ParsedQuery:
     """
     parser = _Parser(text)
     root = parser.parse_statement()
-    return ParsedQuery(root, text, tuple(parser.tokens))
+    return ParsedQuery(root, text)
 
 
 # --------------------------------------------------------------------------
@@ -851,7 +850,7 @@ def rewrite_predicate(query: ParsedQuery, old: Predicate, new: Predicate) -> Par
                                 for p in _site_predicates(node, depth)):
             new_root = _rebuild(link, _rewritten(node, old, new))
             text = render_query(new_root)
-            return ParsedQuery(new_root, text, tuple(tokenize(text)))
+            return ParsedQuery(new_root, text)
     raise PredicateNotFoundError(
         f"predicate {old.column} {old.operator} {old.value!r} not found in query"
     )

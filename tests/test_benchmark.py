@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -13,11 +14,12 @@ from sketchsql.benchmark import (
     format_summary,
     load_dataset,
     measure_tokens,
+    translate_question,
     write_report_json,
 )
 from sketchsql.errors import DatasetIntegrityError
 from sketchsql.execution import Database
-from sketchsql.gateway import StubScript, clients_from_script
+from sketchsql.gateway import StubScript, clients_from_script, recording_calls
 from sketchsql.selection import SelectionConfig, completion_prompt
 from sketchsql.sketches import extract_sketch_from_sql
 
@@ -120,6 +122,77 @@ def test_measure_tokens_counts_whitespace_tokens():
     assert measure_tokens(calls) == 12
     nested = [({"sequences": ["one two", "three"]}, [0.5, 0.25])]
     assert measure_tokens(nested) == 3  # numbers contribute nothing
+
+
+class _CallCounter:
+    """Stands in for the sketch provider, aligner and completer at once,
+    forwarding to stub clients and filing each call's (request, response)
+    pair under the question it serves, whichever thread makes it."""
+
+    def __init__(self, clients, questions):
+        self.clients = clients
+        self.calls = {q: [] for q in questions}
+        self._lock = threading.Lock()
+
+    def _note(self, text, request, response):
+        (owner,) = [q for q in self.calls if f"question: {q}" in text]
+        with self._lock:
+            self.calls[owner].append((request, response))
+        return response
+
+    def generate(self, task_input, k):
+        return self._note(task_input, {"input": task_input},
+                          self.clients["sketch"].generate(task_input, k))
+
+    def score(self, sequences):
+        return self._note(sequences[0], {"sequences": list(sequences)},
+                          self.clients["aligner"].score(sequences))
+
+    def complete(self, prompt):
+        return self._note(prompt, {"prompt": prompt},
+                          self.clients["completer"].complete(prompt))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_counts_every_model_call_of_its_example(tmp_path, workers):
+    root = make_benchmark_dataset(tmp_path / "bench", 8)
+    bundle = load_dataset(root)
+    counter = _CallCounter(
+        clients_from_script(StubScript(build_gold_echo_script(bundle))),
+        [ex.question for ex in bundle.examples])
+    config = EvalConfig(selection=SelectionConfig(completer=counter),
+                        provider=counter, aligner=counter, workers=workers,
+                        record_latency=False)
+    report = evaluate(config, bundle)
+    assert report.correct == 8
+    for result in report.per_example:
+        calls = counter.calls[result.question]
+        # three sketch parts (two of them on the part pool), one ranking,
+        # one completion
+        assert len(calls) == 5
+        assert result.tokens == measure_tokens(calls) > 0
+
+
+def test_translate_outside_a_recording_block_records_nothing(tmp_path):
+    root = make_benchmark_dataset(tmp_path / "bench", 1)
+    bundle = load_dataset(root)
+    (example,) = bundle.examples
+    clients = clients_from_script(StubScript(build_gold_echo_script(bundle)))
+    selection = SelectionConfig(completer=clients["completer"])
+    db = Database(bundle.db_paths["school"])
+
+    def translate():
+        return translate_question(example.question, bundle.schemas["school"],
+                                  db, clients["sketch"], clients["aligner"],
+                                  selection)
+    try:
+        with recording_calls() as calls:
+            assert translate()[0] == example.gold_sql
+        assert len(calls) == 5
+        assert translate()[0] == example.gold_sql
+    finally:
+        db.close()
+    assert len(calls) == 5
 
 
 # --------------------------------------------------------------------------

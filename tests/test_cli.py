@@ -349,6 +349,42 @@ def test_config_value_types_are_checked(tmp_path, school_path, caplog,
     assert message in caplog.text
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key,value,message", [
+    ("k_select", 0, "'k_select' must be at least 1, got 0"),
+    ("k_from", -1, "'k_from' must be at least 1, got -1"),
+    ("k_keywords", 0, "'k_keywords' must be at least 1, got 0"),
+    ("scan_cap", 0, "'scan_cap' must be at least 1, got 0"),
+    ("workers", 0, "'workers' must be at least 1, got 0"),
+    ("limit", -1, "'limit' must be at least 0, got -1"),
+    ("example_timeout", -1, "'example_timeout' must be greater than 0"),
+    ("example_timeout", 0, "'example_timeout' must be greater than 0"),
+    ("statement_timeout", -0.5, "'statement_timeout' must be at least 0"),
+])
+def test_config_values_out_of_range_are_rejected(tmp_path, caplog, source,
+                                                 key, value, message):
+    argv = ["evaluate", "--dataset", str(tmp_path / "none")]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    else:
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{key}: {value}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_ERROR
+    assert message in caplog.text
+
+
+def test_config_values_at_their_bounds_load():
+    args = build_parser().parse_args(
+        ["evaluate", "--k-select", "1", "--k-from", "1", "--k-keywords", "1",
+         "--scan-cap", "1", "--workers", "1", "--limit", "0",
+         "--example-timeout", "0.001", "--statement-timeout", "0"])
+    config = effective_config(args)
+    assert (config.k_select, config.k_from, config.k_keywords, config.scan_cap,
+            config.workers, config.limit, config.example_timeout,
+            config.statement_timeout) == (1, 1, 1, 1, 1, 0, 0.001, 0)
+
+
 def test_config_values_of_the_right_type_load(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("patience: 2\nthreshold: 1\nstatement_timeout: null\n"
