@@ -1,120 +1,31 @@
 """Sketch-first text-to-SQL: schema-aware sketch generation, LLM
 completion, database-grounded predicate calibration, and execution-guided
-query selection, plus an execution-accuracy benchmark harness."""
+query selection, plus an execution-accuracy benchmark harness.
 
-from .benchmark import (
-    BenchmarkExample,
-    EvalConfig,
-    EvalReport,
-    evaluate,
-    load_dataset,
-    measure_tokens,
-    translate_question,
-)
-from .calibration import (
-    CharacterFuzzy,
-    EmbeddingTable,
-    MatchLevel,
-    MatchResult,
-    SentenceEncoder,
-    WordEmbedding,
-    embedding_similarity,
-    fuzzy_similarity,
-    multi_level_match,
-    sentence_similarity,
-    single_level_match,
-)
+The names below are the library surface shown in the README; everything
+else is reached through its module (``sketchsql.calibration`` and so on).
+"""
+
+from .benchmark import EvalConfig, evaluate, load_dataset, translate_question
 from .errors import SketchSqlError
-from .execution import Database, ExecutionOutcome, ResultSet, execute, results_equal
-from .gateway import (
-    AlignerClient,
-    CompleterClient,
-    EncoderClient,
-    EndpointConfig,
-    SketchProviderClient,
-    StubScript,
-    clients_from_script,
-)
-from .schema import (
-    DatabaseSchema,
-    IndexRef,
-    load_schema,
-    load_schema_file,
-    resolve_index,
-    schema_from_spider_record,
-    schema_from_sqlite,
-    serialize_schema,
-    translate_indexed_text,
-)
-from .selection import (
-    SelectionConfig,
-    SelectionTrace,
-    calibrate_deterministic,
-    select_query,
-)
-from .sketches import (
-    SqlSketch,
-    build_sketches,
-    derive_aligner_records,
-    derive_training_records,
-    extract_sketch_from_sql,
-)
-from .sql_analysis import Predicate, extract_predicates, parse_sql, rewrite_predicate
+from .execution import Database
+from .gateway import StubScript, clients_from_script
+from .selection import SelectionConfig, calibrate_deterministic, select_query
+from .sketches import build_sketches
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignerClient",
-    "BenchmarkExample",
-    "CharacterFuzzy",
-    "CompleterClient",
     "Database",
-    "DatabaseSchema",
-    "EmbeddingTable",
-    "EncoderClient",
-    "EndpointConfig",
-    "EvalConfig",
-    "EvalReport",
-    "ExecutionOutcome",
-    "IndexRef",
-    "MatchLevel",
-    "MatchResult",
-    "Predicate",
-    "ResultSet",
     "SelectionConfig",
-    "SelectionTrace",
-    "SentenceEncoder",
-    "SketchProviderClient",
-    "SketchSqlError",
-    "SqlSketch",
     "StubScript",
-    "WordEmbedding",
-    "build_sketches",
-    "calibrate_deterministic",
     "clients_from_script",
-    "derive_aligner_records",
-    "derive_training_records",
-    "embedding_similarity",
-    "evaluate",
-    "execute",
-    "extract_predicates",
-    "extract_sketch_from_sql",
-    "fuzzy_similarity",
-    "load_dataset",
-    "load_schema",
-    "load_schema_file",
-    "measure_tokens",
-    "multi_level_match",
-    "parse_sql",
-    "resolve_index",
-    "results_equal",
-    "rewrite_predicate",
-    "schema_from_spider_record",
-    "schema_from_sqlite",
+    "build_sketches",
     "select_query",
-    "sentence_similarity",
-    "serialize_schema",
-    "single_level_match",
-    "translate_indexed_text",
     "translate_question",
+    "calibrate_deterministic",
+    "EvalConfig",
+    "evaluate",
+    "load_dataset",
+    "SketchSqlError",
 ]

@@ -300,7 +300,8 @@ def _evaluate_one(example: BenchmarkExample, schema: DatabaseSchema,
                            latency=elapsed if config.record_latency else None,
                            error=error, trace=trace_dict)
 
-    gold_outcome = db.execute(example.gold_sql)
+    timeout = config.selection.statement_timeout
+    gold_outcome = db.execute(example.gold_sql, timeout)
     result.gold_outcome = gold_outcome.kind
     if gold_outcome.is_error:
         log.warning("gold SQL failed on %s: %s", example.db_id,
@@ -308,7 +309,7 @@ def _evaluate_one(example: BenchmarkExample, schema: DatabaseSchema,
         return result
     if predicted is None or status == STATUS_TIMEOUT:
         return result
-    predicted_outcome = db.execute(predicted)
+    predicted_outcome = db.execute(predicted, timeout)
     result.predicted_outcome = predicted_outcome.kind
     if predicted_outcome.is_error:
         return result
@@ -352,13 +353,6 @@ def evaluate(config: EvalConfig, bundle: DatasetBundle) -> EvalReport:
         tokens_average=(tokens_total / total) if total else 0.0,
         per_example=results,
     )
-
-
-def write_report_json(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True,
-                  ensure_ascii=False)
-        handle.write("\n")
 
 
 def format_summary(report: EvalReport) -> str:

@@ -344,26 +344,21 @@ class WordEmbedding:
 
 
 class SentenceEncoder:
-    """Sentence-encoder backend, optionally degrading to character fuzz.
-
-    With ``fallback_to_fuzzy`` (the default), an unreachable encoder logs
-    one warning and scores with :func:`fuzzy_similarity` instead of
-    failing the whole calibration pass.
-    """
+    """Sentence-encoder backend that degrades to character fuzz: an
+    unreachable encoder logs one warning and scores with
+    :func:`fuzzy_similarity` instead of failing the whole calibration
+    pass."""
 
     kind = "SentenceEncoder"
 
-    def __init__(self, encoder, fallback_to_fuzzy: bool = True):
+    def __init__(self, encoder):
         self.encoder = encoder
-        self.fallback_to_fuzzy = fallback_to_fuzzy
         self._warned = False
 
     def score(self, a: str, b: str) -> float:
         try:
             return sentence_similarity(a, b, self.encoder)
         except EncoderUnavailableError:
-            if not self.fallback_to_fuzzy:
-                raise
             if not self._warned:
                 log.warning("sentence encoder unavailable; falling back to "
                             "character fuzzy matching")
@@ -413,10 +408,11 @@ class CalibrationFeedback:
     def __bool__(self) -> bool:
         return bool(self.replacements)
 
-    def proposes_change(self) -> bool:
-        """True when at least one suggestion differs from its predicate."""
-        return any(not is_identity_replacement(pred, match)
-                   for pred, match in self.replacements)
+    def changes(self) -> tuple:
+        """The (predicate, match) pairs whose suggestion differs from the
+        predicate."""
+        return tuple((pred, match) for pred, match in self.replacements
+                     if not is_identity_replacement(pred, match))
 
 
 def bare_column_name(text: str) -> str:

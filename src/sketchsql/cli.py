@@ -126,12 +126,15 @@ _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 # ``(str, NoneType)`` and so on.
 _CONFIG_TYPES = {key: typing.get_args(hint) or (hint,)
                  for key, hint in typing.get_type_hints(RunConfig).items()}
-# Key -> (least allowed value, whether that value itself is allowed).  A
-# statement timeout of 0 clears the deadline.
-_CONFIG_BOUNDS = {"k_select": (1, True), "k_from": (1, True),
-                  "k_keywords": (1, True), "scan_cap": (1, True),
-                  "workers": (1, True), "limit": (0, True),
-                  "example_timeout": (0, False), "statement_timeout": (0, True)}
+# Key -> (least allowed value, whether that value itself is allowed,
+# greatest allowed value or None).  A statement timeout of 0 clears the
+# deadline.
+_CONFIG_BOUNDS = {"k_select": (1, True, None), "k_from": (1, True, None),
+                  "k_keywords": (1, True, None), "patience": (0, True, None),
+                  "threshold": (0, False, 1), "scan_cap": (1, True, None),
+                  "workers": (1, True, None), "limit": (0, True, None),
+                  "example_timeout": (0, False, None),
+                  "statement_timeout": (0, True, None)}
 
 
 def _check_config_value(key: str, value) -> None:
@@ -174,13 +177,17 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
-    for key, (least, inclusive) in _CONFIG_BOUNDS.items():
+    for key, (least, inclusive, most) in _CONFIG_BOUNDS.items():
         value = getattr(config, key)
-        if value is not None and not (value >= least if inclusive
-                                      else value > least):
-            relation = "at least" if inclusive else "greater than"
-            raise SketchSqlError(f"config key {key!r} must be {relation} "
-                                 f"{least}, got {value!r}")
+        if value is None:
+            continue
+        if not (value >= least if inclusive else value > least) or (
+                most is not None and value > most):
+            bound = f"{'at least' if inclusive else 'greater than'} {least}"
+            if most is not None:
+                bound += f" and at most {most}"
+            raise SketchSqlError(f"config key {key!r} must be {bound}, "
+                                 f"got {value!r}")
     if config.backend not in BACKENDS:
         raise SketchSqlError(f"unknown backend {config.backend!r}; "
                              f"expected one of {', '.join(BACKENDS)}")
@@ -245,15 +252,13 @@ def build_backend(config: RunConfig, clients: dict):
     return SentenceEncoder(encoder)
 
 
-def build_selection(config: RunConfig, completer, backend) -> SelectionConfig:
-    return SelectionConfig(
-        completer=completer,
-        patience=config.patience,
-        similarity_threshold=config.threshold,
-        backend=backend,
-        statement_timeout=config.statement_timeout,
-        scan_cap=config.scan_cap,
-    )
+def _from_run_config(cls, config: RunConfig, **objects):
+    """A ``cls`` (SelectionConfig or EvalConfig) with the fields given in
+    ``objects`` and every other field copied from the ``config`` key of
+    the same name."""
+    copied = {f.name: getattr(config, f.name) for f in fields(cls)
+              if f.name not in objects}
+    return cls(**copied, **objects)
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -316,7 +321,8 @@ def cmd_translate(args: argparse.Namespace, config: RunConfig) -> int:
                                             "completer")
     db = Database(args.db)
     backend = build_backend(config, clients)
-    selection = build_selection(config, completer, backend)
+    selection = _from_run_config(SelectionConfig, config,
+                                 completer=completer, backend=backend)
     sql, trace = translate_question(
         args.question, db.schema, db, provider, aligner, selection,
         config.k_select, config.k_from, config.k_keywords)
@@ -340,7 +346,8 @@ def cmd_calibrate(args: argparse.Namespace, config: RunConfig) -> int:
     clients = build_clients(config) if config.backend == "encoder" else {}
     backend = build_backend(config, clients)
     db = Database(args.db)
-    selection = build_selection(config, None, backend)
+    selection = _from_run_config(SelectionConfig, config, completer=None,
+                                 backend=backend)
     rewritten, feedback = calibrate_deterministic(db, args.sql, selection)
     for predicate, match in feedback.replacements:
         log.info("predicate %s %s %r -> %s = %r (score %.3f, %s level%s)",
@@ -361,24 +368,16 @@ def _load_bundle(config: RunConfig):
 
 
 def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
-    bundle = _load_bundle(config)
     clients = build_clients(config)
     provider, aligner, completer = _require(clients, "sketch", "aligner",
                                             "completer")
-    backend = build_backend(config, clients)
-    eval_config = EvalConfig(
-        selection=build_selection(config, completer, backend),
-        provider=provider,
-        aligner=aligner,
-        k_select=config.k_select,
-        k_from=config.k_from,
-        k_keywords=config.k_keywords,
-        workers=config.workers,
-        trace=bool(config.trace),
-        example_timeout=config.example_timeout,
-        record_latency=config.record_latency,
-    )
-    report = evaluate(eval_config, bundle)
+    selection = _from_run_config(SelectionConfig, config,
+                                 completer=completer,
+                                 backend=build_backend(config, clients))
+    eval_config = _from_run_config(EvalConfig, config, selection=selection,
+                                   provider=provider, aligner=aligner,
+                                   trace=bool(config.trace))
+    report = evaluate(eval_config, _load_bundle(config))
     payload = {"config": _config_echo(config), **report.to_dict()}
     if config.output:
         _write_json(payload, config.output)

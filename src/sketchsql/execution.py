@@ -20,10 +20,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import DatabaseAccessError
-from .schema import DatabaseSchema, connect_readonly, schema_from_sqlite
+from .schema import (
+    DatabaseSchema,
+    connect_readonly,
+    quote_identifier,
+    schema_from_sqlite,
+)
 
 log = logging.getLogger(__name__)
 
+# The deadline of a statement run with ``timeout=None``.
 DEFAULT_STATEMENT_TIMEOUT = 30.0
 # How many SQLite VM instructions run between timeout checks.
 _PROGRESS_INTERVAL = 10_000
@@ -78,10 +84,6 @@ class ExecutionOutcome:
         return self.kind == ROWS
 
 
-def quote_identifier(name: str) -> str:
-    return '"' + name.replace('"', '""') + '"'
-
-
 class Database:
     """Read-only handle on a SQLite database file.
 
@@ -99,11 +101,10 @@ class Database:
     comparable.
     """
 
-    def __init__(self, path, default_timeout: float = DEFAULT_STATEMENT_TIMEOUT):
+    def __init__(self, path):
         self.path = os.fspath(path)
         if not os.path.exists(self.path):
             raise DatabaseAccessError(f"database file not found: {self.path}")
-        self.default_timeout = default_timeout
         self._schema: DatabaseSchema | None = None
         # Guards the schema, the held connection, the stamp and the index.
         self._lock = threading.RLock()
@@ -231,7 +232,7 @@ class Database:
         """Run ``sql`` and classify the outcome.  Never raises: engine
         errors, timeouts, and connection failures all become Error
         outcomes with the underlying message preserved verbatim."""
-        limit = self.default_timeout if timeout is None else timeout
+        limit = DEFAULT_STATEMENT_TIMEOUT if timeout is None else timeout
         try:
             with self._statement_connection(limit) as conn:
                 try:
@@ -263,30 +264,6 @@ class Database:
         except sqlite3.Error as exc:
             raise DatabaseAccessError(
                 f"cannot scan {table}.{column} in {self.path}: {exc}") from exc
-
-    def has_value(self, table: str, column: str, value: str) -> bool:
-        query = (
-            f"SELECT 1 FROM {quote_identifier(table)} "
-            f"WHERE {quote_identifier(column)} = ? LIMIT 1"
-        )
-        try:
-            with self._statement_connection(None) as conn:
-                return bool(conn.execute(query, (value,)).fetchall())
-        except (OSError, sqlite3.Error) as exc:
-            raise DatabaseAccessError(
-                f"cannot probe {table}.{column} in {self.path}: {exc}") from exc
-
-
-def execute(db, sql: str, timeout: float | None = None) -> ExecutionOutcome:
-    """Convenience wrapper: ``db`` may be a Database or a file path.  A
-    Database made here for a path is closed before returning."""
-    if isinstance(db, Database):
-        return db.execute(sql, timeout)
-    db = Database(db)
-    try:
-        return db.execute(sql, timeout)
-    finally:
-        db.close()
 
 
 # --------------------------------------------------------------------------

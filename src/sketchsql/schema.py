@@ -290,6 +290,11 @@ def _stateless_only(action, arg1, arg2, db_name, _source):
     return sqlite3.SQLITE_OK
 
 
+def quote_identifier(name: str) -> str:
+    """``name`` as a double-quoted SQL identifier."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 def connect_readonly(path: str | os.PathLike,
                      check_same_thread: bool = True) -> sqlite3.Connection:
     """Open a SQLite file read-only, for any number of statements.
@@ -334,7 +339,8 @@ def schema_from_sqlite(path: str | os.PathLike, db_name: str | None = None) -> D
             ]
             tables = []
             for name in names:
-                info = conn.execute(f'PRAGMA table_info("{_quote(name)}")').fetchall()
+                info = conn.execute(
+                    f"PRAGMA table_info({quote_identifier(name)})").fetchall()
                 columns = [ColumnDef(row[1], _normalize_sqlite_type(row[2])) for row in info]
                 if columns:
                     tables.append(TableDef(name, columns))
@@ -345,7 +351,8 @@ def schema_from_sqlite(path: str | os.PathLike, db_name: str | None = None) -> D
             )
             foreign_keys = []
             for ti, table in enumerate(schema.tables):
-                for row in conn.execute(f'PRAGMA foreign_key_list("{_quote(table.name)}")'):
+                for row in conn.execute(
+                        f"PRAGMA foreign_key_list({quote_identifier(table.name)})"):
                     ref_table, from_col, to_col = row[2], row[3], row[4]
                     tt = schema.table_index(str(ref_table))
                     fc = table.column_index(str(from_col))
@@ -360,7 +367,7 @@ def schema_from_sqlite(path: str | os.PathLike, db_name: str | None = None) -> D
                         pk = [
                             r[1]
                             for r in conn.execute(
-                                f'PRAGMA table_info("{_quote(str(ref_table))}")'
+                                f"PRAGMA table_info({quote_identifier(str(ref_table))})"
                             )
                             if r[5]
                         ]
@@ -376,19 +383,6 @@ def schema_from_sqlite(path: str | os.PathLike, db_name: str | None = None) -> D
     except sqlite3.Error as exc:
         raise DatabaseAccessError(f"cannot read database {path}: {exc}") from exc
     return DatabaseSchema(schema.db_name, schema.tables, foreign_keys)
-
-
-def _quote(name: str) -> str:
-    return name.replace('"', '""')
-
-
-def load_schema(source) -> DatabaseSchema:
-    """Load a schema from a ``tables`` record (dict) or a SQLite file path."""
-    if isinstance(source, dict):
-        return schema_from_spider_record(source)
-    if isinstance(source, (str, os.PathLike)):
-        return schema_from_sqlite(source)
-    raise SchemaLoadError(f"unsupported schema source: {type(source).__name__}")
 
 
 def load_schema_file(path: str | os.PathLike) -> dict[str, DatabaseSchema]:

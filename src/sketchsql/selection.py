@@ -20,7 +20,6 @@ from .calibration import (
     CharacterFuzzy,
     MatchResult,
     bare_column_name,
-    is_identity_replacement,
     multi_level_match,
     replacement_value,
     single_level_match,  # noqa: F401  (perfbench/spans.py traces it here)
@@ -46,16 +45,18 @@ class SelectionConfig:
 
     completer: object
     patience: int = DEFAULT_PATIENCE
-    similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
+    threshold: float = DEFAULT_SIMILARITY_THRESHOLD
     backend: object = field(default_factory=CharacterFuzzy)
     statement_timeout: float | None = None
     scan_cap: int = DEFAULT_SCAN_CAP
 
     def __post_init__(self):
         if self.patience < 0:
-            raise ValueError("patience must be non-negative")
-        if not 0 < self.similarity_threshold <= 1:
-            raise ValueError("similarity threshold must be in (0, 1]")
+            raise ValueError(
+                f"'patience' must be at least 0, got {self.patience!r}")
+        if not 0 < self.threshold <= 1:
+            raise ValueError(
+                f"'threshold' must be in (0, 1], got {self.threshold!r}")
 
 
 # --------------------------------------------------------------------------
@@ -245,8 +246,7 @@ def apply_calibration(completer, sql: str, feedback: CalibrationFeedback) -> str
     ``sql`` unchanged without any endpoint call.  A rewrite that does not
     parse falls back to applying the replacements deterministically.
     """
-    pairs = [(pred, match) for pred, match in feedback.replacements
-             if not is_identity_replacement(pred, match)]
+    pairs = feedback.changes()
     if not pairs:
         return sql
     prompt = calibration_prompt(sql, pairs)
@@ -268,8 +268,8 @@ def _compute_feedback(db: Database, sql: str, config: SelectionConfig) -> Calibr
         # outside the dialect this package can analyze; skip calibration.
         log.debug("skipping calibration for unparseable query: %s", exc)
         return CalibrationFeedback()
-    return multi_level_match(db, parsed, config.similarity_threshold,
-                             config.backend, config.scan_cap)
+    return multi_level_match(db, parsed, config.threshold, config.backend,
+                             config.scan_cap)
 
 
 def calibrate_deterministic(db: Database, sql: str,
@@ -282,11 +282,9 @@ def calibrate_deterministic(db: Database, sql: str,
     SqlParseError otherwise).  Identity suggestions are dropped; feedback
     proposing no change returns ``sql`` unchanged.
     """
-    feedback = multi_level_match(db, parse_sql(sql),
-                                 config.similarity_threshold, config.backend,
-                                 config.scan_cap)
-    pairs = [(pred, match) for pred, match in feedback.replacements
-             if not is_identity_replacement(pred, match)]
+    feedback = multi_level_match(db, parse_sql(sql), config.threshold,
+                                 config.backend, config.scan_cap)
+    pairs = feedback.changes()
     if not pairs:
         return sql, feedback
     return _deterministic_rewrite(sql, pairs), feedback

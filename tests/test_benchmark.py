@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from helpers import (is_closed, make_benchmark_dataset, make_school_db,
                      record_connections)
 
 from sketchsql.benchmark import (
+    BenchmarkExample,
     EvalConfig,
     _gold_order_sensitive,
     build_gold_echo_script,
@@ -15,8 +17,8 @@ from sketchsql.benchmark import (
     load_dataset,
     measure_tokens,
     translate_question,
-    write_report_json,
 )
+from sketchsql.cli import _write_json
 from sketchsql.errors import DatasetIntegrityError
 from sketchsql.execution import Database
 from sketchsql.gateway import StubScript, clients_from_script, recording_calls
@@ -297,8 +299,8 @@ def test_evaluate_parallel_matches_serial(dataset_root, tmp_path):
     serial, _ = run_gold_echo(dataset_root, workers=1)
     parallel, _ = run_gold_echo(dataset_root, workers=3)
     a, b = tmp_path / "serial.json", tmp_path / "parallel.json"
-    write_report_json(serial, a)
-    write_report_json(parallel, b)
+    _write_json(serial.to_dict(), a)
+    _write_json(parallel.to_dict(), b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -308,10 +310,40 @@ def test_evaluate_two_workers_match_serial_with_calibration(tmp_path):
     for workers in (1, 2):
         report, _ = run_gold_echo(root, workers=workers, trace=True)
         path = tmp_path / f"workers{workers}.json"
-        write_report_json(report, path)
+        _write_json(report.to_dict(), path)
         reports.append(path.read_bytes())
     assert b'"match_value": "timmy"' in reports[0]
     assert reports[0] == reports[1]
+
+
+# Counts to 2e7: several seconds without a deadline.
+SLOW_SQL = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+            "WHERE x < 20000000) SELECT count(*) FROM c")
+
+
+def test_statement_timeout_bounds_gold_and_final_execution(dataset_root):
+    """The gold SQL and the scoring run of the prediction get the
+    selection's statement deadline too, not the 30 s default."""
+    bundle = load_dataset(dataset_root)
+    bundle.examples = bundle.examples[1:2]  # a fast gold query
+    script = build_gold_echo_script(bundle)
+    script["complete"] = {prompt: [SLOW_SQL] for prompt in script["complete"]}
+    # No sketch is scripted for this question, so only its gold SQL runs.
+    bundle.examples.append(BenchmarkExample("How long?", "school", SLOW_SQL))
+    clients = clients_from_script(StubScript(script))
+    config = EvalConfig(
+        selection=SelectionConfig(completer=clients["completer"], patience=0,
+                                  statement_timeout=0.05),
+        provider=clients["sketch"], aligner=clients["aligner"],
+        record_latency=False)
+    started = time.monotonic()
+    slow_prediction, slow_gold = evaluate(config, bundle).per_example
+    assert time.monotonic() - started < 2.0
+    assert (slow_prediction.predicted_sql, slow_prediction.status) == \
+        (SLOW_SQL, "Exhausted")
+    assert slow_prediction.gold_outcome == "rows"
+    assert slow_prediction.predicted_outcome == "error"
+    assert (slow_gold.status, slow_gold.gold_outcome) == ("Error", "error")
 
 
 def test_evaluate_closes_its_databases(dataset_root, monkeypatch):
@@ -352,7 +384,7 @@ def test_evaluate_is_deterministic(dataset_root, tmp_path):
     for name in ("one.json", "two.json"):
         report, _ = run_gold_echo(dataset_root, trace=True)
         path = tmp_path / name
-        write_report_json(report, path)
+        _write_json(report.to_dict(), path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -363,7 +395,7 @@ def test_report_serialization(dataset_root, tmp_path):
     assert list(payload["status_counts"]) == \
         sorted(payload["status_counts"])
     path = tmp_path / "report.json"
-    write_report_json(report, path)
+    _write_json(report.to_dict(), path)
     loaded = json.loads(path.read_text(encoding="utf-8"))
     assert loaded["total"] == 6 and loaded["execution_accuracy"] == 1.0
     assert len(loaded["per_example"]) == 6

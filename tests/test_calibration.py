@@ -167,13 +167,6 @@ def test_sentence_backend_falls_back_once(caplog):
     assert sum("falling back" in r.message for r in caplog.records) == 1
 
 
-def test_sentence_backend_strict_mode():
-    from sketchsql.errors import EncoderUnavailableError
-    backend = SentenceEncoder(StubSentenceEncoder({}), fallback_to_fuzzy=False)
-    with pytest.raises(EncoderUnavailableError):
-        backend.score("a", "b")
-
-
 # --------------------------------------------------------------------------
 # Replacement helpers
 
@@ -542,7 +535,8 @@ def test_held_connection_never_blocks_a_writer(school_db_path):
     _match_of(db, "timmothy")
     assert db.distinct_text_values("Student", "given_name", 10) == \
         ["timmy", "wardle"]
-    assert db.has_value("Student", "given_name", "timmy")
+    assert db.execute(
+        "SELECT 1 FROM Student WHERE given_name = 'timmy'").is_rows
     with closing(sqlite3.connect(school_db_path, timeout=0)) as writer:
         writer.execute("INSERT INTO Student VALUES (3, 'timothy', 'lane', 'art', 50)")
         writer.commit()  # "database is locked" if a read were left open
@@ -561,7 +555,7 @@ def test_pinned_table_level_match(school_db):
     (pred, match), = feedback.replacements
     assert pred.value == "wards"
     assert match == MatchResult("last_name", "ward", 0.75, MatchLevel.TABLE)
-    assert feedback.proposes_change()
+    assert feedback.changes() == ((pred, match),)
 
 
 def test_pinned_below_threshold_match(school_db):
@@ -583,7 +577,7 @@ def test_column_level_early_stop(school_db):
 def test_identity_feedback_on_exact_values(school_db):
     query = parse_sql("SELECT course FROM Student WHERE given_name = 'timmy'")
     feedback = multi_level_match(school_db, query, 0.65, CharacterFuzzy())
-    assert feedback and not feedback.proposes_change()
+    assert feedback and feedback.changes() == ()
 
 
 def test_empty_value_predicate_skipped(school_db):
@@ -621,7 +615,7 @@ def test_like_predicates_match_on_core(school_db):
     feedback = multi_level_match(school_db, query, 0.65, CharacterFuzzy())
     (pred, match), = feedback.replacements
     assert match.value == "timmy" and match.score == 1.0
-    assert not feedback.proposes_change()
+    assert feedback.changes() == ()
     assert replacement_value(pred, match) == "%timmy%"
 
 

@@ -360,6 +360,10 @@ def test_config_value_types_are_checked(tmp_path, school_path, caplog,
     ("example_timeout", -1, "'example_timeout' must be greater than 0"),
     ("example_timeout", 0, "'example_timeout' must be greater than 0"),
     ("statement_timeout", -0.5, "'statement_timeout' must be at least 0"),
+    ("patience", -1, "'patience' must be at least 0, got -1"),
+    ("threshold", 0, "'threshold' must be greater than 0 and at most 1, got 0"),
+    ("threshold", 1.5, "'threshold' must be greater than 0 and at most 1, "
+                       "got 1.5"),
 ])
 def test_config_values_out_of_range_are_rejected(tmp_path, caplog, source,
                                                  key, value, message):
@@ -378,11 +382,26 @@ def test_config_values_at_their_bounds_load():
     args = build_parser().parse_args(
         ["evaluate", "--k-select", "1", "--k-from", "1", "--k-keywords", "1",
          "--scan-cap", "1", "--workers", "1", "--limit", "0",
-         "--example-timeout", "0.001", "--statement-timeout", "0"])
+         "--example-timeout", "0.001", "--statement-timeout", "0",
+         "--patience", "0", "--threshold", "1"])
     config = effective_config(args)
     assert (config.k_select, config.k_from, config.k_keywords, config.scan_cap,
             config.workers, config.limit, config.example_timeout,
-            config.statement_timeout) == (1, 1, 1, 1, 1, 0, 0.001, 0)
+            config.statement_timeout, config.patience, config.threshold) == \
+        (1, 1, 1, 1, 1, 0, 0.001, 0, 0, 1)
+
+
+def test_evaluate_checks_its_settings_before_reading_the_dataset(
+        bench, monkeypatch, caplog):
+    root, script = bench
+    monkeypatch.setattr("sketchsql.cli.load_dataset", _never_called)
+    assert main(["evaluate", "--dataset", str(root), "--stub-script",
+                 str(script), "--backend", "embedding"]) == EXIT_ERROR
+    assert "the embedding backend needs --embeddings" in caplog.text
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the dataset was read")
 
 
 def test_config_values_of_the_right_type_load(tmp_path):

@@ -15,7 +15,6 @@ from sketchsql.execution import (
     Database,
     ExecutionOutcome,
     ResultSet,
-    execute,
     quote_identifier,
     results_equal,
 )
@@ -108,13 +107,6 @@ def test_missing_file_raises():
         Database("/nonexistent/dir/none.sqlite")
 
 
-def test_execute_accepts_path(db, monkeypatch):
-    opened = record_connections(monkeypatch)
-    assert execute(db.path, "SELECT 1").result == ResultSet(1, ((1,),))
-    assert len(opened) == 1 and is_closed(opened[0])  # nothing left pooled
-    assert execute(db, "SELECT 1").is_rows
-
-
 # --------------------------------------------------------------------------
 # Reused statement connections behave like fresh ones
 
@@ -158,18 +150,14 @@ def test_deadline_does_not_outlive_its_statement(db):
 
 def test_replaced_file_is_read_afresh(db, tmp_path):
     assert db.execute("SELECT count(*) FROM item").result.rows == ((6,),)
-    assert db.has_value("item", "label", "pen")
     replacement = tmp_path / "replacement.sqlite"
     with closing(sqlite3.connect(replacement)) as conn:
         conn.executescript("CREATE TABLE item (id INTEGER, label, price REAL);"
                            "INSERT INTO item VALUES (1, 'cap', 3.0);")
     os.replace(replacement, db.path)
     assert db.execute("SELECT label FROM item").result.rows == (("cap",),)
-    assert not db.has_value("item", "label", "pen")
     os.remove(db.path)
     assert db.execute("SELECT label FROM item").is_error
-    with pytest.raises(DatabaseAccessError):
-        db.has_value("item", "label", "cap")
 
 
 def test_writer_commits_after_any_statement(db):
@@ -237,11 +225,6 @@ def test_distinct_text_values_cap(db):
 def test_distinct_text_values_bad_table(db):
     with pytest.raises(DatabaseAccessError):
         db.distinct_text_values("ghost", "label", 10)
-
-
-def test_has_value(db):
-    assert db.has_value("item", "label", "pen")
-    assert not db.has_value("item", "label", "pencil")
 
 
 def test_quote_identifier():

@@ -14,7 +14,6 @@ from sketchsql.schema import (
     ForeignKeyDef,
     IndexRef,
     TableDef,
-    load_schema,
     load_schema_file,
     resolve_index,
     schema_from_spider_record,
@@ -167,13 +166,6 @@ def test_schema_from_sqlite_path_with_url_characters(tmp_path):
     assert db.distinct_text_values("Student", "given_name", 10) == \
         ["timmy", "wardle"]
     db.close()
-
-
-def test_load_schema_dispatch(school_db_path):
-    assert load_schema(school_db_path).db_name == "school"
-    assert load_schema(CAR_1_RECORD).db_name == "car_1"
-    with pytest.raises(SchemaLoadError):
-        load_schema(42)
 
 
 def test_load_schema_file(tmp_path):

@@ -204,7 +204,7 @@ def test_calibrate_deterministic_identity(school_db):
     rewritten, feedback = calibrate_deterministic(
         school_db, SCHOOL_GOLD_SQL, config())
     assert rewritten == SCHOOL_GOLD_SQL
-    assert feedback and not feedback.proposes_change()
+    assert feedback and feedback.changes() == ()
 
 
 def test_calibrate_deterministic_requires_parseable(school_db):
@@ -318,12 +318,15 @@ def test_select_query_requires_sketches(school_db, school_schema):
 
 
 def test_selection_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^'patience' must be at least 0, "
+                                         r"got -1$"):
         SelectionConfig(completer({}), patience=-1)
-    with pytest.raises(ValueError):
-        SelectionConfig(completer({}), similarity_threshold=0.0)
-    with pytest.raises(ValueError):
-        SelectionConfig(completer({}), similarity_threshold=1.5)
+    with pytest.raises(ValueError, match=r"^'threshold' must be in \(0, 1\], "
+                                         r"got 0.0$"):
+        SelectionConfig(completer({}), threshold=0.0)
+    with pytest.raises(ValueError, match=r"^'threshold' must be in \(0, 1\], "
+                                         r"got 1.5$"):
+        SelectionConfig(completer({}), threshold=1.5)
 
 
 def test_trace_serialization_shape(school_db, school_schema):
