@@ -20,7 +20,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import EmptyValueError, EncoderUnavailableError
+from .errors import EmptyValueError, EncoderUnavailableError, SchemaMismatchError
 from .sql_analysis import (
     OP_LIKE,
     ParsedQuery,
@@ -29,6 +29,7 @@ from .sql_analysis import (
     extract_predicates,
     from_tables,
     merge_like_pattern,
+    split_column,
     split_like_pattern,
 )
 
@@ -446,46 +447,21 @@ def replacement_value(pred: Predicate, match: MatchResult) -> str:
     return match.value
 
 
-def _resolve_column(db_schema, query: ParsedQuery, column_text: str):
-    """Resolve a predicate's column reference to (table name, column name).
+def level_columns(level: MatchLevel, schema, resolved, tables: list) -> list:
+    """The (table, column) pairs whose values are candidates for a
+    predicate at ``level``, in search order.
 
-    Returns None when the reference does not resolve against the schema.
-    Qualified references go through the query's alias map; bare names are
-    searched across the query's FROM tables in appearance order.
+    ``resolved`` is the (table, column) pair the predicate's column
+    reference resolves to, or None; ``tables`` are the query's FROM tables.
+    Column level is only ``resolved``; Table level every column of its
+    table (every FROM table when the column does not resolve); Database
+    level every column of every table.  So each level's columns include
+    the previous level's.
     """
-    if "." in column_text:
-        qualifier, column = column_text.split(".", 1)
-        table = alias_map(query).get(qualifier.lower(), qualifier)
-        ti = db_schema.table_index(table)
-        if ti is None:
-            return None
-        if db_schema.tables[ti].column_index(column) is None:
-            return None
-        return db_schema.tables[ti].name, column
-    for table in from_tables(query):
-        ti = db_schema.table_index(table)
-        if ti is None:
-            continue
-        if db_schema.tables[ti].column_index(column_text) is not None:
-            return db_schema.tables[ti].name, column_text
-    return None
-
-
-def level_columns(level: MatchLevel, schema, query: ParsedQuery,
-                  predicate: Predicate) -> list:
-    """The (table, column) pairs whose values are candidates for
-    ``predicate`` at ``level``, in search order.
-
-    Column level is only the predicate's own column; Table level every
-    column of the owning table (every FROM table when the column does not
-    resolve); Database level every column of every table.  So each level's
-    columns include the previous level's.
-    """
-    resolved = _resolve_column(schema, query, predicate.column)
     if level == MatchLevel.COLUMN:
         return [] if resolved is None else [resolved]
     if level == MatchLevel.TABLE:
-        names = [resolved[0]] if resolved is not None else from_tables(query)
+        names = [resolved[0]] if resolved is not None else tables
         tables = [schema.tables[ti] for ti in map(schema.table_index, names)
                   if ti is not None]
     else:
@@ -528,8 +504,8 @@ def best_match(candidates: EncodedValues, value0: str, backend) -> list:
     return out
 
 
-def _match_predicate(schema, query: ParsedQuery, predicate: Predicate, r: float,
-                     levels, column_bests) -> MatchResult | None:
+def _match_predicate(schema, predicate: Predicate, resolved, tables: list,
+                     r: float, levels, column_bests) -> MatchResult | None:
     value0 = _match_value(predicate)
     overall: MatchResult | None = None
     for level in levels:
@@ -537,7 +513,7 @@ def _match_predicate(schema, query: ParsedQuery, predicate: Predicate, r: float,
         # that have candidates, then toward the smaller value.
         order: dict[str, int] = {}
         best_key, result = None, None
-        columns = level_columns(level, schema, query, predicate)
+        columns = level_columns(level, schema, resolved, tables)
         for (_, column), (count, found) in zip(
                 columns, column_bests(value0, columns)):
             if count:
@@ -601,10 +577,21 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
                 bests[key] = (len(values), best)
         return [bests[key] for key in keys]
 
+    tables = from_tables(query)
+    refs = [split_column(p.column) for p in predicates]
+    # Only qualified references read the alias map, a second query walk.
+    qualified = any(ref.table is not None for ref in refs)
+    aliases = alias_map(query) if qualified else {}
     replacements = []
-    for predicate in predicates:
-        result = _match_predicate(schema, query, predicate, r, levels,
-                                  column_bests)
+    for predicate, ref in zip(predicates, refs):
+        try:
+            ti, _ = schema.resolve_column(ref.table, ref.name, tables, aliases)
+            # Column level keeps the query's spelling of the column.
+            resolved = (schema.tables[ti].name, ref.name)
+        except SchemaMismatchError:
+            resolved = None
+        result = _match_predicate(schema, predicate, resolved, tables, r,
+                                  levels, column_bests)
         if result is not None:
             replacements.append((predicate, result))
     return CalibrationFeedback(tuple(replacements))

@@ -2,7 +2,7 @@
 comparison.
 
 Every run is classified as Error (engine rejection or timeout, message
-kept verbatim so it can be fed back to the completer), Null (empty result
+kept so it can be fed back to the completer), Null (empty result
 or rows that are entirely NULL, e.g. an aggregate over an empty
 relation), or Rows.  Comparison for the accuracy metric is multiset-based
 with numeric tolerance; column names are deliberately ignored since
@@ -231,7 +231,8 @@ class Database:
     def execute(self, sql: str, timeout: float | None = None) -> ExecutionOutcome:
         """Run ``sql`` and classify the outcome.  Never raises: engine
         errors, timeouts, and connection failures all become Error
-        outcomes with the underlying message preserved verbatim."""
+        outcomes that keep the underlying message; a statement stopped by
+        its deadline adds the deadline to SQLite's "interrupted"."""
         limit = DEFAULT_STATEMENT_TIMEOUT if timeout is None else timeout
         try:
             with self._statement_connection(limit) as conn:
@@ -239,7 +240,11 @@ class Database:
                     cursor = conn.execute(sql)
                     rows = tuple(tuple(row) for row in cursor.fetchall())
                 except Exception as exc:
-                    return ExecutionOutcome.error(str(exc))
+                    message = str(exc)
+                    if message == "interrupted" and limit > 0:
+                        message += (f": statement exceeded its {limit:g} s "
+                                    "deadline")
+                    return ExecutionOutcome.error(message)
                 column_count = len(cursor.description) if cursor.description else 0
         except Exception as exc:  # connection failure -> Error outcome
             return ExecutionOutcome.error(str(exc))

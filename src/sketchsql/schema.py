@@ -23,7 +23,12 @@ import urllib.parse
 from contextlib import closing
 from dataclasses import dataclass, field
 
-from .errors import DatabaseAccessError, IndexResolutionError, SchemaLoadError
+from .errors import (
+    DatabaseAccessError,
+    IndexResolutionError,
+    SchemaLoadError,
+    SchemaMismatchError,
+)
 
 log = logging.getLogger(__name__)
 
@@ -126,6 +131,38 @@ class DatabaseSchema:
             if table.name.lower() == wanted:
                 return i
         return None
+
+    def require_table(self, name: str) -> int:
+        """:meth:`table_index`, raising SchemaMismatchError when absent."""
+        ti = self.table_index(name)
+        if ti is None:
+            raise SchemaMismatchError(
+                f"table {name!r} is not in schema {self.db_name!r}")
+        return ti
+
+    def resolve_column(self, qualifier: str | None, name: str, tables,
+                       aliases) -> tuple[int, int]:
+        """Table and column index of a query's column reference.
+
+        A ``qualifier`` is looked up in ``aliases`` (lowercase alias or
+        table name to table name); a bare ``name`` is searched across the
+        query's FROM ``tables`` in appearance order.  Raises
+        SchemaMismatchError when the reference does not land in the schema.
+        """
+        if qualifier is not None:
+            ti = self.require_table(aliases.get(qualifier.lower(), qualifier))
+            ci = self.tables[ti].column_index(name)
+            if ci is None:
+                raise SchemaMismatchError(
+                    f"column {name!r} is not in table {self.tables[ti].name!r}")
+            return ti, ci
+        for table in tables:
+            ti = self.table_index(table)
+            ci = None if ti is None else self.tables[ti].column_index(name)
+            if ci is not None:
+                return ti, ci
+        raise SchemaMismatchError(
+            f"column {name!r} does not resolve against the query's tables")
 
 
 def serialize_schema(schema: DatabaseSchema) -> str:

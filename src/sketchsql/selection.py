@@ -28,7 +28,7 @@ from .errors import EmptyCandidateError, IndexResolutionError, PredicateNotFound
 from .execution import Database
 from .gateway import request_completion
 from .schema import DatabaseSchema, serialize_schema, translate_indexed_text
-from .sql_analysis import Predicate, parse_sql, rewrite_predicate
+from .sql_analysis import ParsedQuery, Predicate, parse_sql, rewrite_predicate
 from .sketches import SqlSketch
 
 log = logging.getLogger(__name__)
@@ -228,8 +228,7 @@ def _rewrite_target(pred: Predicate, match: MatchResult) -> Predicate:
     return Predicate(column, pred.operator, replacement_value(pred, match))
 
 
-def _deterministic_rewrite(sql: str, pairs: list) -> str:
-    parsed = parse_sql(sql)
+def _deterministic_rewrite(parsed: ParsedQuery, pairs: list) -> str:
     for pred, match in pairs:
         try:
             parsed = rewrite_predicate(parsed, pred, _rewrite_target(pred, match))
@@ -256,7 +255,7 @@ def apply_calibration(completer, sql: str, feedback: CalibrationFeedback) -> str
     except SqlParseError:
         log.warning("calibration rewrite does not parse; applying "
                     "deterministic replacement instead")
-        return _deterministic_rewrite(sql, pairs)
+        return _deterministic_rewrite(parse_sql(sql), pairs)
     return rewritten
 
 
@@ -282,12 +281,13 @@ def calibrate_deterministic(db: Database, sql: str,
     SqlParseError otherwise).  Identity suggestions are dropped; feedback
     proposing no change returns ``sql`` unchanged.
     """
-    feedback = multi_level_match(db, parse_sql(sql), config.threshold,
+    parsed = parse_sql(sql)
+    feedback = multi_level_match(db, parsed, config.threshold,
                                  config.backend, config.scan_cap)
     pairs = feedback.changes()
     if not pairs:
         return sql, feedback
-    return _deterministic_rewrite(sql, pairs), feedback
+    return _deterministic_rewrite(parsed, pairs), feedback
 
 
 def select_query(question: str, schema: DatabaseSchema, db: Database,

@@ -239,45 +239,21 @@ def assemble_sketches(best: AlignedPair, from_candidates: list) -> list[SqlSketc
 # --------------------------------------------------------------------------
 # Gold-SQL sketch extraction
 
-def _index_column_renderer(parsed: ParsedQuery, schema: DatabaseSchema):
-    """Column renderer emitting ``t<i>.c<j>`` index tokens.
-
-    Qualified references resolve through the query's alias map; bare
-    references search the query's FROM tables in appearance order.  A
-    reference that does not land in the schema is a SchemaMismatchError.
-    """
+def _index_column_renderer(parsed: ParsedQuery, schema: DatabaseSchema,
+                           tables: list[str]):
+    """Column renderer emitting ``t<i>.c<j>`` index tokens for the columns
+    of ``parsed``, whose FROM tables are ``tables``.  A reference that does
+    not land in the schema is a SchemaMismatchError."""
     aliases = alias_map(parsed)
-    tables = from_tables(parsed)
-
-    def table_index(name: str) -> int:
-        ti = schema.table_index(name)
-        if ti is None:
-            raise SchemaMismatchError(
-                f"table {name!r} is not in schema {schema.db_name!r}")
-        return ti
 
     def column_text(ref: ColumnRef) -> str:
-        if ref.table is None and ref.name == "*":
-            return "*"
-        if ref.table is not None:
-            ti = table_index(aliases.get(ref.table.lower(), ref.table))
-            if ref.name == "*":
-                return f"t{ti}.*"
-            ci = schema.tables[ti].column_index(ref.name)
-            if ci is None:
-                raise SchemaMismatchError(
-                    f"column {ref.name!r} is not in table "
-                    f"{schema.tables[ti].name!r}")
-            return f"t{ti}.c{ci}"
-        for name in tables:
-            ti = schema.table_index(name)
-            if ti is None:
-                continue
-            ci = schema.tables[ti].column_index(ref.name)
-            if ci is not None:
-                return f"t{ti}.c{ci}"
-        raise SchemaMismatchError(
-            f"column {ref.name!r} does not resolve against the query's tables")
+        if ref.name == "*":
+            if ref.table is None:
+                return "*"
+            table = aliases.get(ref.table.lower(), ref.table)
+            return f"t{schema.require_table(table)}.*"
+        ti, ci = schema.resolve_column(ref.table, ref.name, tables, aliases)
+        return f"t{ti}.c{ci}"
 
     return column_text
 
@@ -294,21 +270,15 @@ def extract_sketch_from_sql(sql, schema: DatabaseSchema) -> SqlSketch:
     node = parsed.root
     while isinstance(node, SetOp):
         node = node.left
-    column_text = _index_column_renderer(parsed, schema)
+    table_names = from_tables(parsed)
+    column_text = _index_column_renderer(parsed, schema, table_names)
     select_content = "SELECT " + ", ".join(
         render_expr(item.expr, column_text) for item in node.items)
 
-    table_names = from_tables(parsed)
     if not table_names:
         raise SchemaMismatchError("query has no FROM tables to label")
-    indices = []
-    for name in table_names:
-        ti = schema.table_index(name)
-        if ti is None:
-            raise SchemaMismatchError(
-                f"table {name!r} is not in schema {schema.db_name!r}")
-        indices.append(ti)
-    from_content = "FROM " + ", ".join(f"t{ti}" for ti in indices)
+    from_content = "FROM " + ", ".join(
+        f"t{schema.require_table(name)}" for name in table_names)
 
     keywords_content = " ".join(extract_keywords(parsed))
     return SqlSketch(

@@ -33,11 +33,19 @@ from .errors import PredicateNotFoundError, SqlParseError
 # --------------------------------------------------------------------------
 # Tokens
 
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-# Multi-character operators first so that e.g. "<=" never lexes as "<", "=".
-_OPERATORS = ("<>", "!=", "<=", ">=", "==", "||",
-              "=", "<", ">", "(", ")", ",", ".", "*", "+", "-", "/", "%", ";")
+# One alternative per token kind, tried in this order; an unnamed run of
+# whitespace is skipped.  A string ends at a quote not followed by another
+# quote (a doubled quote is an escape), so an unterminated literal fails
+# here instead of ending early.  Multi-character operators come first so
+# that e.g. "<=" never lexes as "<", "=".
+_TOKEN = re.compile(r"""
+    (?P<string> '[^']*(?:''[^']*)*'(?!') | "[^"]*(?:""[^"]*)*"(?!") )
+  | `(?P<qident>[^`]*)`
+  | (?P<number> (?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)? )
+  | (?P<ident> [A-Za-z_][A-Za-z0-9_$]* )
+  | (?P<op> <> | != | <= | >= | == | \|\| | [=<>(),.*+\-/%;] )
+  | \s+
+""", re.VERBOSE)
 
 RESERVED_WORDS = frozenset({
     "SELECT", "DISTINCT", "ALL", "FROM", "WHERE", "GROUP", "BY", "HAVING",
@@ -57,49 +65,19 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in ("'", '"'):
-            j = i + 1
-            while True:
-                j = text.find(ch, j)
-                if j == -1:
-                    raise SqlParseError("unterminated string literal", i)
-                if j + 1 < n and text[j + 1] == ch:  # doubled quote escape
-                    j += 2
-                    continue
-                break
-            tokens.append(Token("string", text[i:j + 1], i))
-            i = j + 1
-            continue
-        if ch == "`":
-            j = text.find("`", i + 1)
-            if j == -1:
-                raise SqlParseError("unterminated quoted identifier", i)
-            tokens.append(Token("qident", text[i + 1:j], i))
-            i = j + 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m and (ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit())):
-            tokens.append(Token("number", m.group(0), i))
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(0), i))
-            i = m.end()
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("op", op, i))
-                i += len(op)
-                break
-        else:
-            raise SqlParseError(f"unexpected character {ch!r}", i)
+    pos, n = 0, len(text)
+    while pos < n:
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            ch = text[pos]
+            if ch in "'\"":
+                raise SqlParseError("unterminated string literal", pos)
+            if ch == "`":
+                raise SqlParseError("unterminated quoted identifier", pos)
+            raise SqlParseError(f"unexpected character {ch!r}", pos)
+        if m.lastgroup is not None:
+            tokens.append(Token(m.lastgroup, m.group(m.lastgroup), pos))
+        pos = m.end()
     tokens.append(Token("end", "", n))
     return tokens
 
@@ -255,6 +233,12 @@ class ParsedQuery:
 # --------------------------------------------------------------------------
 # Parser
 
+# Binding strength of each binary operator, loosest first.  NOT is 3, the
+# comparison and predicate forms 4 and the unary signs 8; the parser and
+# the renderer both read this table.
+_BINARY_PREC = {"OR": 1, "AND": 2, "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+                "||": 7}
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -293,6 +277,12 @@ class _Parser:
     def expect_keyword(self, word: str) -> None:
         if not self.take_keyword(word):
             self.error(f"expected {word}")
+
+    def at_name(self) -> bool:
+        """True at a quoted identifier or a word that is not reserved."""
+        tok = self.peek()
+        return tok.kind == "qident" or (
+            tok.kind == "ident" and tok.text.upper() not in RESERVED_WORDS)
 
     def at_op(self, *ops: str) -> bool:
         tok = self.peek()
@@ -370,12 +360,12 @@ class _Parser:
                 order_by.append(self.parse_order_item())
         limit = offset = None
         if self.take_keyword("LIMIT"):
-            limit = self.parse_additive()
+            limit = self.parse_expr(5)
             if self.take_keyword("OFFSET"):
-                offset = self.parse_additive()
+                offset = self.parse_expr(5)
             elif self.take_op(","):
                 # SQLite's `LIMIT <offset>, <count>` shorthand.
-                offset, limit = limit, self.parse_additive()
+                offset, limit = limit, self.parse_expr(5)
         return Select(distinct, tuple(items), source, tuple(joins), where,
                       tuple(group_by), having, tuple(order_by), limit, offset)
 
@@ -407,11 +397,8 @@ class _Parser:
             query = self.parse_query()
             self.expect_op(")")
             return SubqueryTable(query, self.parse_alias())
-        tok = self.peek()
-        if tok.kind == "qident" or (tok.kind == "ident"
-                                    and tok.text.upper() not in RESERVED_WORDS):
-            self.advance()
-            return TableRef(tok.text, self.parse_alias())
+        if self.at_name():
+            return TableRef(self.advance().text, self.parse_alias())
         self.error("expected a table name")
 
     def parse_alias(self) -> str | None:
@@ -421,14 +408,7 @@ class _Parser:
                 self.error("expected an alias after AS")
             self.advance()
             return tok.text
-        tok = self.peek()
-        if tok.kind == "qident":
-            self.advance()
-            return tok.text
-        if tok.kind == "ident" and tok.text.upper() not in RESERVED_WORDS:
-            self.advance()
-            return tok.text
-        return None
+        return self.advance().text if self.at_name() else None
 
     def parse_order_item(self) -> OrderItem:
         expr = self.parse_expr()
@@ -440,17 +420,25 @@ class _Parser:
 
     # -- expressions, lowest precedence first
 
-    def parse_expr(self):
-        node = self.parse_and()
-        while self.take_keyword("OR"):
-            node = Binary("OR", node, self.parse_and())
-        return node
+    def parse_expr(self, level: int = 1):
+        """A left-associative chain of the binary operators that
+        ``_BINARY_PREC`` puts at ``level``.  Levels 3 (NOT), 4 (comparisons
+        and predicates) and 8 (unary signs) have rules of their own."""
+        node = self.parse_operand(level + 1)
+        while True:
+            tok = self.peek()
+            op = tok.text.upper() if tok.kind == "ident" else tok.text
+            if tok.kind not in ("ident", "op") or _BINARY_PREC.get(op) != level:
+                return node
+            self.advance()
+            node = Binary(op, node, self.parse_operand(level + 1))
 
-    def parse_and(self):
-        node = self.parse_not()
-        while self.take_keyword("AND"):
-            node = Binary("AND", node, self.parse_not())
-        return node
+    def parse_operand(self, level: int):
+        if level == 3:
+            return self.parse_not()
+        if level == 8:
+            return self.parse_unary()
+        return self.parse_expr(level)
 
     def parse_not(self):
         # `NOT IN/LIKE/BETWEEN/EXISTS` belongs to the predicate, so only
@@ -463,10 +451,10 @@ class _Parser:
         return self.parse_predicate()
 
     def parse_predicate(self):
-        node = self.parse_additive()
+        node = self.parse_expr(5)
         op = self.take_op("=", "==", "!=", "<>", "<", "<=", ">", ">=")
         if op:
-            return Binary("=" if op == "==" else op, node, self.parse_additive())
+            return Binary("=" if op == "==" else op, node, self.parse_expr(5))
         if self.take_keyword("IS"):
             negated = self.take_keyword("NOT")
             self.expect_keyword("NULL")
@@ -478,41 +466,19 @@ class _Parser:
                 query = self.parse_query()
                 self.expect_op(")")
                 return InSelect(node, query, negated)
-            items = [self.parse_additive()]
+            items = [self.parse_expr(5)]
             while self.take_op(","):
-                items.append(self.parse_additive())
+                items.append(self.parse_expr(5))
             self.expect_op(")")
             return InList(node, tuple(items), negated)
         if self.take_keyword("LIKE"):
-            return Like(node, self.parse_additive(), negated)
+            return Like(node, self.parse_expr(5), negated)
         if self.take_keyword("BETWEEN"):
-            low = self.parse_additive()
+            low = self.parse_expr(5)
             self.expect_keyword("AND")
-            return Between(node, low, self.parse_additive(), negated)
+            return Between(node, low, self.parse_expr(5), negated)
         if negated:
             self.error("expected IN, LIKE, or BETWEEN after NOT")
-        return node
-
-    def parse_additive(self):
-        node = self.parse_multiplicative()
-        while True:
-            op = self.take_op("+", "-")
-            if not op:
-                return node
-            node = Binary(op, node, self.parse_multiplicative())
-
-    def parse_multiplicative(self):
-        node = self.parse_concat()
-        while True:
-            op = self.take_op("*", "/", "%")
-            if not op:
-                return node
-            node = Binary(op, node, self.parse_concat())
-
-    def parse_concat(self):
-        node = self.parse_unary()
-        while self.take_op("||"):
-            node = Binary("||", node, self.parse_unary())
         return node
 
     def parse_unary(self):
@@ -550,9 +516,7 @@ class _Parser:
             node = self.parse_expr()
             self.expect_op(")")
             return node
-        if tok.kind == "qident" or (tok.kind == "ident"
-                                    and (tok.text.upper() not in RESERVED_WORDS
-                                         or self.peek(1).text == "(")):
+        if self.at_name() or (tok.kind == "ident" and self.peek(1).text == "("):
             self.advance()
             if self.at_op("(") and tok.kind == "ident":
                 return self.parse_call(tok.text)
@@ -613,8 +577,7 @@ def _default_column_text(ref: ColumnRef) -> str:
 
 def _prec(node) -> int:
     if isinstance(node, Binary):
-        return {"OR": 1, "AND": 2, "+": 5, "-": 5,
-                "*": 6, "/": 6, "%": 6, "||": 7}.get(node.op, 4)
+        return _BINARY_PREC.get(node.op, 4)
     if isinstance(node, Unary):
         return 3 if node.op == "NOT" else 8
     if isinstance(node, (InList, InSelect, Between, Like, IsNull)):
@@ -683,13 +646,6 @@ class _Renderer:
             text += f" AS {_render_name(src.alias)}"
         return text
 
-    def expr(self, node, parent_prec: int = 0) -> str:
-        text = self._expr_text(node)
-        prec = _prec(node)
-        if prec < parent_prec:
-            return f"({text})"
-        return text
-
     def _child(self, node, parent_prec: int, tighten: bool = False) -> str:
         """Render a child, adding parentheses when precedence requires.
 
@@ -698,12 +654,12 @@ class _Renderer:
         non-associative comparison tier.
         """
         prec = _prec(node)
-        text = self._expr_text(node)
+        text = self.expr(node)
         if prec < parent_prec or (tighten and prec == parent_prec):
             return f"({text})"
         return text
 
-    def _expr_text(self, node) -> str:
+    def expr(self, node) -> str:
         if isinstance(node, Literal):
             return node.text
         if isinstance(node, ColumnRef):
@@ -827,7 +783,8 @@ def extract_predicates(query: ParsedQuery) -> list[Predicate]:
             if in_condition for pred in _site_predicates(node, depth)]
 
 
-def _split_column(text: str) -> ColumnRef:
+def split_column(text: str) -> ColumnRef:
+    """The column reference a predicate's column text spells."""
     if "." in text:
         table, name = text.split(".", 1)
         return ColumnRef(table, name)
@@ -858,7 +815,7 @@ def rewrite_predicate(query: ParsedQuery, old: Predicate, new: Predicate) -> Par
 
 def _rewritten(node, old: Predicate, new: Predicate):
     """``node``, a site that reports ``old``, reporting ``new`` instead."""
-    column, literal = _split_column(new.column), Literal.string(new.value)
+    column, literal = split_column(new.column), Literal.string(new.value)
     if type(node) is Binary:
         if isinstance(node.left, ColumnRef):
             return Binary(node.op, column, literal)

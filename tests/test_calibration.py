@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    _oracle_resolve,
     make_school_db,
     make_toy_db,
     oracle_multi_level,
@@ -45,7 +46,7 @@ from sketchsql.errors import EmptyValueError
 from sketchsql.execution import Database
 from sketchsql.gateway import StubScript, StubSentenceEncoder
 from sketchsql.selection import SelectionConfig, calibrate_deterministic
-from sketchsql.sql_analysis import Predicate, parse_sql
+from sketchsql.sql_analysis import Predicate, from_tables, parse_sql
 
 
 # --------------------------------------------------------------------------
@@ -203,8 +204,10 @@ def test_bare_column_name():
 
 def candidate_values(level, db, predicate, query, scan_cap=DEFAULT_SCAN_CAP):
     """The (column, value) candidates the matcher compares at ``level``."""
+    resolved = _oracle_resolve(db.schema, query, predicate.column)
     return [(column, value)
-            for table, column in level_columns(level, db.schema, query, predicate)
+            for table, column in level_columns(level, db.schema, resolved,
+                                               from_tables(query))
             for value in column_values(db, table, column, scan_cap)]
 
 

@@ -96,6 +96,7 @@ def test_timeout_interrupts_runaway_query(db):
     outcome = db.execute(slow, timeout=0.05)
     assert outcome.is_error
     assert "interrupt" in outcome.message.lower()
+    assert "0.05 s deadline" in outcome.message
 
 
 def test_zero_timeout_disables_deadline(db):

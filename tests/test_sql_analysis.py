@@ -59,22 +59,36 @@ def test_tokenize_strings_and_escapes():
         ("op", "||"),
     ]
     assert tokens[-1].kind == "end"
+    assert [(t.kind, t.text) for t in tokenize("1.e5 1.5E-3 a$b")[:-1]] == [
+        ("number", "1.e5"), ("number", "1.5E-3"), ("ident", "a$b")]
 
 
 def test_tokenize_positions():
     tokens = tokenize("a  = 1")
     assert [(t.text, t.pos) for t in tokens[:-1]] == [("a", 0), ("=", 3), ("1", 5)]
+    tokens = tokenize("a\u00a0= 1")  # a non-breaking space is whitespace
+    assert [(t.text, t.pos) for t in tokens[:-1]] == [("a", 0), ("=", 2), ("1", 4)]
 
 
 def test_tokenize_unterminated_string():
     with pytest.raises(SqlParseError) as err:
         tokenize("SELECT 'oops")
     assert "position 7" in str(err.value)
+    # The doubled quote is an escape, so the literal never ends.
+    with pytest.raises(SqlParseError, match="unterminated string literal") as err:
+        tokenize("'abc''")
+    assert err.value.position == 0
+    with pytest.raises(SqlParseError, match="unterminated quoted identifier") as err:
+        tokenize("a `b")
+    assert err.value.position == 2
 
 
 def test_tokenize_unexpected_character():
     with pytest.raises(SqlParseError):
         tokenize("SELECT ?")
+    with pytest.raises(SqlParseError, match="unexpected character '²'") as err:
+        tokenize("x²")
+    assert err.value.position == 1
 
 
 # --------------------------------------------------------------------------
@@ -154,6 +168,11 @@ def test_precedence_shapes():
         "SELECT a - (b - c) FROM t"
     assert render_query(parse_sql("SELECT a - b - c FROM t")) == \
         "SELECT a - b - c FROM t"
+    a, b, c, d = (ColumnRef(None, name) for name in "abcd")
+    assert parse_sql("SELECT a * b || c - d FROM t").root.items[0].expr == \
+        Binary("-", Binary("*", a, Binary("||", b, c)), d)
+    assert parse_sql("SELECT -a || b FROM t").root.items[0].expr == \
+        Binary("||", Unary("-", a), b)
 
 
 def test_not_binds_looser_than_comparison():
