@@ -29,7 +29,6 @@ from .sql_analysis import (
     extract_predicates,
     from_tables,
     merge_like_pattern,
-    split_column,
     split_like_pattern,
 )
 
@@ -416,16 +415,16 @@ class CalibrationFeedback:
                      if not is_identity_replacement(pred, match))
 
 
-def bare_column_name(text: str) -> str:
-    """Strip any table/alias qualifier from a column reference."""
-    return text.split(".")[-1]
+def in_own_column(pred: Predicate, match: MatchResult) -> bool:
+    """True when ``match`` is in the predicate's own column: the same name,
+    ignoring qualifier and case."""
+    return pred.ref.name.lower() == match.column.lower()
 
 
 def is_identity_replacement(pred: Predicate, match: MatchResult) -> bool:
     """True when ``match`` proposes exactly what the predicate already says
-    (same column ignoring qualifier and case, same matched value)."""
-    return (bare_column_name(pred.column).lower() == match.column.lower()
-            and _match_value(pred) == match.value)
+    (its own column and the same matched value)."""
+    return in_own_column(pred, match) and _match_value(pred) == match.value
 
 
 def _match_value(pred: Predicate) -> str:
@@ -578,12 +577,12 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
         return [bests[key] for key in keys]
 
     tables = from_tables(query)
-    refs = [split_column(p.column) for p in predicates]
     # Only qualified references read the alias map, a second query walk.
-    qualified = any(ref.table is not None for ref in refs)
+    qualified = any(p.ref.table is not None for p in predicates)
     aliases = alias_map(query) if qualified else {}
     replacements = []
-    for predicate, ref in zip(predicates, refs):
+    for predicate in predicates:
+        ref = predicate.ref
         try:
             ti, _ = schema.resolve_column(ref.table, ref.name, tables, aliases)
             # Column level keeps the query's spelling of the column.

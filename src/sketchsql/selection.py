@@ -18,17 +18,16 @@ from .calibration import (
     DEFAULT_SIMILARITY_THRESHOLD,
     CalibrationFeedback,
     CharacterFuzzy,
-    MatchResult,
-    bare_column_name,
+    in_own_column,
     multi_level_match,
     replacement_value,
     single_level_match,  # noqa: F401  (perfbench/spans.py traces it here)
 )
-from .errors import EmptyCandidateError, IndexResolutionError, PredicateNotFoundError, SqlParseError
+from .errors import EmptyCandidateError, IndexResolutionError, SqlParseError
 from .execution import Database
 from .gateway import request_completion
 from .schema import DatabaseSchema, serialize_schema, translate_indexed_text
-from .sql_analysis import ParsedQuery, Predicate, parse_sql, rewrite_predicate
+from .sql_analysis import ColumnRef, ParsedQuery, parse_sql, rewrite_predicates
 from .sketches import SqlSketch
 
 log = logging.getLogger(__name__)
@@ -214,28 +213,15 @@ def execution_check(sql: str, db: Database, patience: int, completer,
     return None
 
 
-def _rewrite_target(pred: Predicate, match: MatchResult) -> Predicate:
-    """The predicate a deterministic rewrite should install for ``match``.
-
-    When the matched column is the predicate's own column, the original
-    (possibly qualified) spelling is kept; cross-column matches use the
-    bare matched name.
-    """
-    if bare_column_name(pred.column).lower() == match.column.lower():
-        column = pred.column
-    else:
-        column = match.column
-    return Predicate(column, pred.operator, replacement_value(pred, match))
-
-
 def _deterministic_rewrite(parsed: ParsedQuery, pairs: list) -> str:
+    """Install each match in the tree.  A match in the predicate's own
+    column keeps the query's (possibly qualified) spelling of it; a match
+    in another column uses the bare matched name."""
+    changes = []
     for pred, match in pairs:
-        try:
-            parsed = rewrite_predicate(parsed, pred, _rewrite_target(pred, match))
-        except PredicateNotFoundError:
-            log.warning("calibration fallback: predicate %s = %r not found; "
-                        "skipping", pred.column, pred.value)
-    return parsed.original_text
+        column = pred.ref if in_own_column(pred, match) else ColumnRef(None, match.column)
+        changes.append((pred, column, replacement_value(pred, match)))
+    return rewrite_predicates(parsed, changes).original_text
 
 
 def apply_calibration(completer, sql: str, feedback: CalibrationFeedback) -> str:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields, replace
+from operator import is_not
 
 from .errors import PredicateNotFoundError, SqlParseError
 
@@ -34,17 +35,19 @@ from .errors import PredicateNotFoundError, SqlParseError
 # Tokens
 
 # One alternative per token kind, tried in this order; an unnamed run of
-# whitespace is skipped.  A string ends at a quote not followed by another
-# quote (a doubled quote is an escape), so an unterminated literal fails
-# here instead of ending early.  Multi-character operators come first so
-# that e.g. "<=" never lexes as "<", "=".
+# whitespace or a comment is skipped.  A string ends at a quote not followed
+# by another quote (a doubled quote is an escape), so an unterminated
+# literal fails here instead of ending early.  Comments come before the
+# operators, which would take their first character, and an unterminated
+# "/*" runs to the end of the input, as in SQLite.  Multi-character
+# operators come first so that e.g. "<=" never lexes as "<", "=".
 _TOKEN = re.compile(r"""
     (?P<string> '[^']*(?:''[^']*)*'(?!') | "[^"]*(?:""[^"]*)*"(?!") )
   | `(?P<qident>[^`]*)`
   | (?P<number> (?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)? )
   | (?P<ident> [A-Za-z_][A-Za-z0-9_$]* )
+  | \s+ | --[^\n]* | /\*[\s\S]*?(?:\*/|\Z)
   | (?P<op> <> | != | <= | >= | == | \|\| | [=<>(),.*+\-/%;] )
-  | \s+
 """, re.VERBOSE)
 
 RESERVED_WORDS = frozenset({
@@ -54,6 +57,26 @@ RESERVED_WORDS = frozenset({
     "BETWEEN", "IS", "NULL", "EXISTS", "UNION", "INTERSECT", "EXCEPT",
     "ASC", "DESC", "CASE", "WHEN", "THEN", "ELSE", "END",
 })
+
+# Every SQLite keyword (sqlite.org/lang_keywords.html).  The renderer
+# quotes a name that spells one, since many cannot stand as a bare name.
+_SQLITE_KEYWORDS = frozenset("""
+    ABORT ACTION ADD AFTER ALL ALTER ALWAYS ANALYZE AND AS ASC ATTACH
+    AUTOINCREMENT BEFORE BEGIN BETWEEN BY CASCADE CASE CAST CHECK COLLATE
+    COLUMN COMMIT CONFLICT CONSTRAINT CREATE CROSS CURRENT CURRENT_DATE
+    CURRENT_TIME CURRENT_TIMESTAMP DATABASE DEFAULT DEFERRABLE DEFERRED
+    DELETE DESC DETACH DISTINCT DO DROP EACH ELSE END ESCAPE EXCEPT EXCLUDE
+    EXCLUSIVE EXISTS EXPLAIN FAIL FILTER FIRST FOLLOWING FOR FOREIGN FROM
+    FULL GENERATED GLOB GROUP GROUPS HAVING IF IGNORE IMMEDIATE IN INDEX
+    INDEXED INITIALLY INNER INSERT INSTEAD INTERSECT INTO IS ISNULL JOIN KEY
+    LAST LEFT LIKE LIMIT MATCH MATERIALIZED NATURAL NO NOT NOTHING NOTNULL
+    NULL NULLS OF OFFSET ON OR ORDER OTHERS OUTER OVER PARTITION PLAN PRAGMA
+    PRECEDING PRIMARY QUERY RAISE RANGE RECURSIVE REFERENCES REGEXP REINDEX
+    RELEASE RENAME REPLACE RESTRICT RETURNING RIGHT ROLLBACK ROW ROWS
+    SAVEPOINT SELECT SET TABLE TEMP TEMPORARY THEN TIES TO TRANSACTION
+    TRIGGER UNBOUNDED UNION UNIQUE UPDATE USING VACUUM VALUES VIEW VIRTUAL
+    WHEN WHERE WINDOW WITH WITHOUT
+""".split())
 
 
 @dataclass(frozen=True)
@@ -564,12 +587,14 @@ _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*\Z")
 
 
 def _render_name(name: str) -> str:
-    if name == "*" or _PLAIN_IDENT.match(name):
+    if name == "*" or (_PLAIN_IDENT.match(name)
+                       and name.upper() not in _SQLITE_KEYWORDS):
         return name
     return f"`{name}`"
 
 
-def _default_column_text(ref: ColumnRef) -> str:
+def column_text(ref: ColumnRef) -> str:
+    """A column reference as the renderer spells it."""
     if ref.table is None:
         return _render_name(ref.name)
     return f"{_render_name(ref.table)}.{_render_name(ref.name)}"
@@ -588,12 +613,12 @@ def _prec(node) -> int:
 class _Renderer:
     """Canonical SQL rendering with minimal, precedence-driven parentheses.
 
-    ``column_text`` lets callers swap the rendering of column references,
-    e.g. to emit index tokens instead of names.
+    ``spell`` lets callers swap the rendering of column references, e.g.
+    to emit index tokens instead of names.
     """
 
-    def __init__(self, column_text=None):
-        self.column_text = column_text or _default_column_text
+    def __init__(self, spell=None):
+        self.column_text = spell or column_text
 
     def query(self, node) -> str:
         if isinstance(node, SetOp):
@@ -672,7 +697,11 @@ class _Renderer:
         if isinstance(node, Unary):
             if node.op == "NOT":
                 return "NOT " + self._child(node.operand, 3)
-            return node.op + self._child(node.operand, 8)
+            operand = self._child(node.operand, 8)
+            # "--" would open a comment.
+            if node.op == "-" and operand.startswith("-"):
+                return "- " + operand
+            return node.op + operand
         if isinstance(node, Binary):
             p = _prec(node)
             left = self._child(node.left, p, tighten=p == 4)
@@ -727,46 +756,39 @@ OP_IN_ELEMENT = "IN-element"
 class Predicate:
     """A column-versus-string-literal condition found in WHERE or HAVING.
 
-    ``depth`` is diagnostic only: 0 for the outermost query, +1 per
-    enclosing subquery.  Numeric comparisons never become predicates.
+    ``ref`` is the column reference as parsed.  ``depth`` is diagnostic
+    only: 0 for the outermost query, +1 per enclosing subquery.  Numeric
+    comparisons never become predicates.
     """
 
-    column: str
+    ref: ColumnRef
     operator: str        # OP_EQ | OP_LIKE | OP_IN_ELEMENT
     value: str
     depth: int = 0
 
-
-def _column_text(ref: ColumnRef) -> str:
-    return ref.name if ref.table is None else f"{ref.table}.{ref.name}"
+    @property
+    def column(self) -> str:
+        """The column as the renderer spells it, for prompts and traces."""
+        return column_text(self.ref)
 
 
 def _is_string(node) -> bool:
     return isinstance(node, Literal) and node.kind == "string"
 
 
-def _as_column_and_string(left, right) -> tuple[ColumnRef, Literal] | None:
-    if isinstance(left, ColumnRef) and _is_string(right):
-        return left, right
-    if isinstance(right, ColumnRef) and _is_string(left):
-        return right, left
-    return None
-
-
 def _site_predicates(node, depth: int) -> tuple:
-    """The predicates ``node`` reports when it sits inside a condition."""
+    """The predicates ``node`` reports when it sits inside a condition.
+    An ``=`` takes its column from the left when the left is a column."""
     kind = type(node)
     if kind is Binary and node.op == "=":
-        pair = _as_column_and_string(node.left, node.right)
-        if pair is not None:
-            column, literal = pair
-            return (Predicate(_column_text(column), OP_EQ, literal.string_value, depth),)
+        column, literal = ((node.left, node.right) if isinstance(node.left, ColumnRef)
+                           else (node.right, node.left))
+        if isinstance(column, ColumnRef) and _is_string(literal):
+            return (Predicate(column, OP_EQ, literal.string_value, depth),)
     elif kind is Like and isinstance(node.expr, ColumnRef) and _is_string(node.pattern):
-        return (Predicate(_column_text(node.expr), OP_LIKE,
-                          node.pattern.string_value, depth),)
+        return (Predicate(node.expr, OP_LIKE, node.pattern.string_value, depth),)
     elif kind is InList and isinstance(node.expr, ColumnRef):
-        column = _column_text(node.expr)
-        return tuple(Predicate(column, OP_IN_ELEMENT, item.string_value, depth)
+        return tuple(Predicate(node.expr, OP_IN_ELEMENT, item.string_value, depth)
                      for item in node.items if _is_string(item))
     return ()
 
@@ -777,67 +799,85 @@ def extract_predicates(query: ParsedQuery) -> list[Predicate]:
     Covers ``col = 'v'`` (either orientation), ``col LIKE 'v'``, and each
     string element of ``col IN (...)``, from WHERE and HAVING clauses at
     every query depth, including under NOT and in subqueries anywhere in
-    the query.  :func:`rewrite_predicate` can rewrite every one of them.
+    the query.  :func:`rewrite_predicates` can rewrite every one of them.
     """
-    return [pred for node, in_condition, depth, _ in _walk(query.root)
+    return [pred for node, in_condition, depth in _walk(query.root)
             if in_condition for pred in _site_predicates(node, depth)]
 
 
-def split_column(text: str) -> ColumnRef:
-    """The column reference a predicate's column text spells."""
-    if "." in text:
-        table, name = text.split(".", 1)
-        return ColumnRef(table, name)
-    return ColumnRef(None, text)
+def rewrite_predicates(query: ParsedQuery, changes) -> ParsedQuery:
+    """The query with each ``(predicate, column, value)`` change applied:
+    one walk, one rebuild and one render.
 
-
-def rewrite_predicate(query: ParsedQuery, old: Predicate, new: Predicate) -> ParsedQuery:
-    """Replace the first occurrence of ``old`` with ``new`` in the query.
-
-    The first occurrence is the first predicate of :func:`extract_predicates`
-    equal to ``old`` in column, operator and value.  Only the matching
-    column reference and literal change; everything else is preserved.
-    For an IN element, the single matching element is replaced (and the
-    shared column reference, when ``new`` renames it).  Raises
-    :class:`PredicateNotFoundError` when ``old`` does not occur.
+    Each change takes the first predicate of :func:`extract_predicates`
+    equal to its own in column reference, operator and value that no
+    earlier change took, and that site alone gets ``column`` and the
+    string ``value``.  An IN list takes a new column only when every
+    element changes to that one column; otherwise it keeps its column and
+    only the changes in that column apply.  Raises
+    :class:`PredicateNotFoundError` when a change's predicate does not
+    occur.
     """
-    key = (old.column, old.operator, old.value)
-    for node, in_condition, depth, link in _walk(query.root):
-        if in_condition and any((p.column, p.operator, p.value) == key
-                                for p in _site_predicates(node, depth)):
-            new_root = _rebuild(link, _rewritten(node, old, new))
-            text = render_query(new_root)
-            return ParsedQuery(new_root, text)
-    raise PredicateNotFoundError(
-        f"predicate {old.column} {old.operator} {old.value!r} not found in query"
-    )
+    wanted: dict = {}
+    for old, column, value in changes:
+        wanted.setdefault((old.ref, old.operator, old.value), []).append(
+            (column, value))
+    sites = {}
+    for node, in_condition, depth in _walk(query.root):
+        if not in_condition:
+            continue
+        for index, p in enumerate(_site_predicates(node, depth)):
+            queue = wanted.get((p.ref, p.operator, p.value))
+            if queue:
+                sites.setdefault(id(node), (node, {}))[1][index] = queue.pop(0)
+    for (ref, operator, value), queue in wanted.items():
+        if queue:
+            raise PredicateNotFoundError(
+                f"predicate {column_text(ref)} {operator} {value!r} "
+                "not found in query")
+    root = _substitute(query.root, {key: _rewritten(node, edits)
+                                    for key, (node, edits) in sites.items()})
+    return ParsedQuery(root, render_query(root))
 
 
-def _rewritten(node, old: Predicate, new: Predicate):
-    """``node``, a site that reports ``old``, reporting ``new`` instead."""
-    column, literal = split_column(new.column), Literal.string(new.value)
-    if type(node) is Binary:
-        if isinstance(node.left, ColumnRef):
-            return Binary(node.op, column, literal)
-        return Binary(node.op, literal, column)
+def _rewritten(node, edits: dict):
+    """``node``, a predicate site, with ``edits`` applied: the index of
+    one of its predicates -> the (column, value) that predicate takes."""
+    if type(node) is InList:
+        columns = {column for column, _ in edits.values()}
+        expr = node.expr
+        if len(edits) == len(node.items) and len(columns) == 1:
+            expr = columns.pop()
+        items = list(node.items)
+        strings = [i for i, item in enumerate(items) if _is_string(item)]
+        for index, (column, value) in edits.items():
+            if column == expr:
+                items[strings[index]] = Literal.string(value)
+        return replace(node, expr=expr, items=tuple(items))
+    (column, value), = edits.values()
+    literal = Literal.string(value)
     if type(node) is Like:
         return replace(node, expr=column, pattern=literal)
-    index = next(i for i, item in enumerate(node.items)
-                 if _is_string(item) and item.string_value == old.value)
-    return replace(node, expr=column if new.column != old.column else node.expr,
-                   items=node.items[:index] + (literal,) + node.items[index + 1:])
+    if isinstance(node.left, ColumnRef):
+        return Binary(node.op, column, literal)
+    return Binary(node.op, literal, column)
 
 
-def _rebuild(link, node):
-    """The root of a copy of the tree in which ``node`` takes the place
-    that ``link`` leads to."""
-    while link is not None:
-        link, parent, name, index = link
-        if index is not None:
-            siblings = getattr(parent, name)
-            node = siblings[:index] + (node,) + siblings[index + 1:]
-        node = replace(parent, **{name: node})
-    return node
+def _substitute(node, new: dict):
+    """``node`` with each node under it whose ``id`` is a key of ``new``
+    replaced by that key's value.  Only the paths to replaced nodes are
+    copied; every other subtree is shared with ``node``."""
+    if id(node) in new:
+        return new[id(node)]
+    if type(node) is tuple:
+        items = tuple(_substitute(item, new) for item in node)
+        return items if any(map(is_not, items, node)) else node
+    changed = {}
+    for name in _child_fields(type(node)):
+        value = getattr(node, name)
+        if value is not None and (child := _substitute(value, new)) is not value:
+            changed[name] = child
+    return replace(node, **changed) if changed else node
 
 
 # --------------------------------------------------------------------------
@@ -860,18 +900,15 @@ def _child_fields(cls) -> tuple[str, ...]:
     return names
 
 
-def _walk(node, link=None, in_condition: bool = False, depth: int = 0):
-    """Yield ``(node, in_condition, depth, link)`` for ``node`` and every
-    node under it, in source order.
+def _walk(node, in_condition: bool = False, depth: int = 0):
+    """Yield ``(node, in_condition, depth)`` for ``node`` and every node
+    under it, in source order.
 
     ``in_condition`` is true inside the WHERE or HAVING clause of the
     nearest enclosing Select.  ``depth`` grows by one under the ``query``
-    of each InSelect, Exists, ScalarSubquery and SubqueryTable.  ``link``
-    leads from a node back to the root: it is None for the root and
-    ``(parent's link, parent, field name, index)`` below it, with
-    ``index`` None for a field that holds a single node.
+    of each InSelect, Exists, ScalarSubquery and SubqueryTable.
     """
-    yield node, in_condition, depth, link
+    yield node, in_condition, depth
     is_select = type(node) is Select
     for name in _child_fields(type(node)):
         value = getattr(node, name)
@@ -880,17 +917,17 @@ def _walk(node, link=None, in_condition: bool = False, depth: int = 0):
         condition = name in _CONDITION_FIELDS if is_select else in_condition
         level = depth + 1 if name == "query" else depth
         if type(value) is tuple:
-            for index, child in enumerate(value):
-                yield from _walk(child, (link, node, name, index), condition, level)
+            for child in value:
+                yield from _walk(child, condition, level)
         else:
-            yield from _walk(value, (link, node, name, None), condition, level)
+            yield from _walk(value, condition, level)
 
 
 def iter_selects(node):
     """Yield every Select node in document order."""
     if isinstance(node, ParsedQuery):
         node = node.root
-    return (n for n, _, _, _ in _walk(node) if type(n) is Select)
+    return (n for n, _, _ in _walk(node) if type(n) is Select)
 
 
 def _sources(sel: Select):

@@ -61,7 +61,7 @@ from sketchsql.sketches import (
     derive_training_records,
     extract_sketch_from_sql,
 )
-from sketchsql.sql_analysis import Predicate, parse_sql
+from sketchsql.sql_analysis import ColumnRef, Predicate, parse_sql
 
 
 @contextmanager
@@ -199,10 +199,10 @@ def test_acceptance_6_value_calibration_end_to_end(tmp_path):
                          gold_sketch.keywords_part)
         }
         feedback_pairs = [
-            (Predicate("given_name", "=", "timmothy"),
+            (Predicate(ColumnRef(None, "given_name"), "=", "timmothy"),
              MatchResult("given_name", "timmy", 0.4, MatchLevel.COLUMN,
                          below_threshold=True)),
-            (Predicate("last_name", "=", "wards"),
+            (Predicate(ColumnRef(None, "last_name"), "=", "wards"),
              MatchResult("last_name", "ward", 0.75, MatchLevel.COLUMN)),
         ]
         script = StubScript({

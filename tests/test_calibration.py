@@ -30,7 +30,6 @@ from sketchsql.calibration import (
     MatchResult,
     SentenceEncoder,
     WordEmbedding,
-    bare_column_name,
     best_match,
     column_values,
     embedding_similarity,
@@ -46,7 +45,7 @@ from sketchsql.errors import EmptyValueError
 from sketchsql.execution import Database
 from sketchsql.gateway import StubScript, StubSentenceEncoder
 from sketchsql.selection import SelectionConfig, calibrate_deterministic
-from sketchsql.sql_analysis import Predicate, from_tables, parse_sql
+from sketchsql.sql_analysis import ColumnRef, Predicate, from_tables, parse_sql
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +171,7 @@ def test_sentence_backend_falls_back_once(caplog):
 # Replacement helpers
 
 def test_identity_replacement_ignores_qualifier_and_case():
-    pred = Predicate("T2.Given_Name", "=", "timmy")
+    pred = Predicate(ColumnRef("T2", "Given_Name"), "=", "timmy")
     assert is_identity_replacement(
         pred, MatchResult("given_name", "timmy", 1.0, MatchLevel.COLUMN))
     assert not is_identity_replacement(
@@ -182,21 +181,17 @@ def test_identity_replacement_ignores_qualifier_and_case():
 
 
 def test_identity_replacement_like_core():
-    pred = Predicate("name", "LIKE", "%tim%")
+    pred = Predicate(ColumnRef(None, "name"), "LIKE", "%tim%")
     assert is_identity_replacement(
         pred, MatchResult("name", "tim", 1.0, MatchLevel.COLUMN))
 
 
 def test_replacement_value_rewraps_like():
-    pred = Predicate("name", "LIKE", "%tim%")
+    pred = Predicate(ColumnRef(None, "name"), "LIKE", "%tim%")
     match = MatchResult("name", "timmy", 0.8, MatchLevel.COLUMN)
     assert replacement_value(pred, match) == "%timmy%"
-    assert replacement_value(Predicate("name", "=", "tim"), match) == "timmy"
-
-
-def test_bare_column_name():
-    assert bare_column_name("t.c") == "c"
-    assert bare_column_name("c") == "c"
+    assert replacement_value(Predicate(ColumnRef(None, "name"), "=", "tim"),
+                             match) == "timmy"
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +208,7 @@ def candidate_values(level, db, predicate, query, scan_cap=DEFAULT_SCAN_CAP):
 
 def test_candidate_levels_nest(school_db):
     query = parse_sql("SELECT course FROM Student WHERE given_name = 'x'")
-    pred = Predicate("given_name", "=", "x")
+    pred = Predicate(ColumnRef(None, "given_name"), "=", "x")
     col = candidate_values(MatchLevel.COLUMN, school_db, pred, query)
     tab = candidate_values(MatchLevel.TABLE, school_db, pred, query)
     db = candidate_values(MatchLevel.DATABASE, school_db, pred, query)
@@ -224,7 +219,7 @@ def test_candidate_levels_nest(school_db):
 
 def test_candidate_unresolvable_column(school_db):
     query = parse_sql("SELECT course FROM Student WHERE ghost = 'x'")
-    pred = Predicate("ghost", "=", "x")
+    pred = Predicate(ColumnRef(None, "ghost"), "=", "x")
     assert candidate_values(MatchLevel.COLUMN, school_db, pred, query) == []
     tab = candidate_values(MatchLevel.TABLE, school_db, pred, query)
     assert {c for c, _ in tab} == {"given_name", "last_name", "course"}
@@ -232,7 +227,7 @@ def test_candidate_unresolvable_column(school_db):
 
 def test_candidate_scan_cap(school_db):
     query = parse_sql("SELECT course FROM Student WHERE given_name = 'x'")
-    pred = Predicate("given_name", "=", "x")
+    pred = Predicate(ColumnRef(None, "given_name"), "=", "x")
     capped = candidate_values(MatchLevel.COLUMN, school_db, pred, query,
                               scan_cap=1)
     assert capped == [("given_name", "timmy")]  # first in sorted order

@@ -1,9 +1,13 @@
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from helpers import SCHOOL_BAD_SQL, SCHOOL_GOLD_SQL, SCHOOL_QUESTION
 
 from sketchsql.calibration import CalibrationFeedback, MatchLevel, MatchResult
 from sketchsql.errors import EmptyCandidateError, SqlParseError, StubScriptError
+from sketchsql.execution import Database
 from sketchsql.gateway import StubCompleter, StubScript
 from sketchsql.selection import (
     STATUS_EXHAUSTED,
@@ -20,7 +24,7 @@ from sketchsql.selection import (
     select_query,
 )
 from sketchsql.sketches import PART_FROM, PART_KEYWORDS, PART_SELECT, SketchPart, SqlSketch
-from sketchsql.sql_analysis import Predicate
+from sketchsql.sql_analysis import ColumnRef, Predicate
 
 
 def sketch(select, fr, keywords, rank=0):
@@ -62,9 +66,9 @@ def test_repair_prompt_golden():
 
 def test_calibration_prompt_golden():
     pairs = [
-        (Predicate("given_name", "=", "wards"),
+        (Predicate(ColumnRef(None, "given_name"), "=", "wards"),
          MatchResult("last_name", "ward", 0.75, MatchLevel.TABLE)),
-        (Predicate("given_name", "=", "timmothy"),
+        (Predicate(ColumnRef(None, "given_name"), "=", "timmothy"),
          MatchResult("given_name", "timmy", 0.4, MatchLevel.COLUMN,
                      below_threshold=True)),
     ]
@@ -148,13 +152,13 @@ def test_execution_check_empty_result_counts_as_executable(school_db):
 
 def _wards_feedback():
     return CalibrationFeedback(((
-        Predicate("given_name", "=", "wards"),
+        Predicate(ColumnRef(None, "given_name"), "=", "wards"),
         MatchResult("last_name", "ward", 0.75, MatchLevel.TABLE)),))
 
 
 def test_apply_calibration_identity_makes_no_call():
     feedback = CalibrationFeedback(((
-        Predicate("given_name", "=", "timmy"),
+        Predicate(ColumnRef(None, "given_name"), "=", "timmy"),
         MatchResult("given_name", "timmy", 1.0, MatchLevel.COLUMN)),))
     # the script is empty, so any completer call would raise
     sql = "SELECT course FROM Student WHERE given_name = 'timmy'"
@@ -184,7 +188,7 @@ def test_apply_calibration_falls_back_on_unparseable_rewrite():
 def test_apply_calibration_keeps_qualified_spelling():
     sql = "SELECT T1.course FROM Student AS T1 WHERE T1.given_name = 'timmothy'"
     feedback = CalibrationFeedback(((
-        Predicate("T1.given_name", "=", "timmothy"),
+        Predicate(ColumnRef("T1", "given_name"), "=", "timmothy"),
         MatchResult("given_name", "timmy", 0.4, MatchLevel.COLUMN,
                     below_threshold=True)),))
     prompt = calibration_prompt(sql, list(feedback.replacements))
@@ -210,6 +214,51 @@ def test_calibrate_deterministic_identity(school_db):
 def test_calibrate_deterministic_requires_parseable(school_db):
     with pytest.raises(SqlParseError):
         calibrate_deterministic(school_db, "SELECT FROM WHERE", config())
+
+
+_DOTTED = """CREATE TABLE t (id INTEGER, "x.y" TEXT);
+             INSERT INTO t VALUES (1, 'alpha');"""
+_KEYWORD = """CREATE TABLE t (id INTEGER, "order" TEXT);
+              INSERT INTO t VALUES (1, 'alpha');"""
+_COMMENT = """CREATE TABLE t (a INTEGER, c TEXT);
+              INSERT INTO t VALUES (1, 'abc'), (3, 'abc');"""
+_CITIES = """CREATE TABLE t (city TEXT, state TEXT);
+             INSERT INTO t VALUES ('LAX', 'NY');"""
+
+
+@pytest.mark.parametrize("script,sql,expected,rows", [
+    # A quoted column name that holds a dot, qualified or not.
+    (_DOTTED, "SELECT id FROM t WHERE t.`x.y` = 'alpha'",
+     "SELECT id FROM t WHERE t.`x.y` = 'alpha'", ((1,),)),
+    (_DOTTED, "SELECT id FROM t WHERE t.`x.y` = 'alpah'",
+     "SELECT id FROM t WHERE t.`x.y` = 'alpha'", ((1,),)),
+    (_DOTTED, "SELECT id FROM t WHERE `x.y` = 'alpah'",
+     "SELECT id FROM t WHERE `x.y` = 'alpha'", ((1,),)),
+    # A column named by a keyword.
+    (_KEYWORD, "SELECT id FROM t WHERE `order` = 'alpah'",
+     "SELECT id FROM t WHERE `order` = 'alpha'", ((1,),)),
+    # The comment is not an operand: the query means a = 1.
+    (_COMMENT, "SELECT a FROM t WHERE c = 'abx' AND a = 1 --2",
+     "SELECT a FROM t WHERE c = 'abc' AND a = 1", ((1,),)),
+    # An IN list keeps its column when only some elements match elsewhere
+    # ('NY' is a state), and its same-column fixes still apply.
+    (_CITIES, "SELECT city FROM t WHERE city IN ('NY', 'LA')",
+     "SELECT city FROM t WHERE city IN ('NY', 'LAX')", (("LAX",),)),
+    (_CITIES, "SELECT city FROM t WHERE city IN ('LA', 'NY')",
+     "SELECT city FROM t WHERE city IN ('LAX', 'NY')", (("LAX",),)),
+    (_CITIES, "SELECT city FROM t WHERE city IN ('NY', 'LAX')",
+     "SELECT city FROM t WHERE city IN ('NY', 'LAX')", (("LAX",),)),
+], ids=["dotted-exact", "dotted-qualified", "dotted-bare", "keyword",
+        "comment", "in-list-ny-la", "in-list-la-ny", "in-list-ny-lax"])
+def test_calibrate_deterministic_rewrite_runs(tmp_path, script, sql,
+                                              expected, rows):
+    path = tmp_path / "t.sqlite"
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.executescript(script)
+    db = Database(path)
+    rewritten, _ = calibrate_deterministic(db, sql, config())
+    assert rewritten == expected
+    assert db.execute(rewritten).result.rows == rows
 
 
 # --------------------------------------------------------------------------

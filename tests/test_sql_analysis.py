@@ -1,3 +1,6 @@
+import sqlite3
+from collections import Counter
+from contextlib import closing
 from dataclasses import replace
 from functools import cache
 
@@ -34,10 +37,11 @@ from sketchsql.sql_analysis import (
     order_sensitive,
     parse_sql,
     render_query,
-    rewrite_predicate,
+    rewrite_predicates,
     split_like_pattern,
     tokenize,
 )
+from sketchsql.sql_analysis import _BINARY_PREC
 
 
 # --------------------------------------------------------------------------
@@ -68,6 +72,22 @@ def test_tokenize_positions():
     assert [(t.text, t.pos) for t in tokens[:-1]] == [("a", 0), ("=", 3), ("1", 5)]
     tokens = tokenize("a\u00a0= 1")  # a non-breaking space is whitespace
     assert [(t.text, t.pos) for t in tokens[:-1]] == [("a", 0), ("=", 2), ("1", 4)]
+
+
+def test_tokenize_skips_comments():
+    tokens = tokenize("a -- x\n= /* y */ 1 /* open")
+    assert [(t.text, t.pos) for t in tokens] == [("a", 0), ("=", 7), ("1", 17),
+                                                 ("", 26)]
+    assert [t.text for t in tokenize("1--2")[:-1]] == ["1"]
+    assert [t.text for t in tokenize("a/**/-/*\n*/b")[:-1]] == ["a", "-", "b"]
+
+
+def test_unary_minus_never_renders_a_comment():
+    sql = render_query(parse_sql("SELECT -(-1)"))
+    assert sql == "SELECT - -1"
+    assert parse_sql(sql).root == parse_sql("SELECT -(-1)").root
+    with closing(sqlite3.connect(":memory:")) as conn:
+        assert conn.execute(sql).fetchall() == [(1,)]
 
 
 def test_tokenize_unterminated_string():
@@ -129,6 +149,7 @@ def test_render_parse_fixpoint(sql):
     ("SELECT a FROM t x", "SELECT a FROM t AS x"),
     ("SELECT `weird name` FROM `the table`",
      "SELECT `weird name` FROM `the table`"),
+    ("SELECT `order` FROM t", "SELECT `order` FROM t"),
 ])
 def test_normalizations(raw, canonical):
     assert render_query(parse_sql(raw)) == canonical
@@ -269,63 +290,65 @@ def test_extract_skips_non_string_comparisons():
 
 def test_rewrite_first_occurrence_only():
     query = parse_sql("SELECT a FROM t WHERE x = 'v' OR x = 'v'")
-    out = rewrite_predicate(query, Predicate("x", "=", "v"),
-                            Predicate("x", "=", "w"))
+    out = rewrite_predicates(query, [(Predicate(ColumnRef(None, "x"), "=", "v"),
+                                      ColumnRef(None, "x"), "w")])
     assert render_query(out) == "SELECT a FROM t WHERE x = 'w' OR x = 'v'"
 
 
 def test_rewrite_preserves_orientation():
     query = parse_sql("SELECT a FROM t WHERE 'v' = x")
-    out = rewrite_predicate(query, Predicate("x", "=", "v"),
-                            Predicate("x", "=", "w"))
+    out = rewrite_predicates(query, [(Predicate(ColumnRef(None, "x"), "=", "v"),
+                                      ColumnRef(None, "x"), "w")])
     assert render_query(out) == "SELECT a FROM t WHERE 'w' = x"
 
 
 def test_rewrite_changes_column_and_value():
     query = parse_sql("SELECT a FROM t WHERE given = 'wards'")
-    out = rewrite_predicate(query, Predicate("given", "=", "wards"),
-                            Predicate("last", "=", "ward"))
-    assert render_query(out) == "SELECT a FROM t WHERE last = 'ward'"
+    old = Predicate(ColumnRef(None, "given"), "=", "wards")
+    out = rewrite_predicates(query, [(old, ColumnRef(None, "last"), "ward")])
+    # LAST is an SQLite keyword, so the renderer quotes it.
+    assert render_query(out) == "SELECT a FROM t WHERE `last` = 'ward'"
 
 
 def test_rewrite_like_pattern():
     query = parse_sql("SELECT a FROM t WHERE name LIKE '%tim%'")
-    out = rewrite_predicate(query, Predicate("name", "LIKE", "%tim%"),
-                            Predicate("name", "LIKE", "%timmy%"))
+    old = Predicate(ColumnRef(None, "name"), "LIKE", "%tim%")
+    out = rewrite_predicates(query, [(old, ColumnRef(None, "name"), "%timmy%")])
     assert render_query(out) == "SELECT a FROM t WHERE name LIKE '%timmy%'"
 
 
 def test_rewrite_in_element():
     query = parse_sql("SELECT a FROM t WHERE city IN ('NY', 'LA')")
-    out = rewrite_predicate(query, Predicate("city", "IN-element", "LA"),
-                            Predicate("city", "IN-element", "SF"))
+    old = Predicate(ColumnRef(None, "city"), "IN-element", "LA")
+    out = rewrite_predicates(query, [(old, ColumnRef(None, "city"), "SF")])
     assert render_query(out) == "SELECT a FROM t WHERE city IN ('NY', 'SF')"
 
 
 def test_rewrite_inside_subquery():
     query = parse_sql("SELECT a FROM t WHERE b IN (SELECT c FROM u WHERE d = 'x')")
-    out = rewrite_predicate(query, Predicate("d", "=", "x", depth=1),
-                            Predicate("d", "=", "y", depth=1))
+    old = Predicate(ColumnRef(None, "d"), "=", "x", depth=1)
+    out = rewrite_predicates(query, [(old, ColumnRef(None, "d"), "y")])
     assert "d = 'y'" in render_query(out)
 
 
 def test_rewrite_missing_predicate():
     query = parse_sql("SELECT a FROM t WHERE x = 'v'")
     with pytest.raises(PredicateNotFoundError):
-        rewrite_predicate(query, Predicate("x", "=", "nope"),
-                          Predicate("x", "=", "w"))
+        rewrite_predicates(query, [(Predicate(ColumnRef(None, "x"), "=", "nope"),
+                                    ColumnRef(None, "x"), "w")])
 
 
 def test_rewrite_does_not_mutate_input():
     query = parse_sql("SELECT a FROM t WHERE x = 'v'")
-    rewrite_predicate(query, Predicate("x", "=", "v"), Predicate("x", "=", "w"))
+    rewrite_predicates(query, [(Predicate(ColumnRef(None, "x"), "=", "v"),
+                                ColumnRef(None, "x"), "w")])
     assert render_query(query) == "SELECT a FROM t WHERE x = 'v'"
 
 
 def test_rewrite_escapes_quotes():
     query = parse_sql("SELECT a FROM t WHERE x = 'v'")
-    out = rewrite_predicate(query, Predicate("x", "=", "v"),
-                            Predicate("x", "=", "o'brien"))
+    out = rewrite_predicates(query, [(Predicate(ColumnRef(None, "x"), "=", "v"),
+                                      ColumnRef(None, "x"), "o'brien")])
     rendered = render_query(out)
     assert "'o''brien'" in rendered
     assert extract_predicates(parse_sql(rendered))[0].value == "o'brien"
@@ -353,7 +376,7 @@ def test_nested_predicates_extract_and_rewrite(sql):
     query = parse_sql(sql)
     preds = extract_predicates(query)
     assert canon(preds) == [("name", "=", "x", 1)]
-    out = rewrite_predicate(query, preds[0], Predicate("name", "=", "y", 1))
+    out = rewrite_predicates(query, [(preds[0], ColumnRef(None, "name"), "y")])
     assert render_query(out) == render_query(parse_sql(sql.replace("'x'", "'y'")))
 
 
@@ -362,8 +385,8 @@ def test_rewrite_follows_extraction_order():
     # first occurrence.
     query = parse_sql("SELECT coalesce((SELECT a FROM u WHERE k = 'v'), 0) "
                       "FROM t WHERE k = 'v'")
-    out = rewrite_predicate(query, Predicate("k", "=", "v"),
-                            Predicate("k", "=", "w"))
+    out = rewrite_predicates(query, [(Predicate(ColumnRef(None, "k"), "=", "v"),
+                                      ColumnRef(None, "k"), "w")])
     assert canon(extract_predicates(out)) == [("k", "=", "w", 1),
                                               ("k", "=", "v", 0)]
 
@@ -546,9 +569,7 @@ def test_random_tree_predicates_extract_and_rewrite(tree):
     query = parse_sql(rendered)
     preds = extract_predicates(query)
     for pred in preds:
-        out = rewrite_predicate(query, pred,
-                                Predicate(pred.column, pred.operator,
-                                          "swapped", pred.depth))
+        out = rewrite_predicates(query, [(pred, pred.ref, "swapped")])
         # Exactly one entry changes: the first one equal to ``pred`` in
         # column, operator and value.
         first = next(i for i, p in enumerate(preds)
@@ -557,3 +578,95 @@ def test_random_tree_predicates_extract_and_rewrite(tree):
         expected = list(preds)
         expected[first] = replace(preds[first], value="swapped")
         assert extract_predicates(out) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_queries, st.data())
+def test_random_tree_rewrites_in_one_pass(tree, data):
+    query = parse_sql(render_query(tree))
+    preds = extract_predicates(query)
+    chosen = data.draw(st.lists(st.integers(0, len(preds) - 1), unique=True)
+                       if preds else st.just([]))
+    # New values never equal an old one, so no change can take a site
+    # that an earlier change rewrote.
+    changes = [(preds[i], preds[i].ref, f"new{k}") for k, i in enumerate(chosen)]
+    out = rewrite_predicates(query, changes)
+    folded = query
+    for change in changes:
+        folded = rewrite_predicates(folded, [change])
+    assert out == folded
+    # Each change takes the first entry equal to its predicate that no
+    # earlier change took, and only those entries differ.
+    expected, taken = list(preds), set()
+    for old, _, value in changes:
+        i = next(i for i, p in enumerate(preds) if i not in taken and
+                 (p.ref, p.operator, p.value) == (old.ref, old.operator, old.value))
+        taken.add(i)
+        expected[i] = replace(preds[i], value=value)
+    assert extract_predicates(out) == expected
+
+
+# --------------------------------------------------------------------------
+# Property: SQLite reads the rendering of a parsed statement as it reads
+# the statement
+
+_ORACLE_TABLE = """
+    CREATE TABLE t (a INTEGER, b TEXT, "x.y" TEXT, "order" INTEGER, key TEXT,
+                    "table" REAL);
+    INSERT INTO t VALUES (1, 'abc', 'x', 2, 'k', 0.5), (2, 'b%', NULL, -1,
+                          'abc', NULL), (NULL, '', 'abc', 0, NULL, -2.5);
+"""
+_ORACLE_NAMES = ("a", "b", "`x.y`", "t.a", "t.`x.y`", "`order`", "t.`order`",
+                 "key", "t.key", "`table`")
+_ORACLE_LITERALS = ("0", "1", "2", "1.5", "'abc'", "'b%'", "''", "NULL")
+_ORACLE_OPERATORS = tuple(_BINARY_PREC) + (
+    "=", "==", "!=", "<>", "<", "<=", ">", ">=")
+
+
+def _oracle_exprs(inner):
+    lists = st.lists(inner, min_size=1, max_size=3).map(", ".join)
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(_ORACLE_OPERATORS), inner)
+        .map(" ".join),
+        inner.map("({})".format),
+        inner.map("NOT {}".format),
+        inner.map("-{}".format),
+        st.tuples(inner, st.sampled_from(("LIKE", "NOT LIKE")), inner)
+        .map(" ".join),
+        st.tuples(inner, inner, inner)
+        .map("{0[0]} BETWEEN {0[1]} AND {0[2]}".format),
+        st.tuples(inner, st.sampled_from(("IN", "NOT IN")), lists)
+        .map("{0[0]} {0[1]} ({0[2]})".format),
+        st.tuples(inner, st.sampled_from(("IS NULL", "IS NOT NULL")))
+        .map(" ".join),
+        st.tuples(st.sampled_from(("abs", "lower", "length", "coalesce", "max")),
+                  lists).map("{0[0]}({0[1]})".format),
+        st.tuples(inner, inner).map("(SELECT {0[0]} FROM t WHERE {0[1]})".format),
+        st.tuples(inner, inner, inner)
+        .map("{0[0]} IN (SELECT {0[1]} FROM t WHERE {0[2]})".format),
+    )
+
+
+_oracle_expr = st.recursive(
+    st.sampled_from(_ORACLE_NAMES + _ORACLE_LITERALS), _oracle_exprs,
+    max_leaves=8)
+
+
+def _rows(conn, sql):
+    try:
+        return Counter(conn.execute(sql).fetchall())
+    except sqlite3.Error:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_oracle_expr, _oracle_expr)
+def test_sqlite_reads_rendering_as_the_statement(e1, e2):
+    text = f"SELECT {e1} FROM t WHERE {e2}"
+    try:
+        rendered = render_query(parse_sql(text))
+    except SqlParseError:
+        return
+    with closing(sqlite3.connect(":memory:")) as conn:
+        conn.executescript(_ORACLE_TABLE)
+        assert _rows(conn, rendered) == _rows(conn, text), rendered
