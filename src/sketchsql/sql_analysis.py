@@ -25,11 +25,14 @@ with the same walk, so every predicate that is reported can be rewritten.
 
 from __future__ import annotations
 
+import logging
 import re
 from dataclasses import dataclass, fields, replace
 from operator import is_not
 
 from .errors import PredicateNotFoundError, SqlParseError
+
+log = logging.getLogger(__name__)
 
 # --------------------------------------------------------------------------
 # Tokens
@@ -78,6 +81,10 @@ _SQLITE_KEYWORDS = frozenset("""
     WHEN WHERE WINDOW WITH WITHOUT
 """.split())
 
+# Keywords that, unquoted, stand for a value; they parse as literals, so a
+# column of the same name is always a quoted (and rendered quoted) name.
+_TIME_WORDS = frozenset({"CURRENT_DATE", "CURRENT_TIME", "CURRENT_TIMESTAMP"})
+
 
 @dataclass(frozen=True)
 class Token:
@@ -112,7 +119,7 @@ def tokenize(text: str) -> list[Token]:
 @dataclass(frozen=True)
 class Literal:
     text: str            # source spelling, quotes included for strings
-    kind: str            # "string" | "number" | "null"
+    kind: str            # "string" | "number" | "null" | "time"
 
     @property
     def string_value(self) -> str:
@@ -520,6 +527,8 @@ class _Parser:
             return Literal(tok.text, "string")
         if self.at_keyword("NULL"):
             return Literal(self.advance().text, "null")
+        if tok.kind == "ident" and tok.text.upper() in _TIME_WORDS:
+            return Literal(self.advance().text, "time")
         if self.at_keyword("EXISTS"):
             self.advance()
             self.expect_op("(")
@@ -618,7 +627,7 @@ class _Renderer:
     """
 
     def __init__(self, spell=None):
-        self.column_text = spell or column_text
+        self.spell = spell or column_text
 
     def query(self, node) -> str:
         if isinstance(node, SetOp):
@@ -688,7 +697,7 @@ class _Renderer:
         if isinstance(node, Literal):
             return node.text
         if isinstance(node, ColumnRef):
-            return self.column_text(node)
+            return self.spell(node)
         if isinstance(node, FuncCall):
             inner = ", ".join(self.expr(a) for a in node.args)
             if node.distinct:
@@ -732,16 +741,16 @@ class _Renderer:
         raise TypeError(f"cannot render node of type {type(node).__name__}")
 
 
-def render_query(node, column_text=None) -> str:
+def render_query(node, spell=None) -> str:
     """Render a parse tree (or :class:`ParsedQuery`) back to canonical SQL."""
     if isinstance(node, ParsedQuery):
         node = node.root
-    return _Renderer(column_text).query(node)
+    return _Renderer(spell).query(node)
 
 
-def render_expr(node, column_text=None) -> str:
+def render_expr(node, spell=None) -> str:
     """Render a single expression node to canonical SQL text."""
-    return _Renderer(column_text).expr(node)
+    return _Renderer(spell).expr(node)
 
 
 # --------------------------------------------------------------------------
@@ -813,8 +822,9 @@ def rewrite_predicates(query: ParsedQuery, changes) -> ParsedQuery:
     equal to its own in column reference, operator and value that no
     earlier change took, and that site alone gets ``column`` and the
     string ``value``.  An IN list takes a new column only when every
-    element changes to that one column; otherwise it keeps its column and
-    only the changes in that column apply.  Raises
+    string element changes to that one column, and it has no other
+    element; otherwise it keeps its column, only the changes in that
+    column apply, and each change it skips is logged.  Raises
     :class:`PredicateNotFoundError` when a change's predicate does not
     occur.
     """
@@ -853,6 +863,11 @@ def _rewritten(node, edits: dict):
         for index, (column, value) in edits.items():
             if column == expr:
                 items[strings[index]] = Literal.string(value)
+            else:
+                log.warning("calibration: IN-list element %r of %s keeps its "
+                            "column; change to %s = %r skipped",
+                            items[strings[index]].string_value,
+                            column_text(expr), column_text(column), value)
         return replace(node, expr=expr, items=tuple(items))
     (column, value), = edits.values()
     literal = Literal.string(value)

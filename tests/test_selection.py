@@ -222,6 +222,8 @@ _KEYWORD = """CREATE TABLE t (id INTEGER, "order" TEXT);
               INSERT INTO t VALUES (1, 'alpha');"""
 _COMMENT = """CREATE TABLE t (a INTEGER, c TEXT);
               INSERT INTO t VALUES (1, 'abc'), (3, 'abc');"""
+_DATES = """CREATE TABLE t (id INTEGER, c TEXT, d TEXT, "current_date" TEXT);
+            INSERT INTO t VALUES (1, 'abc', '2000-01-01', 'alpha');"""
 _CITIES = """CREATE TABLE t (city TEXT, state TEXT);
              INSERT INTO t VALUES ('LAX', 'NY');"""
 
@@ -237,6 +239,11 @@ _CITIES = """CREATE TABLE t (city TEXT, state TEXT);
     # A column named by a keyword.
     (_KEYWORD, "SELECT id FROM t WHERE `order` = 'alpah'",
      "SELECT id FROM t WHERE `order` = 'alpha'", ((1,),)),
+    # Unquoted, current_date is today's date; quoted, it is the column.
+    (_DATES, "SELECT id FROM t WHERE c = 'abx' AND d <= current_date",
+     "SELECT id FROM t WHERE c = 'abc' AND d <= current_date", ((1,),)),
+    (_DATES, "SELECT id FROM t WHERE `current_date` = 'alpah'",
+     "SELECT id FROM t WHERE `current_date` = 'alpha'", ((1,),)),
     # The comment is not an operand: the query means a = 1.
     (_COMMENT, "SELECT a FROM t WHERE c = 'abx' AND a = 1 --2",
      "SELECT a FROM t WHERE c = 'abc' AND a = 1", ((1,),)),
@@ -249,7 +256,7 @@ _CITIES = """CREATE TABLE t (city TEXT, state TEXT);
     (_CITIES, "SELECT city FROM t WHERE city IN ('NY', 'LAX')",
      "SELECT city FROM t WHERE city IN ('NY', 'LAX')", (("LAX",),)),
 ], ids=["dotted-exact", "dotted-qualified", "dotted-bare", "keyword",
-        "comment", "in-list-ny-la", "in-list-la-ny", "in-list-ny-lax"])
+        "current-date-value", "current-date-column", "comment", "in-list-ny-la", "in-list-la-ny", "in-list-ny-lax"])
 def test_calibrate_deterministic_rewrite_runs(tmp_path, script, sql,
                                               expected, rows):
     path = tmp_path / "t.sqlite"
