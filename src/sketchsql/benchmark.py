@@ -2,11 +2,12 @@
 
 The harness loads a benchmark directory (schema file, per-database SQLite
 files, examples JSON), runs the full sketch -> completion -> calibration
--> selection pipeline per example, executes predicted and gold SQL, and
-scores execution accuracy.  Per-example failures never abort a run; they
-are recorded with a status.  Token accounting counts whitespace tokens of
-every prompt and response, which preserves relative cost ordering without
-tying the harness to any tokenizer.  The calls counted are the ones the
+-> selection pipeline per example, executes the gold SQL (and the
+predicted SQL, unless selection holds its outcome), and scores execution
+accuracy.  Per-example failures never abort a run; they are recorded with
+a status.  Token accounting counts whitespace tokens of every prompt and
+response, which preserves relative cost ordering without tying the
+harness to any tokenizer.  The calls counted are the ones the
 ``gateway`` request helpers record inside a ``recording_calls`` block
 around each example, including the sketch-part requests made on other
 threads.
@@ -273,7 +274,7 @@ def _gold_order_sensitive(gold_sql: str) -> bool:
 def _evaluate_one(example: BenchmarkExample, schema: DatabaseSchema,
                   db: Database, config: EvalConfig) -> ExampleResult:
     started = time.monotonic()
-    predicted = None
+    predicted = trace = None
     trace_dict = None
     status = STATUS_ERROR
     error = None
@@ -309,13 +310,18 @@ def _evaluate_one(example: BenchmarkExample, schema: DatabaseSchema,
         return result
     if predicted is None or status == STATUS_TIMEOUT:
         return result
-    predicted_outcome = db.execute(predicted, timeout)
+    ran_sql, predicted_outcome = trace.last_run or (None, None)
+    if ran_sql != predicted or predicted_outcome.is_error:
+        predicted_outcome = db.execute(predicted, timeout)
     result.predicted_outcome = predicted_outcome.kind
     if predicted_outcome.is_error:
         return result
-    result.correct = results_equal(predicted_outcome.result,
-                                   gold_outcome.result,
-                                   _gold_order_sensitive(example.gold_sql))
+    left, right = predicted_outcome.result, gold_outcome.result
+    # Row order can matter only between equal shapes of two rows or more.
+    ordered = (left.column_count == right.column_count
+               and len(left.rows) == len(right.rows) >= 2
+               and _gold_order_sensitive(example.gold_sql))
+    result.correct = results_equal(left, right, ordered)
     return result
 
 

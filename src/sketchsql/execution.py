@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DatabaseAccessError
 from .schema import (
+    MAX_VALUE_BYTES,
     DatabaseSchema,
     connect_readonly,
     quote_identifier,
@@ -231,8 +232,8 @@ class Database:
     def execute(self, sql: str, timeout: float | None = None) -> ExecutionOutcome:
         """Run ``sql`` and classify the outcome.  Never raises: engine
         errors, timeouts, and connection failures all become Error
-        outcomes that keep the underlying message; a statement stopped by
-        its deadline adds the deadline to SQLite's "interrupted"."""
+        outcomes that keep the underlying message, plus the deadline or
+        the length limit that stopped the statement."""
         limit = DEFAULT_STATEMENT_TIMEOUT if timeout is None else timeout
         try:
             with self._statement_connection(limit) as conn:
@@ -244,6 +245,8 @@ class Database:
                     if message == "interrupted" and limit > 0:
                         message += (f": statement exceeded its {limit:g} s "
                                     "deadline")
+                    elif message == "string or blob too big":
+                        message += f": over the {MAX_VALUE_BYTES} byte length limit"
                     return ExecutionOutcome.error(message)
                 column_count = len(cursor.description) if cursor.description else 0
         except Exception as exc:  # connection failure -> Error outcome

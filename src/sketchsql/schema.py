@@ -22,6 +22,7 @@ import sqlite3
 import urllib.parse
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DatabaseAccessError,
@@ -124,6 +125,22 @@ class DatabaseSchema:
             if (fk.from_table, fk.from_column) == (fk.to_table, fk.to_column):
                 raise SchemaLoadError("foreign key links a column to itself")
 
+    @cached_property
+    def serialized(self) -> str:
+        """The :func:`serialize_schema` line, rendered on first use.  It is
+        not a dataclass field, so equality and hashing ignore it."""
+        fks_by_table: dict[int, list[ForeignKeyDef]] = {}
+        for fk in self.foreign_keys:
+            fks_by_table.setdefault(fk.from_table, []).append(fk)
+        parts = [f"{self.db_name}:"]
+        for ti, table in enumerate(self.tables):
+            cols = ", ".join(f"c{ci}: {col.name}" for ci, col in enumerate(table.columns))
+            parts.append(f"t{ti}: {table.name} ({cols})")
+            for fk in fks_by_table.get(ti, ()):
+                parts.append(f"t{fk.from_table}.c{fk.from_column} = "
+                             f"t{fk.to_table}.c{fk.to_column}")
+        return " ".join(parts)
+
     def table_index(self, name: str) -> int | None:
         """Case-insensitive table lookup; returns None when absent."""
         wanted = name.lower()
@@ -170,22 +187,9 @@ def serialize_schema(schema: DatabaseSchema) -> str:
 
     Index tokens are lowercase ``t``/``c`` with no leading zeros.  Foreign
     keys are emitted in declaration order, each attached right after its
-    from-side table.
+    from-side table.  Each (frozen, validated) schema renders it once.
     """
-    schema.validate()
-    fks_by_table: dict[int, list[ForeignKeyDef]] = {}
-    for fk in schema.foreign_keys:
-        fks_by_table.setdefault(fk.from_table, []).append(fk)
-
-    parts = [f"{schema.db_name}:"]
-    for ti, table in enumerate(schema.tables):
-        cols = ", ".join(f"c{ci}: {col.name}" for ci, col in enumerate(table.columns))
-        parts.append(f"t{ti}: {table.name} ({cols})")
-        for fk in fks_by_table.get(ti, ()):
-            parts.append(
-                f"t{fk.from_table}.c{fk.from_column} = t{fk.to_table}.c{fk.to_column}"
-            )
-    return " ".join(parts)
+    return schema.serialized
 
 
 def resolve_index(schema: DatabaseSchema, ref: IndexRef) -> str:
@@ -311,6 +315,8 @@ _STATEFUL_ACTIONS = frozenset((
 ))
 # The only pragmas that may take an argument: they read the schema.
 _ARGUMENT_PRAGMAS = frozenset(("table_info", "foreign_key_list"))
+# The largest string, BLOB or row, in bytes, a read-only connection builds.
+MAX_VALUE_BYTES = 10_000_000
 
 
 def _stateless_only(action, arg1, arg2, db_name, _source):
@@ -346,12 +352,14 @@ def connect_readonly(path: str | os.PathLike,
     TEMP ...``, virtual tables, ``BEGIN``/``COMMIT``, savepoints, and
     ``PRAGMA`` with an argument (except ``table_info`` and
     ``foreign_key_list``).  So a connection that has run any statement
-    behaves like a fresh one.
+    behaves like a fresh one.  A statement that would build a value or row
+    longer than ``MAX_VALUE_BYTES`` fails with "string or blob too big".
     """
     uri = f"file:{urllib.parse.quote(os.fspath(path))}?mode=ro"
     conn = sqlite3.connect(uri, uri=True, check_same_thread=check_same_thread,
                            isolation_level=None)
     conn.setlimit(sqlite3.SQLITE_LIMIT_ATTACHED, 0)
+    conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, MAX_VALUE_BYTES)
     conn.set_authorizer(_stateless_only)
     return conn
 

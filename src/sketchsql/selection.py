@@ -3,9 +3,10 @@
 Sketches are tried in rank order.  Each is completed by the completer
 service, checked by actually executing it (with up to ``patience``
 error-feedback rewrites), calibrated against database content, and
-re-executed; the first query producing real rows wins.  When every sketch
-is exhausted the best effort is returned with an Exhausted status rather
-than failing silently, since a harness needs an answer for every example.
+re-executed only when calibration changed its text; the first query
+producing real rows wins.  When every sketch is exhausted the best effort
+is returned with an Exhausted status rather than failing silently, since a
+harness needs an answer for every example.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .calibration import (
     single_level_match,  # noqa: F401  (perfbench/spans.py traces it here)
 )
 from .errors import EmptyCandidateError, IndexResolutionError, SqlParseError
-from .execution import Database
+from .execution import Database, ExecutionOutcome
 from .gateway import request_completion
 from .schema import DatabaseSchema, serialize_schema, translate_indexed_text
 from .sql_analysis import ColumnRef, ParsedQuery, parse_sql, rewrite_predicates
@@ -104,6 +105,7 @@ class SelectionTrace:
     status: str = ""
     final_sql: str | None = None
     sketches: list = field(default_factory=list)
+    last_run: tuple[str, ExecutionOutcome] | None = None  # not in to_dict()
 
     def to_dict(self) -> dict:
         return {
@@ -191,13 +193,14 @@ def complete_sketch(completer, question: str, schema: DatabaseSchema,
 
 def execution_check(sql: str, db: Database, patience: int, completer,
                     timeout: float | None = None,
-                    attempts_out: list | None = None) -> str | None:
+                    attempts_out: list | None = None
+                    ) -> tuple[str, ExecutionOutcome]:
     """Execute ``sql``; on engine errors, feed the verbatim message back to
     the completer for a rewrite, at most ``patience`` times.
 
-    Returns the first query that executes (its result may still be empty),
-    or None when every attempt errored.  ``attempts_out``, when given,
-    collects an :class:`ExecutionAttempt` per execution.
+    Returns the last query executed and its outcome, an Error only when
+    every attempt errored.  ``attempts_out``, when given, collects an
+    :class:`ExecutionAttempt` per execution.
     """
     current = sql
     for attempt in range(patience + 1):
@@ -205,12 +208,10 @@ def execution_check(sql: str, db: Database, patience: int, completer,
         if attempts_out is not None:
             attempts_out.append(ExecutionAttempt(current, outcome.kind,
                                                  outcome.message))
-        if not outcome.is_error:
-            return current
-        if attempt < patience:
-            prompt = repair_prompt(current, outcome.message)
-            current = _clean_sql(request_completion(completer, prompt))
-    return None
+        if not outcome.is_error or attempt == patience:
+            return current, outcome
+        prompt = repair_prompt(current, outcome.message)
+        current = _clean_sql(request_completion(completer, prompt))
 
 
 def _deterministic_rewrite(parsed: ParsedQuery, pairs: list) -> str:
@@ -224,12 +225,14 @@ def _deterministic_rewrite(parsed: ParsedQuery, pairs: list) -> str:
     return rewrite_predicates(parsed, changes).original_text
 
 
-def apply_calibration(completer, sql: str, feedback: CalibrationFeedback) -> str:
+def apply_calibration(completer, sql: str, feedback: CalibrationFeedback,
+                      parsed: ParsedQuery | None = None) -> str:
     """Send calibration feedback to the completer and return the rewrite.
 
     Identity feedback (every suggestion equal to its predicate) returns
     ``sql`` unchanged without any endpoint call.  A rewrite that does not
-    parse falls back to applying the replacements deterministically.
+    parse falls back to applying the replacements deterministically, on
+    ``parsed`` (the parse of ``sql``) when the caller holds it.
     """
     pairs = feedback.changes()
     if not pairs:
@@ -241,20 +244,21 @@ def apply_calibration(completer, sql: str, feedback: CalibrationFeedback) -> str
     except SqlParseError:
         log.warning("calibration rewrite does not parse; applying "
                     "deterministic replacement instead")
-        return _deterministic_rewrite(parse_sql(sql), pairs)
+        return _deterministic_rewrite(parsed or parse_sql(sql), pairs)
     return rewritten
 
 
-def _compute_feedback(db: Database, sql: str, config: SelectionConfig) -> CalibrationFeedback:
+def _compute_feedback(db: Database, sql: str, config: SelectionConfig
+                      ) -> tuple[ParsedQuery | None, CalibrationFeedback]:
     try:
         parsed = parse_sql(sql)
     except SqlParseError as exc:
         # The query executed, so it is valid for the engine even if it is
         # outside the dialect this package can analyze; skip calibration.
         log.debug("skipping calibration for unparseable query: %s", exc)
-        return CalibrationFeedback()
-    return multi_level_match(db, parsed, config.threshold, config.backend,
-                             config.scan_cap)
+        return None, CalibrationFeedback()
+    return parsed, multi_level_match(db, parsed, config.threshold,
+                                     config.backend, config.scan_cap)
 
 
 def calibrate_deterministic(db: Database, sql: str,
@@ -307,19 +311,23 @@ def select_query(question: str, schema: DatabaseSchema, db: Database,
         record.completion = completion
         last_completion = completion
 
-        executable = execution_check(
+        executable, outcome = execution_check(
             completion, db, config.patience, config.completer,
             timeout=config.statement_timeout, attempts_out=record.executions)
-        if executable is None:
+        trace.last_run = (executable, outcome)
+        if outcome.is_error:
             record.status = "no_executable"
             continue
 
-        feedback = _compute_feedback(db, executable, config)
+        parsed, feedback = _compute_feedback(db, executable, config)
         record.calibration = _feedback_to_dicts(feedback)
-        calibrated = apply_calibration(config.completer, executable, feedback)
+        calibrated = apply_calibration(config.completer, executable, feedback,
+                                       parsed)
         record.calibrated_sql = calibrated
 
-        outcome = db.execute(calibrated, config.statement_timeout)
+        if calibrated != executable:
+            outcome = db.execute(calibrated, config.statement_timeout)
+            trace.last_run = (calibrated, outcome)
         record.final_outcome = outcome.kind
         if outcome.is_rows:
             record.status = "selected"

@@ -104,8 +104,8 @@ def extract_keywords(parsed: ParsedQuery) -> list[str]:
     appearance order.  Join variants count as JOIN; negations of LIKE,
     BETWEEN, and EXISTS count as the positive keyword; NOT IN is its own
     keyword."""
-    words = [tok.text.upper() for tok in tokenize(parsed.original_text)
-             if tok.kind == "ident"]
+    words = [tok.upper for tok in tokenize(parsed.original_text)
+             if tok.upper is not None]
     return _scan_keywords(words, strict=False)
 
 

@@ -91,6 +91,7 @@ class Token:
     kind: str   # "ident" | "qident" | "number" | "string" | "op" | "end"
     text: str
     pos: int
+    upper: str | None = None   # the upper-cased text of an "ident"
 
 
 def tokenize(text: str) -> list[Token]:
@@ -106,7 +107,9 @@ def tokenize(text: str) -> list[Token]:
                 raise SqlParseError("unterminated quoted identifier", pos)
             raise SqlParseError(f"unexpected character {ch!r}", pos)
         if m.lastgroup is not None:
-            tokens.append(Token(m.lastgroup, m.group(m.lastgroup), pos))
+            spelling = m.group(m.lastgroup)
+            upper = spelling.upper() if m.lastgroup == "ident" else None
+            tokens.append(Token(m.lastgroup, spelling, pos, upper))
         pos = m.end()
     tokens.append(Token("end", "", n))
     return tokens
@@ -277,9 +280,8 @@ class _Parser:
 
     # -- token helpers
 
-    def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
@@ -292,9 +294,9 @@ class _Parser:
         raise SqlParseError(message, tok.pos)
 
     def at_keyword(self, *words: str) -> bool:
+        # Only a matched word, never the final "end", is looked past.
         for offset, word in enumerate(words):
-            tok = self.peek(offset)
-            if tok.kind != "ident" or tok.text.upper() != word:
+            if self.tokens[self.i + offset].upper != word:
                 return False
         return True
 
@@ -312,7 +314,7 @@ class _Parser:
         """True at a quoted identifier or a word that is not reserved."""
         tok = self.peek()
         return tok.kind == "qident" or (
-            tok.kind == "ident" and tok.text.upper() not in RESERVED_WORDS)
+            tok.kind == "ident" and tok.upper not in RESERVED_WORDS)
 
     def at_op(self, *ops: str) -> bool:
         tok = self.peek()
@@ -457,7 +459,7 @@ class _Parser:
         node = self.parse_operand(level + 1)
         while True:
             tok = self.peek()
-            op = tok.text.upper() if tok.kind == "ident" else tok.text
+            op = tok.upper or tok.text
             if tok.kind not in ("ident", "op") or _BINARY_PREC.get(op) != level:
                 return node
             self.advance()
@@ -527,7 +529,7 @@ class _Parser:
             return Literal(tok.text, "string")
         if self.at_keyword("NULL"):
             return Literal(self.advance().text, "null")
-        if tok.kind == "ident" and tok.text.upper() in _TIME_WORDS:
+        if tok.upper in _TIME_WORDS:
             return Literal(self.advance().text, "time")
         if self.at_keyword("EXISTS"):
             self.advance()
@@ -548,7 +550,8 @@ class _Parser:
             node = self.parse_expr()
             self.expect_op(")")
             return node
-        if self.at_name() or (tok.kind == "ident" and self.peek(1).text == "("):
+        if self.at_name() or (tok.kind == "ident"
+                              and self.tokens[self.i + 1].text == "("):
             self.advance()
             if self.at_op("(") and tok.kind == "ident":
                 return self.parse_call(tok.text)

@@ -7,9 +7,11 @@ import pytest
 from helpers import (is_closed, make_benchmark_dataset, make_school_db,
                      record_connections)
 
+import sketchsql.benchmark as benchmark
 from sketchsql.benchmark import (
     BenchmarkExample,
     EvalConfig,
+    _evaluate_one,
     _gold_order_sensitive,
     build_gold_echo_script,
     evaluate,
@@ -24,6 +26,8 @@ from sketchsql.execution import Database
 from sketchsql.gateway import StubScript, clients_from_script, recording_calls
 from sketchsql.selection import SelectionConfig, completion_prompt
 from sketchsql.sketches import extract_sketch_from_sql
+
+SCHOOL_TIMMY_SQL = "SELECT course FROM Student WHERE given_name = 'timmy'"
 
 
 @pytest.fixture
@@ -206,6 +210,135 @@ def test_gold_order_sensitive():
     # unparseable input falls back to a textual check
     assert _gold_order_sensitive("SELECT !! order by x")
     assert not _gold_order_sensitive("SELECT !! ordered")
+
+
+def _order_case(tmp_path, gold, predicted, monkeypatch):
+    """Score ``predicted`` against ``gold`` on the two-student school
+    database; return whether it is correct and how often the harness
+    parsed SQL."""
+    root = tmp_path / "order"
+    (root / "database" / "school").mkdir(parents=True)
+    make_school_db(root / "database" / "school" / "school.sqlite")
+    # The script is built from a stand-in gold query that parses, so the
+    # real gold query may lie outside the parser's dialect.
+    stand_in = "SELECT given_name FROM Student"
+    (root / "dev.json").write_text(json.dumps([
+        {"question": "names?", "db_id": "school", "query": stand_in}]),
+        encoding="utf-8")
+    bundle = load_dataset(root)
+    schema = bundle.schemas["school"]
+    script = build_gold_echo_script(bundle)
+    prompt = completion_prompt(
+        "names?", schema, extract_sketch_from_sql(stand_in, schema))
+    script["complete"][prompt] = [predicted]
+    bundle.examples = [BenchmarkExample("names?", "school", gold)]
+    parses = []
+    parse = benchmark.parse_sql
+    monkeypatch.setattr(benchmark, "parse_sql",
+                        lambda sql: parses.append(sql) or parse(sql))
+    (result,) = evaluate(eval_config(StubScript(script)), bundle).per_example
+    return result.correct, len(parses)
+
+
+@pytest.mark.parametrize("gold,predicted,correct,parses", [
+    # two rows in the other order: the gold ORDER BY makes it wrong
+    ("SELECT given_name FROM Student ORDER BY id",
+     "SELECT given_name FROM Student ORDER BY id DESC", False, 1),
+    # without ORDER BY the same rows in another order are right
+    ("SELECT given_name FROM Student",
+     "SELECT given_name FROM Student ORDER BY id DESC", True, 1),
+    # with one row or none, or unequal counts, order cannot matter
+    ("SELECT given_name FROM Student WHERE id = 1 ORDER BY id",
+     "SELECT given_name FROM Student WHERE id = 1", True, 0),
+    ("SELECT given_name FROM Student WHERE id = 9 ORDER BY id",
+     "SELECT given_name FROM Student WHERE id = 9", True, 0),
+    ("SELECT given_name FROM Student ORDER BY id",
+     "SELECT given_name FROM Student WHERE id = 1", False, 0),
+    ("SELECT given_name FROM Student ORDER BY id",
+     "SELECT given_name, id FROM Student ORDER BY id", False, 0),
+    # a gold query outside the dialect falls back to the textual check
+    ("SELECT given_name FROM Student "
+     "ORDER BY CASE WHEN id = 1 THEN 0 ELSE 1 END",
+     "SELECT given_name FROM Student ORDER BY id DESC", False, 1),
+    ("SELECT CAST(given_name AS TEXT) FROM Student",
+     "SELECT given_name FROM Student ORDER BY id DESC", True, 1),
+])
+def test_gold_order_is_parsed_only_when_it_can_matter(
+        tmp_path, monkeypatch, gold, predicted, correct, parses):
+    assert _order_case(tmp_path, gold, predicted, monkeypatch) == \
+        (correct, parses)
+
+
+# --------------------------------------------------------------------------
+# Statements per example
+
+class CountingDatabase(Database):
+    """A Database that records the text of every statement it runs."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.statements = []
+
+    def execute(self, sql, timeout=None):
+        self.statements.append(sql)
+        return super().execute(sql, timeout)
+
+
+def _run_counted(root, completion, rewrite=None, patience=1):
+    """Evaluate the "Which course does timmy take?" example of the
+    benchmark dataset at ``root``, with the stub completing its sketch
+    as ``completion`` and answering any other prompt with ``rewrite``;
+    return the example, its result and the statements run."""
+    bundle = load_dataset(root)
+    example = bundle.examples[2]
+    schema = bundle.schemas["school"]
+    script = build_gold_echo_script(bundle)
+    prompt = completion_prompt(example.question, schema,
+                               extract_sketch_from_sql(example.gold_sql,
+                                                       schema))
+    script["complete"] = {prompt: [completion]}
+    if rewrite is not None:
+        script["complete"]["*"] = [rewrite]
+    clients = clients_from_script(StubScript(script))
+    config = EvalConfig(
+        selection=SelectionConfig(completer=clients["completer"],
+                                  patience=patience),
+        provider=clients["sketch"], aligner=clients["aligner"],
+        record_latency=False)
+    db = CountingDatabase(bundle.db_paths["school"])
+    try:
+        result = _evaluate_one(example, schema, db, config)
+    finally:
+        db.close()
+    return example, result, db.statements
+
+
+def test_identity_calibration_runs_check_and_gold_only(dataset_root):
+    # "timmy" is in the database, so calibration proposes no change.
+    example, result, statements = _run_counted(dataset_root,
+                                               SCHOOL_TIMMY_SQL)
+    assert example.gold_sql == SCHOOL_TIMMY_SQL
+    assert statements == [SCHOOL_TIMMY_SQL, SCHOOL_TIMMY_SQL]
+    assert (result.status, result.predicted_outcome, result.correct) == \
+        ("Selected", "rows", True)
+
+
+def test_changed_calibration_runs_its_rewrite_once(dataset_root):
+    typo = SCHOOL_TIMMY_SQL.replace("timmy", "timmie")
+    _, result, statements = _run_counted(dataset_root, typo,
+                                         rewrite=SCHOOL_TIMMY_SQL)
+    assert statements == [typo, SCHOOL_TIMMY_SQL, SCHOOL_TIMMY_SQL]
+    assert result.predicted_sql == SCHOOL_TIMMY_SQL
+    assert (result.predicted_outcome, result.correct) == ("rows", True)
+
+
+def test_prediction_that_only_errored_is_executed_again(dataset_root):
+    bad = "SELECT ghost FROM Student"
+    example, result, statements = _run_counted(dataset_root, bad,
+                                               patience=0)
+    assert (result.status, result.predicted_sql) == ("Exhausted", bad)
+    assert statements == [bad, example.gold_sql, bad]
+    assert (result.predicted_outcome, result.correct) == ("error", False)
 
 
 # --------------------------------------------------------------------------

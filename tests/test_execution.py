@@ -18,6 +18,7 @@ from sketchsql.execution import (
     quote_identifier,
     results_equal,
 )
+from sketchsql.schema import MAX_VALUE_BYTES
 
 
 @pytest.fixture
@@ -101,6 +102,17 @@ def test_timeout_interrupts_runaway_query(db):
 
 def test_zero_timeout_disables_deadline(db):
     assert db.execute("SELECT 1", timeout=0).is_rows
+
+
+def test_length_limit_bounds_values_and_keeps_connection(db, monkeypatch):
+    opened = record_connections(monkeypatch)
+    outcome = db.execute("SELECT randomblob(100000000), "
+                         "randomblob(100000000)")
+    assert outcome.is_error
+    assert "too big" in outcome.message
+    assert f"{MAX_VALUE_BYTES} byte length limit" in outcome.message
+    assert db.execute("SELECT 1").result.rows == ((1,),)
+    assert len(opened) == 1  # the same pooled connection answered
 
 
 def test_missing_file_raises():

@@ -42,6 +42,50 @@ def test_school_serialization_golden(school_schema):
     )
 
 
+def test_car1_serialization_golden(car1):
+    assert serialize_schema(car1) == (
+        "car_1: t0: model_list (c0: modelid, c1: maker, c2: model) "
+        "t1: continents (c0: contid, c1: continent) "
+        "t2: car_names (c0: makeid, c1: model, c2: make) "
+        "t3: countries (c0: countryid, c1: countryname, c2: continent) "
+        "t4: cars_data (c0: id, c1: mpg, c2: cylinders, c3: edispl, "
+        "c4: horsepower, c5: weight, c6: accelerate, c7: year) "
+        "t4.c0 = t2.c0 "
+        "t5: car_makers (c0: id, c1: maker, c2: fullname, c3: country)"
+    )
+
+
+def _shop_schema():
+    return DatabaseSchema(
+        "shop",
+        [TableDef("orders", [ColumnDef("oid", "integer"),
+                             ColumnDef("cid", "integer"),
+                             ColumnDef("pid", "integer")]),
+         TableDef("customer", [ColumnDef("cid", "integer"),
+                               ColumnDef("name", "text")]),
+         TableDef("product", [ColumnDef("pid", "integer")])],
+        [ForeignKeyDef(0, 1, 1, 0), ForeignKeyDef(0, 2, 2, 0),
+         ForeignKeyDef(2, 0, 0, 2)])
+
+
+def test_foreign_keys_serialization_golden():
+    text = ("shop: t0: orders (c0: oid, c1: cid, c2: pid) "
+            "t0.c1 = t1.c0 t0.c2 = t2.c0 "
+            "t1: customer (c0: cid, c1: name) "
+            "t2: product (c0: pid) t2.c0 = t0.c2")
+    schema = _shop_schema()
+    assert serialize_schema(schema) == text
+    assert serialize_schema(schema) == text  # the kept rendering
+
+
+def test_serialized_schema_stays_equal_to_unserialized_twin():
+    rendered, twin = _shop_schema(), _shop_schema()
+    serialize_schema(rendered)
+    assert rendered == twin and hash(rendered) == hash(twin)
+    assert repr(rendered) == repr(twin)
+    assert {rendered: 1}[twin] == 1
+
+
 def test_stadium_index_translation(stadium):
     assert translate_indexed_text(stadium, "SELECT t0.c2") == "SELECT stadium.highest"
 

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import SCHOOL_BAD_SQL, SCHOOL_GOLD_SQL, SCHOOL_QUESTION
 
+import sketchsql.selection as selection
 from sketchsql.calibration import CalibrationFeedback, MatchLevel, MatchResult
 from sketchsql.errors import EmptyCandidateError, SqlParseError, StubScriptError
 from sketchsql.execution import Database
@@ -107,9 +108,10 @@ def test_complete_sketch_cleans_fences(school_schema):
 
 def test_execution_check_immediate_success(school_db):
     attempts = []
-    out = execution_check("SELECT course FROM Student", school_db, 1,
-                          completer({}), attempts_out=attempts)
+    out, outcome = execution_check("SELECT course FROM Student", school_db,
+                                   1, completer({}), attempts_out=attempts)
     assert out == "SELECT course FROM Student"
+    assert outcome.kind == "rows"
     assert [a.outcome for a in attempts] == ["rows"]
 
 
@@ -118,17 +120,21 @@ def test_execution_check_repairs_once(school_db):
     message = school_db.execute(bad).message
     client = completer({repair_prompt(bad, message): [SCHOOL_GOLD_SQL]})
     attempts = []
-    out = execution_check(bad, school_db, 1, client, attempts_out=attempts)
+    out, outcome = execution_check(bad, school_db, 1, client,
+                                   attempts_out=attempts)
     assert out == SCHOOL_GOLD_SQL
+    assert outcome.kind == "rows"
     assert [a.outcome for a in attempts] == ["error", "rows"]
     assert attempts[0].message == message and attempts[1].message is None
 
 
 def test_execution_check_patience_zero(school_db):
     attempts = []
-    out = execution_check("SELECT ghost FROM Student", school_db, 0,
-                          completer({}), attempts_out=attempts)
-    assert out is None and len(attempts) == 1
+    out, outcome = execution_check("SELECT ghost FROM Student", school_db,
+                                   0, completer({}), attempts_out=attempts)
+    assert out == "SELECT ghost FROM Student" and len(attempts) == 1
+    assert outcome.kind == "error"
+    assert outcome.message == attempts[0].message
 
 
 def test_execution_check_patience_exhausted(school_db):
@@ -136,15 +142,18 @@ def test_execution_check_patience_exhausted(school_db):
     message = school_db.execute(bad1).message
     client = completer({repair_prompt(bad1, message): [bad2]})
     attempts = []
-    assert execution_check(bad1, school_db, 1, client,
-                           attempts_out=attempts) is None
+    out, outcome = execution_check(bad1, school_db, 1, client,
+                                   attempts_out=attempts)
+    assert out == bad2 and outcome.kind == "error"
     assert [a.sql for a in attempts] == [bad1, bad2]
     assert all(a.outcome == "error" for a in attempts)
 
 
 def test_execution_check_empty_result_counts_as_executable(school_db):
     sql = "SELECT course FROM Student WHERE score = 999"
-    assert execution_check(sql, school_db, 1, completer({})) == sql
+    out, outcome = execution_check(sql, school_db, 1, completer({}))
+    assert out == sql and outcome.kind == "null"
+    assert outcome.result.rows == ()
 
 
 # --------------------------------------------------------------------------
@@ -352,6 +361,28 @@ def test_select_query_error_after_calibration(school_db, school_schema):
     }]
     # nothing calibrated survived, so the fallback is the raw completion
     assert trace.status == STATUS_EXHAUSTED and final == completion
+
+
+def test_select_query_fallback_reuses_the_feedback_parse(
+        school_db, school_schema, monkeypatch):
+    sk = sketch("SELECT t1.c3", "FROM t1", "SELECT FROM WHERE", rank=0)
+    completion = "SELECT course FROM Student WHERE given_name = 'wards'"
+    client = completer({
+        completion_prompt("Q?", school_schema, sk): [completion],
+        calibration_prompt(completion, list(_wards_feedback().replacements)):
+            ["no sql here (("],
+    })
+    parsed = []
+    parse = selection.parse_sql
+    monkeypatch.setattr(selection, "parse_sql",
+                        lambda sql: parsed.append(sql) or parse(sql))
+    final, trace = select_query("Q?", school_schema, school_db, [sk],
+                                SelectionConfig(client))
+    assert final == "SELECT course FROM Student WHERE last_name = 'ward'"
+    # the feedback parse, then the check of the rewrite; no third parse
+    assert parsed == [completion, "no sql here (("]
+    sql, outcome = trace.last_run
+    assert sql == final and outcome.result.rows == (("math",),)
 
 
 def test_select_query_tries_sketches_in_rank_order(school_db, school_schema):

@@ -1,3 +1,4 @@
+import re
 import sqlite3
 from collections import Counter
 from contextlib import closing
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sketchsql.errors import PredicateNotFoundError, SqlParseError
 from sketchsql.sql_analysis import (
+    RESERVED_WORDS,
     Between,
     Binary,
     ColumnRef,
@@ -135,6 +137,26 @@ def test_render_parse_fixpoint(sql):
     once = render_query(parse_sql(sql))
     assert render_query(parse_sql(once)) == once
     assert parse_sql(once).root == parse_sql(sql).root
+
+
+def _mixed_case(sql: str) -> str:
+    """``sql`` with every reserved word spelled in alternating case."""
+    def alternate(match):
+        word = match.group(0)
+        if word.upper() not in RESERVED_WORDS:
+            return word
+        return "".join(c.lower() if i % 2 else c.upper()
+                       for i, c in enumerate(word))
+    return re.sub(r"[A-Za-z_]+", alternate, sql)
+
+
+@pytest.mark.parametrize("sql", FIXPOINT_QUERIES + [
+    "SELECT a FROM t WHERE b = 'x' ORDER BY a DESC"])
+def test_mixed_case_keywords_parse_like_upper_case(sql):
+    mixed = _mixed_case(sql)
+    assert mixed != sql and mixed.startswith("SeLeCt ")
+    assert parse_sql(mixed).root == parse_sql(sql).root
+    assert parse_sql(mixed.lower()).root == parse_sql(sql.lower()).root
 
 
 @pytest.mark.parametrize("raw,canonical", [

@@ -33,6 +33,9 @@ def test_traced_names_resolve_and_are_restored():
                     wrapped.add((owner.__name__, name))
         for module in (benchmark, selection, sketches):
             assert (module.__name__, "parse_sql") in wrapped
+        for module in (selection, sketches):
+            assert (module.__name__, "serialize_schema") in wrapped
+        assert (selection.__name__, "apply_calibration") in wrapped
         assert ("Database", "execute") in wrapped
     finally:
         remove()
