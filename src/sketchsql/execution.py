@@ -20,13 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import DatabaseAccessError
-from .schema import (
-    MAX_VALUE_BYTES,
-    DatabaseSchema,
-    connect_readonly,
-    quote_identifier,
-    schema_from_sqlite,
-)
+from .schema import (MAX_VALUE_BYTES, DatabaseSchema, connect_readonly,
+                     quote_identifier, schema_from_sqlite)
 
 log = logging.getLogger(__name__)
 
@@ -258,7 +253,8 @@ class Database:
         capped at ``cap``.  The runtime ``typeof`` filter (rather than the
         declared column type) keeps the scan meaningful under SQLite's
         flexible typing.  The scan reads to the end on the held
-        connection, so no read lock outlives it."""
+        connection, so no read lock outlives it.  A column that stores a
+        value over ``MAX_VALUE_BYTES`` cannot be read, so it yields none."""
         query = (
             f"SELECT DISTINCT {quote_identifier(column)} "
             f"FROM {quote_identifier(table)} "
@@ -270,6 +266,9 @@ class Database:
             with self._lock:
                 return [row[0] for row in self._reader().execute(query, (cap,))]
         except sqlite3.Error as exc:
+            if str(exc) == "string or blob too big":
+                log.warning("not scanning %s.%s: %s", table, column, exc)
+                return []
             raise DatabaseAccessError(
                 f"cannot scan {table}.{column} in {self.path}: {exc}") from exc
 

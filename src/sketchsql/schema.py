@@ -24,12 +24,8 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import (
-    DatabaseAccessError,
-    IndexResolutionError,
-    SchemaLoadError,
-    SchemaMismatchError,
-)
+from .errors import (DatabaseAccessError, IndexResolutionError,
+                     SchemaLoadError, SchemaMismatchError)
 
 log = logging.getLogger(__name__)
 
@@ -352,8 +348,9 @@ def connect_readonly(path: str | os.PathLike,
     TEMP ...``, virtual tables, ``BEGIN``/``COMMIT``, savepoints, and
     ``PRAGMA`` with an argument (except ``table_info`` and
     ``foreign_key_list``).  So a connection that has run any statement
-    behaves like a fresh one.  A statement that would build a value or row
-    longer than ``MAX_VALUE_BYTES`` fails with "string or blob too big".
+    behaves like a fresh one.  A statement that would build or read a value
+    or row longer than ``MAX_VALUE_BYTES`` fails with "string or blob too
+    big": a column that stores such a value cannot be read or sorted.
     """
     uri = f"file:{urllib.parse.quote(os.fspath(path))}?mode=ro"
     conn = sqlite3.connect(uri, uri=True, check_same_thread=check_same_thread,

@@ -225,14 +225,15 @@ def _deterministic_rewrite(parsed: ParsedQuery, pairs: list) -> str:
     return rewrite_predicates(parsed, changes).original_text
 
 
-def apply_calibration(completer, sql: str, feedback: CalibrationFeedback,
-                      parsed: ParsedQuery | None = None) -> str:
-    """Send calibration feedback to the completer and return the rewrite.
+def apply_calibration(completer, sql: str, parsed: ParsedQuery | None,
+                      feedback: CalibrationFeedback) -> str:
+    """Send calibration feedback on ``sql`` to the completer and return the
+    rewrite.  ``parsed`` is the parse of ``sql``; None, for a query that
+    does not parse, goes only with empty feedback.
 
     Identity feedback (every suggestion equal to its predicate) returns
     ``sql`` unchanged without any endpoint call.  A rewrite that does not
-    parse falls back to applying the replacements deterministically, on
-    ``parsed`` (the parse of ``sql``) when the caller holds it.
+    parse falls back to applying the replacements deterministically.
     """
     pairs = feedback.changes()
     if not pairs:
@@ -244,7 +245,7 @@ def apply_calibration(completer, sql: str, feedback: CalibrationFeedback,
     except SqlParseError:
         log.warning("calibration rewrite does not parse; applying "
                     "deterministic replacement instead")
-        return _deterministic_rewrite(parsed or parse_sql(sql), pairs)
+        return _deterministic_rewrite(parsed, pairs)
     return rewritten
 
 
@@ -321,8 +322,8 @@ def select_query(question: str, schema: DatabaseSchema, db: Database,
 
         parsed, feedback = _compute_feedback(db, executable, config)
         record.calibration = _feedback_to_dicts(feedback)
-        calibrated = apply_calibration(config.completer, executable, feedback,
-                                       parsed)
+        calibrated = apply_calibration(config.completer, executable, parsed,
+                                       feedback)
         record.calibrated_sql = calibrated
 
         if calibrated != executable:

@@ -9,6 +9,7 @@ import sketchsql.selection as selection
 from sketchsql.calibration import CalibrationFeedback, MatchLevel, MatchResult
 from sketchsql.errors import EmptyCandidateError, SqlParseError, StubScriptError
 from sketchsql.execution import Database
+from sketchsql.schema import MAX_VALUE_BYTES
 from sketchsql.gateway import StubCompleter, StubScript
 from sketchsql.selection import (
     STATUS_EXHAUSTED,
@@ -25,7 +26,7 @@ from sketchsql.selection import (
     select_query,
 )
 from sketchsql.sketches import PART_FROM, PART_KEYWORDS, PART_SELECT, SketchPart, SqlSketch
-from sketchsql.sql_analysis import ColumnRef, Predicate
+from sketchsql.sql_analysis import ColumnRef, Predicate, parse_sql
 
 
 def sketch(select, fr, keywords, rank=0):
@@ -171,8 +172,10 @@ def test_apply_calibration_identity_makes_no_call():
         MatchResult("given_name", "timmy", 1.0, MatchLevel.COLUMN)),))
     # the script is empty, so any completer call would raise
     sql = "SELECT course FROM Student WHERE given_name = 'timmy'"
-    assert apply_calibration(completer({}), sql, feedback) == sql
-    assert apply_calibration(completer({}), sql, CalibrationFeedback()) == sql
+    parsed = parse_sql(sql)
+    assert apply_calibration(completer({}), sql, parsed, feedback) == sql
+    assert apply_calibration(completer({}), sql, parsed,
+                             CalibrationFeedback()) == sql
 
 
 def test_apply_calibration_uses_completer_rewrite():
@@ -181,7 +184,7 @@ def test_apply_calibration_uses_completer_rewrite():
     prompt = calibration_prompt(sql, list(feedback.replacements))
     client = completer({prompt: ["SELECT course FROM Student "
                                  "WHERE last_name = 'ward'"]})
-    assert apply_calibration(client, sql, feedback) == \
+    assert apply_calibration(client, sql, parse_sql(sql), feedback) == \
         "SELECT course FROM Student WHERE last_name = 'ward'"
 
 
@@ -190,7 +193,7 @@ def test_apply_calibration_falls_back_on_unparseable_rewrite():
     feedback = _wards_feedback()
     prompt = calibration_prompt(sql, list(feedback.replacements))
     client = completer({prompt: ["no sql here (("]})
-    assert apply_calibration(client, sql, feedback) == \
+    assert apply_calibration(client, sql, parse_sql(sql), feedback) == \
         "SELECT course FROM Student WHERE last_name = 'ward'"
 
 
@@ -202,7 +205,7 @@ def test_apply_calibration_keeps_qualified_spelling():
                     below_threshold=True)),))
     prompt = calibration_prompt(sql, list(feedback.replacements))
     client = completer({prompt: ["broken (("]})
-    assert apply_calibration(client, sql, feedback) == \
+    assert apply_calibration(client, sql, parse_sql(sql), feedback) == \
         "SELECT T1.course FROM Student AS T1 WHERE T1.given_name = 'timmy'"
 
 
@@ -275,6 +278,29 @@ def test_calibrate_deterministic_rewrite_runs(tmp_path, script, sql,
     rewritten, _ = calibrate_deterministic(db, sql, config())
     assert rewritten == expected
     assert db.execute(rewritten).result.rows == rows
+
+
+def test_stored_value_over_length_limit(tmp_path, caplog):
+    # SQLite applies the length limit when it reads a stored value, so a
+    # column holding one cannot be read or sorted; calibration skips it.
+    path = tmp_path / "big.sqlite"
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.execute("CREATE TABLE t (id INTEGER, name TEXT, city TEXT)")
+        conn.executemany("INSERT INTO t VALUES (?, ?, ?)", [
+            (1, "x" * (MAX_VALUE_BYTES + 1_000_000), "boston"),
+            (2, "alice", "denver")])
+    db = Database(path)
+    for sql in ("SELECT name FROM t", "SELECT id FROM t ORDER BY name"):
+        outcome = db.execute(sql)
+        assert outcome.is_error
+        assert f"{MAX_VALUE_BYTES} byte length limit" in outcome.message
+    assert db.execute("SELECT id FROM t ORDER BY city").result.rows == \
+        ((1,), (2,))
+    # The scan of t.name yields nothing, so 'denver' is found in t.city.
+    rewritten, _ = calibrate_deterministic(
+        db, "SELECT id FROM t WHERE name = 'denver'", config())
+    assert rewritten == "SELECT id FROM t WHERE city = 'denver'"
+    assert "not scanning t.name: string or blob too big" in caplog.text
 
 
 # --------------------------------------------------------------------------
