@@ -72,8 +72,6 @@ class BenchmarkExample:
 
 @dataclass
 class DatasetBundle:
-    root: Path
-    fmt: str
     examples: list
     schemas: dict
     db_paths: dict
@@ -155,7 +153,7 @@ def load_dataset(root, fmt: str = "spider",
 
     log.info("loaded %d example(s) over %d database(s) from %s",
              len(examples), len(db_paths), root)
-    return DatasetBundle(root, fmt, examples, schemas, db_paths)
+    return DatasetBundle(examples, schemas, db_paths)
 
 
 # --------------------------------------------------------------------------

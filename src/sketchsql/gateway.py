@@ -175,9 +175,10 @@ class AlignerClient:
 class CompleterClient:
     """Client for the SQL-completion service.
 
-    The native contract is ``POST /complete`` with prompt and sampling
-    parameters; ``chat_adapter`` maps the same call onto a chat-style
-    ``POST /chat/completions`` with a single user message.
+    The native contract is ``POST /complete`` with the prompt and the
+    fixed ``DEFAULT_*`` sampling parameters; ``chat_adapter`` maps the same
+    call onto a chat-style ``POST /chat/completions`` with a single user
+    message.
     """
 
     def __init__(self, config: EndpointConfig):
@@ -185,17 +186,12 @@ class CompleterClient:
         self._endpoint = _HttpEndpoint(config, "completer",
                                        CompleterUnavailableError)
 
-    def complete(self, prompt: str,
-                 temperature: float = DEFAULT_TEMPERATURE,
-                 top_p: float = DEFAULT_TOP_P,
-                 frequency_penalty: float = DEFAULT_FREQUENCY_PENALTY) -> str:
+    def complete(self, prompt: str) -> str:
+        sampling = {"temperature": DEFAULT_TEMPERATURE, "top_p": DEFAULT_TOP_P,
+                    "frequency_penalty": DEFAULT_FREQUENCY_PENALTY}
         if self.config.chat_adapter:
-            payload = {
-                "messages": [{"role": "user", "content": prompt}],
-                "temperature": temperature,
-                "top_p": top_p,
-                "frequency_penalty": frequency_penalty,
-            }
+            payload = {"messages": [{"role": "user", "content": prompt}],
+                       **sampling}
             data = self._endpoint.post("/chat/completions", payload)
             try:
                 text = data["choices"][0]["message"]["content"]
@@ -203,13 +199,8 @@ class CompleterClient:
                 raise ProtocolError("chat completion response lacks "
                                     "choices[0].message.content") from None
         else:
-            payload = {
-                "prompt": prompt,
-                "temperature": temperature,
-                "top_p": top_p,
-                "frequency_penalty": frequency_penalty,
-            }
-            data = self._endpoint.post("/complete", payload)
+            data = self._endpoint.post("/complete",
+                                       {"prompt": prompt, **sampling})
             text = data.get("text")
         if not isinstance(text, str):
             raise ProtocolError("completer response lacks a 'text' string")

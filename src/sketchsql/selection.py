@@ -215,14 +215,14 @@ def execution_check(sql: str, db: Database, patience: int, completer,
 
 
 def _deterministic_rewrite(parsed: ParsedQuery, pairs: list) -> str:
-    """Install each match in the tree.  A match in the predicate's own
-    column keeps the query's (possibly qualified) spelling of it; a match
-    in another column uses the bare matched name."""
+    """Splice each match into the query's text.  A match in the
+    predicate's own column keeps the query's (possibly qualified) spelling
+    of it; a match in another column uses the bare matched name."""
     changes = []
     for pred, match in pairs:
         column = pred.ref if in_own_column(pred, match) else ColumnRef(None, match.column)
         changes.append((pred, column, replacement_value(pred, match)))
-    return rewrite_predicates(parsed, changes).original_text
+    return rewrite_predicates(parsed, changes)
 
 
 def apply_calibration(completer, sql: str, parsed: ParsedQuery | None,
@@ -265,8 +265,8 @@ def _compute_feedback(db: Database, sql: str, config: SelectionConfig
 def calibrate_deterministic(db: Database, sql: str,
                             config: SelectionConfig
                             ) -> tuple[str, CalibrationFeedback]:
-    """Match every text predicate and apply the suggested replacements
-    directly on the parse tree; no completer involved.
+    """Match every text predicate and splice the suggested replacements
+    directly into the query's text; no completer involved.
 
     Unlike the selection loop this requires ``sql`` to parse (raises
     SqlParseError otherwise).  Identity suggestions are dropped; feedback

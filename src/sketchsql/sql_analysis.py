@@ -12,23 +12,25 @@ double-quoted tokens are both read as string literals (gold queries quote
 values either way and SQLite accepts both), while backticks quote
 identifiers.
 
-The parse tree is immutable; rewrites build a new tree.  Rendering is
-canonical (uppercase keywords, single spaces, ``AS`` before aliases) and
-``parse -> render -> parse`` is a fixpoint.
+The parse tree is immutable.  Rendering is canonical (uppercase keywords,
+single spaces, ``AS`` before aliases) and ``parse -> render -> parse`` is a
+fixpoint; it writes the sketch text.
 
 One tree walk serves every analysis.  Text predicates come from WHERE and
 HAVING clauses at every depth: the outer query and subqueries anywhere in
 it, whether in a condition, a select item, a function argument, a FROM
 source, JOIN ON, GROUP BY, ORDER BY or LIMIT.  Rewriting finds predicates
 with the same walk, so every predicate that is reported can be rewritten.
+A rewrite renders nothing: it splices the changed literal and column
+tokens into the query's own text, so comments, case, spacing and quoting
+everywhere else are kept.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, fields, replace
-from operator import is_not
+from dataclasses import dataclass, field, fields
 
 from .errors import PredicateNotFoundError, SqlParseError
 
@@ -91,6 +93,7 @@ class Token:
     kind: str   # "ident" | "qident" | "number" | "string" | "op" | "end"
     text: str
     pos: int
+    end: int                   # the offset just past the token
     upper: str | None = None   # the upper-cased text of an "ident"
 
 
@@ -109,20 +112,24 @@ def tokenize(text: str) -> list[Token]:
         if m.lastgroup is not None:
             spelling = m.group(m.lastgroup)
             upper = spelling.upper() if m.lastgroup == "ident" else None
-            tokens.append(Token(m.lastgroup, spelling, pos, upper))
+            tokens.append(Token(m.lastgroup, spelling, pos, m.end(), upper))
         pos = m.end()
-    tokens.append(Token("end", "", n))
+    tokens.append(Token("end", "", n, n))
     return tokens
 
 
 # --------------------------------------------------------------------------
 # Parse-tree nodes.  Field order matches source order, so a field-order walk
-# visits the query left to right.
+# visits the query left to right.  The parser gives string literals and
+# column references their ``span``, the (start, end) offsets of their text
+# in the source; it takes no part in equality.
 
 @dataclass(frozen=True)
 class Literal:
     text: str            # source spelling, quotes included for strings
     kind: str            # "string" | "number" | "null" | "time"
+    span: tuple[int, int] | None = field(default=None, compare=False,
+                                         repr=False)
 
     @property
     def string_value(self) -> str:
@@ -138,6 +145,8 @@ class Literal:
 class ColumnRef:
     table: str | None
     name: str            # may be "*"
+    span: tuple[int, int] | None = field(default=None, compare=False,
+                                         repr=False)
 
 
 @dataclass(frozen=True)
@@ -526,7 +535,7 @@ class _Parser:
             return Literal(tok.text, "number")
         if tok.kind == "string":
             self.advance()
-            return Literal(tok.text, "string")
+            return Literal(tok.text, "string", (tok.pos, tok.end))
         if self.at_keyword("NULL"):
             return Literal(self.advance().text, "null")
         if tok.upper in _TIME_WORDS:
@@ -559,11 +568,12 @@ class _Parser:
                 inner = self.peek()
                 if inner.kind in ("ident", "qident"):
                     self.advance()
-                    return ColumnRef(tok.text, inner.text)
-                if self.take_op("*"):
-                    return ColumnRef(tok.text, "*")
+                    return ColumnRef(tok.text, inner.text, (tok.pos, inner.end))
+                if self.at_op("*"):
+                    star = self.advance()
+                    return ColumnRef(tok.text, "*", (tok.pos, star.end))
                 self.error("expected a column name after '.'")
-            return ColumnRef(None, tok.text)
+            return ColumnRef(None, tok.text, (tok.pos, tok.end))
         self.error("expected an expression")
 
     def parse_call(self, name: str) -> FuncCall:
@@ -768,15 +778,13 @@ OP_IN_ELEMENT = "IN-element"
 class Predicate:
     """A column-versus-string-literal condition found in WHERE or HAVING.
 
-    ``ref`` is the column reference as parsed.  ``depth`` is diagnostic
-    only: 0 for the outermost query, +1 per enclosing subquery.  Numeric
-    comparisons never become predicates.
+    ``ref`` is the column reference as parsed.  Numeric comparisons never
+    become predicates.
     """
 
     ref: ColumnRef
     operator: str        # OP_EQ | OP_LIKE | OP_IN_ELEMENT
     value: str
-    depth: int = 0
 
     @property
     def column(self) -> str:
@@ -788,19 +796,26 @@ def _is_string(node) -> bool:
     return isinstance(node, Literal) and node.kind == "string"
 
 
-def _site_predicates(node, depth: int) -> tuple:
-    """The predicates ``node`` reports when it sits inside a condition.
-    An ``=`` takes its column from the left when the left is a column."""
+def _column_and_literal(node) -> tuple:
+    """The two operands of an ``=`` or LIKE site, column first.  An ``=``
+    takes its column from the left when the left is a column."""
+    if type(node) is Like:
+        return node.expr, node.pattern
+    if isinstance(node.left, ColumnRef):
+        return node.left, node.right
+    return node.right, node.left
+
+
+def _site_predicates(node) -> tuple:
+    """The predicates ``node`` reports when it sits inside a condition."""
     kind = type(node)
-    if kind is Binary and node.op == "=":
-        column, literal = ((node.left, node.right) if isinstance(node.left, ColumnRef)
-                           else (node.right, node.left))
+    if (kind is Binary and node.op == "=") or kind is Like:
+        column, literal = _column_and_literal(node)
         if isinstance(column, ColumnRef) and _is_string(literal):
-            return (Predicate(column, OP_EQ, literal.string_value, depth),)
-    elif kind is Like and isinstance(node.expr, ColumnRef) and _is_string(node.pattern):
-        return (Predicate(node.expr, OP_LIKE, node.pattern.string_value, depth),)
+            operator = OP_LIKE if kind is Like else OP_EQ
+            return (Predicate(column, operator, literal.string_value),)
     elif kind is InList and isinstance(node.expr, ColumnRef):
-        return tuple(Predicate(node.expr, OP_IN_ELEMENT, item.string_value, depth)
+        return tuple(Predicate(node.expr, OP_IN_ELEMENT, item.string_value)
                      for item in node.items if _is_string(item))
     return ()
 
@@ -813,33 +828,36 @@ def extract_predicates(query: ParsedQuery) -> list[Predicate]:
     every query depth, including under NOT and in subqueries anywhere in
     the query.  :func:`rewrite_predicates` can rewrite every one of them.
     """
-    return [pred for node, in_condition, depth in _walk(query.root)
-            if in_condition for pred in _site_predicates(node, depth)]
+    return [pred for node, in_condition in _walk(query.root)
+            if in_condition for pred in _site_predicates(node)]
 
 
-def rewrite_predicates(query: ParsedQuery, changes) -> ParsedQuery:
-    """The query with each ``(predicate, column, value)`` change applied:
-    one walk, one rebuild and one render.
+def rewrite_predicates(query: ParsedQuery, changes) -> str:
+    """The query's text with each ``(predicate, column, value)`` change
+    applied.  One walk finds the sites; then only the changed literal and
+    column tokens are spliced into ``query.original_text``, and every
+    other character, comments included, is kept.
 
     Each change takes the first predicate of :func:`extract_predicates`
     equal to its own in column reference, operator and value that no
     earlier change took, and that site alone gets ``column`` and the
-    string ``value``.  An IN list takes a new column only when every
-    string element changes to that one column, and it has no other
-    element; otherwise it keeps its column, only the changes in that
-    column apply, and each change it skips is logged.  Raises
-    :class:`PredicateNotFoundError` when a change's predicate does not
-    occur.
+    string ``value``, written single-quoted; a column other than the
+    site's own is written as the renderer spells it.  An IN list takes a
+    new column only when every string element changes to that one column,
+    and it has no other element; otherwise it keeps its column, only the
+    changes in that column apply, and each change it skips is logged.
+    Raises :class:`PredicateNotFoundError` when a change's predicate does
+    not occur.
     """
     wanted: dict = {}
     for old, column, value in changes:
         wanted.setdefault((old.ref, old.operator, old.value), []).append(
             (column, value))
     sites = {}
-    for node, in_condition, depth in _walk(query.root):
+    for node, in_condition in _walk(query.root):
         if not in_condition:
             continue
-        for index, p in enumerate(_site_predicates(node, depth)):
+        for index, p in enumerate(_site_predicates(node)):
             queue = wanted.get((p.ref, p.operator, p.value))
             if queue:
                 sites.setdefault(id(node), (node, {}))[1][index] = queue.pop(0)
@@ -848,54 +866,43 @@ def rewrite_predicates(query: ParsedQuery, changes) -> ParsedQuery:
             raise PredicateNotFoundError(
                 f"predicate {column_text(ref)} {operator} {value!r} "
                 "not found in query")
-    root = _substitute(query.root, {key: _rewritten(node, edits)
-                                    for key, (node, edits) in sites.items()})
-    return ParsedQuery(root, render_query(root))
+    text = query.original_text
+    edits = [edit for node, site in sites.values()
+             for edit in _site_edits(node, site)]
+    for (start, end), new_text in sorted(edits, reverse=True):
+        text = text[:start] + new_text + text[end:]
+    return text
 
 
-def _rewritten(node, edits: dict):
-    """``node``, a predicate site, with ``edits`` applied: the index of
-    one of its predicates -> the (column, value) that predicate takes."""
-    if type(node) is InList:
-        columns = {column for column, _ in edits.values()}
-        expr = node.expr
-        if len(edits) == len(node.items) and len(columns) == 1:
-            expr = columns.pop()
-        items = list(node.items)
-        strings = [i for i, item in enumerate(items) if _is_string(item)]
-        for index, (column, value) in edits.items():
-            if column == expr:
-                items[strings[index]] = Literal.string(value)
-            else:
-                log.warning("calibration: IN-list element %r of %s keeps its "
-                            "column; change to %s = %r skipped",
-                            items[strings[index]].string_value,
-                            column_text(expr), column_text(column), value)
-        return replace(node, expr=expr, items=tuple(items))
-    (column, value), = edits.values()
-    literal = Literal.string(value)
-    if type(node) is Like:
-        return replace(node, expr=column, pattern=literal)
-    if isinstance(node.left, ColumnRef):
-        return Binary(node.op, column, literal)
-    return Binary(node.op, literal, column)
+def _site_edits(node, changes: dict) -> list:
+    """The ``(span, new_text)`` edits that apply ``changes`` to ``node``, a
+    predicate site: the index of one of its predicates -> the (column,
+    value) that predicate takes."""
+    if type(node) is not InList:
+        (column, value), = changes.values()
+        ref, literal = _column_and_literal(node)
+        return _column_edit(ref, column) + [(literal.span,
+                                             Literal.string(value).text)]
+    columns = {column for column, _ in changes.values()}
+    expr = node.expr
+    if len(changes) == len(node.items) and len(columns) == 1:
+        expr = columns.pop()
+    edits = _column_edit(node.expr, expr)
+    strings = [item for item in node.items if _is_string(item)]
+    for index, (column, value) in changes.items():
+        if column == expr:
+            edits.append((strings[index].span, Literal.string(value).text))
+        else:
+            log.warning("calibration: IN-list element %r of %s keeps its "
+                        "column; change to %s = %r skipped",
+                        strings[index].string_value, column_text(expr),
+                        column_text(column), value)
+    return edits
 
 
-def _substitute(node, new: dict):
-    """``node`` with each node under it whose ``id`` is a key of ``new``
-    replaced by that key's value.  Only the paths to replaced nodes are
-    copied; every other subtree is shared with ``node``."""
-    if id(node) in new:
-        return new[id(node)]
-    if type(node) is tuple:
-        items = tuple(_substitute(item, new) for item in node)
-        return items if any(map(is_not, items, node)) else node
-    changed = {}
-    for name in _child_fields(type(node)):
-        value = getattr(node, name)
-        if value is not None and (child := _substitute(value, new)) is not value:
-            changed[name] = child
-    return replace(node, **changed) if changed else node
+def _column_edit(ref: ColumnRef, column: ColumnRef) -> list:
+    """The edit, if any, that makes ``ref`` read ``column``."""
+    return [] if column == ref else [(ref.span, column_text(column))]
 
 
 # --------------------------------------------------------------------------
@@ -918,34 +925,32 @@ def _child_fields(cls) -> tuple[str, ...]:
     return names
 
 
-def _walk(node, in_condition: bool = False, depth: int = 0):
-    """Yield ``(node, in_condition, depth)`` for ``node`` and every node
-    under it, in source order.
+def _walk(node, in_condition: bool = False):
+    """Yield ``(node, in_condition)`` for ``node`` and every node under it,
+    in source order.
 
     ``in_condition`` is true inside the WHERE or HAVING clause of the
-    nearest enclosing Select.  ``depth`` grows by one under the ``query``
-    of each InSelect, Exists, ScalarSubquery and SubqueryTable.
+    nearest enclosing Select.
     """
-    yield node, in_condition, depth
+    yield node, in_condition
     is_select = type(node) is Select
     for name in _child_fields(type(node)):
         value = getattr(node, name)
         if value is None:
             continue
         condition = name in _CONDITION_FIELDS if is_select else in_condition
-        level = depth + 1 if name == "query" else depth
         if type(value) is tuple:
             for child in value:
-                yield from _walk(child, condition, level)
+                yield from _walk(child, condition)
         else:
-            yield from _walk(value, condition, level)
+            yield from _walk(value, condition)
 
 
 def iter_selects(node):
     """Yield every Select node in document order."""
     if isinstance(node, ParsedQuery):
         node = node.root
-    return (n for n, _, _ in _walk(node) if type(n) is Select)
+    return (n for n, _ in _walk(node) if type(n) is Select)
 
 
 def _sources(sel: Select):

@@ -178,10 +178,10 @@ def test_score_protocol_violations(server, scores):
 def test_complete_native(server):
     server.responses.append((200, {"text": "SELECT 1"}))
     client = CompleterClient(fast_config(server))
-    assert client.complete("prompt", temperature=0.2) == "SELECT 1"
+    assert client.complete("prompt") == "SELECT 1"
     (req,) = server.requests
     assert req["path"] == "/complete"
-    assert req["payload"] == {"prompt": "prompt", "temperature": 0.2,
+    assert req["payload"] == {"prompt": "prompt", "temperature": 0.0,
                               "top_p": 1.0, "frequency_penalty": 0.0}
 
 

@@ -256,9 +256,16 @@ _CITIES = """CREATE TABLE t (city TEXT, state TEXT);
      "SELECT id FROM t WHERE c = 'abc' AND d <= current_date", ((1,),)),
     (_DATES, "SELECT id FROM t WHERE `current_date` = 'alpah'",
      "SELECT id FROM t WHERE `current_date` = 'alpha'", ((1,),)),
-    # The comment is not an operand: the query means a = 1.
+    # The comment is not an operand: the query means a = 1.  The rewrite
+    # edits only the literal, so the comment stays.
     (_COMMENT, "SELECT a FROM t WHERE c = 'abx' AND a = 1 --2",
-     "SELECT a FROM t WHERE c = 'abc' AND a = 1", ((1,),)),
+     "SELECT a FROM t WHERE c = 'abc' AND a = 1 --2", ((1,),)),
+    # Lower-case keywords, and "==" with a double-quoted literal, are kept
+    # as written; only the literal is replaced.
+    (_COMMENT, "select a from t where c = 'abx' order by a",
+     "select a from t where c = 'abc' order by a", ((1,), (3,))),
+    (_COMMENT, 'SELECT a FROM t WHERE c == "abx" AND a = 3',
+     "SELECT a FROM t WHERE c == 'abc' AND a = 3", ((3,),)),
     # An IN list keeps its column when only some elements match elsewhere
     # ('NY' is a state), and its same-column fixes still apply.
     (_CITIES, "SELECT city FROM t WHERE city IN ('NY', 'LA')",
@@ -268,7 +275,8 @@ _CITIES = """CREATE TABLE t (city TEXT, state TEXT);
     (_CITIES, "SELECT city FROM t WHERE city IN ('NY', 'LAX')",
      "SELECT city FROM t WHERE city IN ('NY', 'LAX')", (("LAX",),)),
 ], ids=["dotted-exact", "dotted-qualified", "dotted-bare", "keyword",
-        "current-date-value", "current-date-column", "comment", "in-list-ny-la", "in-list-la-ny", "in-list-ny-lax"])
+        "current-date-value", "current-date-column", "comment",
+        "lower-case", "double-equals-double-quoted", "in-list-ny-la", "in-list-la-ny", "in-list-ny-lax"])
 def test_calibrate_deterministic_rewrite_runs(tmp_path, script, sql,
                                               expected, rows):
     path = tmp_path / "t.sqlite"

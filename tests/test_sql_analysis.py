@@ -230,30 +230,30 @@ def test_not_binds_looser_than_comparison():
 # Predicate extraction
 
 def canon(preds):
-    return [(p.column, p.operator, p.value, p.depth) for p in preds]
+    return [(p.column, p.operator, p.value) for p in preds]
 
 
 def test_extract_basic_predicates():
     preds = extract_predicates(parse_sql(
         "SELECT a FROM t WHERE name = 'Tim' AND age = 7 OR city LIKE '%york%'"))
     assert canon(preds) == [
-        ("name", "=", "Tim", 0),
-        ("city", "LIKE", "%york%", 0),
+        ("name", "=", "Tim"),
+        ("city", "LIKE", "%york%"),
     ]
 
 
 def test_extract_orientation_and_qualifiers():
     preds = extract_predicates(parse_sql(
         "SELECT a FROM t AS x WHERE 'Tim' = x.name"))
-    assert canon(preds) == [("x.name", "=", "Tim", 0)]
+    assert canon(preds) == [("x.name", "=", "Tim")]
 
 
 def test_extract_in_elements():
     preds = extract_predicates(parse_sql(
         "SELECT a FROM t WHERE city IN ('NY', 'LA', 3)"))
     assert canon(preds) == [
-        ("city", "IN-element", "NY", 0),
-        ("city", "IN-element", "LA", 0),
+        ("city", "IN-element", "NY"),
+        ("city", "IN-element", "LA"),
     ]
 
 
@@ -261,8 +261,8 @@ def test_extract_includes_not_wrapped_and_negated():
     preds = extract_predicates(parse_sql(
         "SELECT a FROM t WHERE NOT (name = 'Tim') AND city NOT LIKE 'L%'"))
     assert canon(preds) == [
-        ("name", "=", "Tim", 0),
-        ("city", "LIKE", "L%", 0),
+        ("name", "=", "Tim"),
+        ("city", "LIKE", "L%"),
     ]
 
 
@@ -270,7 +270,7 @@ def test_extract_excludes_join_on_and_select_items():
     preds = extract_predicates(parse_sql(
         "SELECT 'label', a FROM t JOIN u ON t.k = 'x' "
         "WHERE t.name = 'Tim' GROUP BY a ORDER BY 'z'"))
-    assert canon(preds) == [("t.name", "=", "Tim", 0)]
+    assert canon(preds) == [("t.name", "=", "Tim")]
 
 
 def test_extract_having_and_subquery_depth():
@@ -278,8 +278,8 @@ def test_extract_having_and_subquery_depth():
         "SELECT a FROM t WHERE b IN (SELECT c FROM u WHERE d = 'deep') "
         "GROUP BY name HAVING name = 'Tim'"))
     assert canon(preds) == [
-        ("d", "=", "deep", 1),
-        ("name", "=", "Tim", 0),
+        ("d", "=", "deep"),
+        ("name", "=", "Tim"),
     ]
 
 
@@ -292,7 +292,7 @@ def test_extract_skips_aggregate_comparisons():
 
 def test_double_quoted_strings_are_literals():
     preds = extract_predicates(parse_sql('SELECT a FROM t WHERE b = "text"'))
-    assert canon(preds) == [("b", "=", "text", 0)]
+    assert canon(preds) == [("b", "=", "text")]
     sql = render_query(parse_sql('SELECT a FROM t WHERE b = "te""xt"'))
     assert parse_sql(sql).root == parse_sql('SELECT a FROM t WHERE b = "te""xt"').root
 
@@ -316,36 +316,36 @@ def test_rewrite_first_occurrence_only():
     query = parse_sql("SELECT a FROM t WHERE x = 'v' OR x = 'v'")
     out = rewrite_predicates(query, [(Predicate(ColumnRef(None, "x"), "=", "v"),
                                       ColumnRef(None, "x"), "w")])
-    assert render_query(out) == "SELECT a FROM t WHERE x = 'w' OR x = 'v'"
+    assert out == "SELECT a FROM t WHERE x = 'w' OR x = 'v'"
 
 
 def test_rewrite_preserves_orientation():
     query = parse_sql("SELECT a FROM t WHERE 'v' = x")
     out = rewrite_predicates(query, [(Predicate(ColumnRef(None, "x"), "=", "v"),
                                       ColumnRef(None, "x"), "w")])
-    assert render_query(out) == "SELECT a FROM t WHERE 'w' = x"
+    assert out == "SELECT a FROM t WHERE 'w' = x"
 
 
 def test_rewrite_changes_column_and_value():
     query = parse_sql("SELECT a FROM t WHERE given = 'wards'")
     old = Predicate(ColumnRef(None, "given"), "=", "wards")
     out = rewrite_predicates(query, [(old, ColumnRef(None, "last"), "ward")])
-    # LAST is an SQLite keyword, so the renderer quotes it.
-    assert render_query(out) == "SELECT a FROM t WHERE `last` = 'ward'"
+    # LAST is an SQLite keyword, so the new column is written quoted.
+    assert out == "SELECT a FROM t WHERE `last` = 'ward'"
 
 
 def test_rewrite_like_pattern():
     query = parse_sql("SELECT a FROM t WHERE name LIKE '%tim%'")
     old = Predicate(ColumnRef(None, "name"), "LIKE", "%tim%")
     out = rewrite_predicates(query, [(old, ColumnRef(None, "name"), "%timmy%")])
-    assert render_query(out) == "SELECT a FROM t WHERE name LIKE '%timmy%'"
+    assert out == "SELECT a FROM t WHERE name LIKE '%timmy%'"
 
 
 def test_rewrite_in_element():
     query = parse_sql("SELECT a FROM t WHERE city IN ('NY', 'LA')")
     old = Predicate(ColumnRef(None, "city"), "IN-element", "LA")
     out = rewrite_predicates(query, [(old, ColumnRef(None, "city"), "SF")])
-    assert render_query(out) == "SELECT a FROM t WHERE city IN ('NY', 'SF')"
+    assert out == "SELECT a FROM t WHERE city IN ('NY', 'SF')"
 
 
 def test_rewrite_in_list_keeps_column_and_logs_skipped_changes(caplog):
@@ -363,16 +363,16 @@ def test_rewrite_in_list_keeps_column_and_logs_skipped_changes(caplog):
     ]:
         caplog.clear()
         out = rewrite_predicates(parse_sql(sql), changes)
-        assert render_query(out) == expected
+        assert out == expected
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "state = 'NY' skipped" in caplog.records[0].getMessage()
 
 
 def test_rewrite_inside_subquery():
     query = parse_sql("SELECT a FROM t WHERE b IN (SELECT c FROM u WHERE d = 'x')")
-    old = Predicate(ColumnRef(None, "d"), "=", "x", depth=1)
+    old = Predicate(ColumnRef(None, "d"), "=", "x")
     out = rewrite_predicates(query, [(old, ColumnRef(None, "d"), "y")])
-    assert "d = 'y'" in render_query(out)
+    assert out == "SELECT a FROM t WHERE b IN (SELECT c FROM u WHERE d = 'y')"
 
 
 def test_rewrite_missing_predicate():
@@ -393,9 +393,8 @@ def test_rewrite_escapes_quotes():
     query = parse_sql("SELECT a FROM t WHERE x = 'v'")
     out = rewrite_predicates(query, [(Predicate(ColumnRef(None, "x"), "=", "v"),
                                       ColumnRef(None, "x"), "o'brien")])
-    rendered = render_query(out)
-    assert "'o''brien'" in rendered
-    assert extract_predicates(parse_sql(rendered))[0].value == "o'brien"
+    assert out == "SELECT a FROM t WHERE x = 'o''brien'"
+    assert extract_predicates(parse_sql(out))[0].value == "o'brien"
 
 
 # Subqueries in the places that condition scanning passes through: a
@@ -419,9 +418,9 @@ NESTED_PREDICATE_QUERIES = [
 def test_nested_predicates_extract_and_rewrite(sql):
     query = parse_sql(sql)
     preds = extract_predicates(query)
-    assert canon(preds) == [("name", "=", "x", 1)]
+    assert canon(preds) == [("name", "=", "x")]
     out = rewrite_predicates(query, [(preds[0], ColumnRef(None, "name"), "y")])
-    assert render_query(out) == render_query(parse_sql(sql.replace("'x'", "'y'")))
+    assert out == sql.replace("'x'", "'y'")
 
 
 def test_rewrite_follows_extraction_order():
@@ -431,8 +430,32 @@ def test_rewrite_follows_extraction_order():
                       "FROM t WHERE k = 'v'")
     out = rewrite_predicates(query, [(Predicate(ColumnRef(None, "k"), "=", "v"),
                                       ColumnRef(None, "k"), "w")])
-    assert canon(extract_predicates(out)) == [("k", "=", "w", 1),
-                                              ("k", "=", "v", 0)]
+    assert canon(extract_predicates(parse_sql(out))) == [("k", "=", "w"),
+                                              ("k", "=", "v")]
+
+
+def test_rewrite_keeps_the_query_text():
+    sql = ("select a /* 'v' */ from T where X == \"v\" -- x = 'v'\n"
+           "  and Y   like 'p%' and z in ('q', \"r\");")
+    query = parse_sql(sql)
+    x, y, _, r = extract_predicates(query)
+    out = rewrite_predicates(query, [(x, x.ref, "w"), (y, ColumnRef("T", "y2"), "p"),
+                                     (r, r.ref, "s")])
+    assert out == ("select a /* 'v' */ from T where X == 'w' -- x = 'v'\n"
+                   "  and T.y2   like 'p' and z in ('q', 's');")
+
+
+def test_spans_locate_the_source_text():
+    sql = "SELECT a FROM t WHERE t . `b c` = \"it's\" AND d LIKE 'x'"
+    query = parse_sql(sql)
+    where = query.root.where
+    spans = [where.left.left.span, where.left.right.span,
+             where.right.expr.span, where.right.pattern.span]
+    assert [sql[start:end] for start, end in spans] == \
+        ["t . `b c`", "\"it's\"", "d", "'x'"]
+    # A span takes no part in equality or hashing.
+    assert where.left.left == ColumnRef("t", "b c")
+    assert hash(where.right.pattern) == hash(Literal("'x'", "string"))
 
 
 # --------------------------------------------------------------------------
@@ -621,33 +644,91 @@ def test_random_tree_predicates_extract_and_rewrite(tree):
                      == (pred.column, pred.operator, pred.value))
         expected = list(preds)
         expected[first] = replace(preds[first], value="swapped")
-        assert extract_predicates(out) == expected
+        assert extract_predicates(parse_sql(out)) == expected
 
 
-@settings(max_examples=100, deadline=None)
-@given(_queries, st.data())
-def test_random_tree_rewrites_in_one_pass(tree, data):
-    query = parse_sql(render_query(tree))
+def _changed_values(query: ParsedQuery, data) -> tuple[list, list]:
+    """Value changes to distinct predicates of ``query``, and the predicate
+    list that rewriting them should yield.
+
+    New values never equal an old one, so no change can take a site that
+    an earlier change rewrote.  Each change takes the first entry equal to
+    its predicate that no earlier change took, and only those entries
+    differ.
+    """
     preds = extract_predicates(query)
     chosen = data.draw(st.lists(st.integers(0, len(preds) - 1), unique=True)
                        if preds else st.just([]))
-    # New values never equal an old one, so no change can take a site
-    # that an earlier change rewrote.
     changes = [(preds[i], preds[i].ref, f"new{k}") for k, i in enumerate(chosen)]
-    out = rewrite_predicates(query, changes)
-    folded = query
-    for change in changes:
-        folded = rewrite_predicates(folded, [change])
-    assert out == folded
-    # Each change takes the first entry equal to its predicate that no
-    # earlier change took, and only those entries differ.
     expected, taken = list(preds), set()
     for old, _, value in changes:
         i = next(i for i, p in enumerate(preds) if i not in taken and
                  (p.ref, p.operator, p.value) == (old.ref, old.operator, old.value))
         taken.add(i)
         expected[i] = replace(preds[i], value=value)
-    assert extract_predicates(out) == expected
+    return changes, expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_queries, st.data())
+def test_random_tree_rewrites_in_one_pass(tree, data):
+    query = parse_sql(render_query(tree))
+    changes, expected = _changed_values(query, data)
+    out = rewrite_predicates(query, changes)
+    folded = query.original_text
+    for change in changes:
+        folded = rewrite_predicates(parse_sql(folded), [change])
+    assert out == folded
+    assert extract_predicates(parse_sql(out)) == expected
+
+
+# Text that SQLite reads as a token boundary and nothing more.  Each starts
+# with whitespace, so that a "-" or "/" before it never opens a comment.
+_SEPARATORS = st.sampled_from(
+    (" ", "  ", "\n\t", " /* 'it' */ ", " -- x 'y\n", "\n/* a\n -- b */\n"))
+_CASINGS = st.sampled_from((str.upper, str.lower, str.swapcase, str.title))
+
+
+@st.composite
+def _noisy_texts(draw):
+    """The rendering of a random tree, with the case of its words and the
+    whitespace and comments between its tokens drawn at random."""
+    text = render_query(draw(_queries))
+    out, pos = [draw(st.sampled_from(("", "/* lead */ ")))], 0
+    for tok in tokenize(text)[:-1]:
+        if text[pos:tok.pos] or draw(st.booleans()):
+            out.append(draw(_SEPARATORS))
+        spelling = text[tok.pos:tok.end]
+        out.append(draw(_CASINGS)(spelling) if tok.kind == "ident" else spelling)
+        pos = tok.end
+    out.append(draw(st.sampled_from(("", ";", " -- note", "; /* end */"))))
+    return "".join(out)
+
+
+def _without_strings(text: str) -> tuple[str, list[str]]:
+    """``text`` with each string literal masked, and the literals."""
+    tokens = [tok for tok in tokenize(text) if tok.kind == "string"]
+    masked, pos = [], 0
+    for tok in tokens:
+        masked += [text[pos:tok.pos], "?"]
+        pos = tok.end
+    return "".join(masked) + text[pos:], [tok.text for tok in tokens]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_noisy_texts(), st.data())
+def test_rewrite_keeps_text_outside_changed_tokens(text, data):
+    query = parse_sql(text)
+    changes, expected = _changed_values(query, data)
+    out = rewrite_predicates(query, changes)
+    assert extract_predicates(parse_sql(out)) == expected
+    # Every character outside the string literals is unchanged, and the
+    # only literals that differ are the new values.
+    masked, old = _without_strings(text)
+    masked_out, new = _without_strings(out)
+    assert masked_out == masked and len(new) == len(old)
+    assert sorted(n for o, n in zip(old, new) if o != n) == \
+        sorted(f"'{value}'" for _, _, value in changes)
 
 
 # --------------------------------------------------------------------------
