@@ -89,7 +89,10 @@ class Database:
     :func:`connect_readonly` for why a reused connection behaves like a
     fresh one).  The handle also holds one read-only connection, opened on
     first use, for the value scans behind calibration and for noticing
-    content changes (see :meth:`sync`).  :meth:`close` closes every
+    content changes (see :meth:`sync`), and a value index of encoded
+    column values that survives those changes: each entry is rescanned on
+    its first use after one and encoded again only when its values
+    changed (see :meth:`cached`).  :meth:`close` closes every
     connection; the handle stays usable and opens new ones when next
     needed.  Text is decoded as UTF-8 with
     replacement: several benchmark databases contain stray non-UTF-8
@@ -106,7 +109,10 @@ class Database:
         self._lock = threading.RLock()
         self._held: sqlite3.Connection | None = None
         self._stamp: tuple | None = None
+        # key -> (content version it was last scanned at, encoding)
         self._index: dict = {}
+        # Moved on by sync() whenever the stamp moves.
+        self._version = 0
         # Guards the statement pool: idle (connection, inode it was opened
         # on) pairs, and a generation that close() moves on, so that a
         # connection in use during close() is closed when put back.
@@ -191,14 +197,15 @@ class Database:
         conn.close()
 
     def sync(self) -> None:
-        """Empty the value index if the file changed since the last call.
+        """Start a new content version if the file changed since the last
+        call, so that every value index entry is rescanned on its next use.
 
         The stamp is the file's inode, size and modification time plus
         ``PRAGMA data_version`` on the held connection, which moves on
         every commit by another connection in rollback-journal and WAL
         mode alike.  A new inode means the file was replaced: the held
-        connection still reads the old one, so it is reopened, and the
-        schema is read again.
+        connection still reads the old one, so it is reopened, the index
+        is emptied and the schema is read again.
         """
         with self._lock:
             try:
@@ -212,17 +219,28 @@ class Database:
                     f"cannot read database {self.path}: {exc}") from exc
             stamp = (st.st_ino, st.st_size, st.st_mtime_ns, version)
             if stamp != self._stamp:
-                self._index.clear()
+                self._version += 1
                 self._stamp = stamp
 
-    def cached(self, key, build):
-        """The value index: ``build()``, memoised under ``key`` until
-        :meth:`sync` or :meth:`close` empties the index.  Values built
-        before the first :meth:`sync` are dropped by it."""
+    def cached(self, key, scan, encode):
+        """The value index: ``encode(scan())``, kept under ``key``.
+
+        An entry made before the last content change that :meth:`sync`
+        saw is checked on its next use: ``scan()`` runs again, and the
+        entry is encoded again only when the scanned list differs from
+        its ``values``.  So an entry is always the encoding of a scan made
+        since the last :meth:`sync`, and unchanged columns keep theirs.
+        ``encode`` must be a pure function of the list, keeping it as
+        ``values``.  :meth:`close` empties the index.
+        """
         with self._lock:
-            if key not in self._index:
-                self._index[key] = build()
-            return self._index[key]
+            version, encoded = self._index.get(key, (None, None))
+            if version != self._version:
+                values = scan()
+                if encoded is None or encoded.values != values:
+                    encoded = encode(values)
+                self._index[key] = (self._version, encoded)
+            return encoded
 
     def execute(self, sql: str, timeout: float | None = None) -> ExecutionOutcome:
         """Run ``sql`` and classify the outcome.  Never raises: engine

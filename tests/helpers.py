@@ -102,14 +102,14 @@ def _oracle_candidates(level, schema, db_path, parsed, predicate, cap):
     return out
 
 
-def _oracle_best(candidates, value0, level):
+def _oracle_best(candidates, value0, level, similarity=similarity_oracle):
     best_key, best = None, None
     column_order = {}
     for column, value in candidates:
         column_order.setdefault(column, len(column_order))
         if not value.strip():
             continue  # blank text has no similarity: not a candidate
-        score = similarity_oracle(value0, value)
+        score = similarity(value0, value)
         key = (-score, column_order[column], value)
         if best_key is None or key < best_key:
             best_key, best = key, MatchResult(column, value, score, level)
@@ -117,9 +117,10 @@ def _oracle_best(candidates, value0, level):
 
 
 def oracle_multi_level(schema, db_path, sql: str, r: float,
-                       cap: int = 10_000) -> list:
+                       cap: int = 10_000, similarity=similarity_oracle) -> list:
     """Exhaustive (level, candidate) search with the documented early-stop
-    and tie-break rules, for every extracted text predicate."""
+    and tie-break rules, for every extracted text predicate, scoring with
+    ``similarity`` (by default the indel similarity oracle)."""
     parsed = parse_sql(sql)
     out = []
     for predicate in extract_predicates(parsed):
@@ -134,7 +135,7 @@ def oracle_multi_level(schema, db_path, sql: str, r: float,
         for level in (MatchLevel.COLUMN, MatchLevel.TABLE, MatchLevel.DATABASE):
             candidates = _oracle_candidates(level, schema, db_path, parsed,
                                             predicate, cap)
-            best = _oracle_best(candidates, value0, level)
+            best = _oracle_best(candidates, value0, level, similarity)
             if best is None:
                 continue
             if best.score >= r:

@@ -4,12 +4,13 @@ import random
 import sqlite3
 import string
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     _oracle_resolve,
@@ -20,7 +21,9 @@ from helpers import (
     similarity_oracle,
 )
 
+import sketchsql.calibration as calibration
 from sketchsql.calibration import (
+    ALL_LEVELS,
     DEFAULT_SCAN_CAP,
     CalibrationFeedback,
     CharacterFuzzy,
@@ -451,6 +454,48 @@ def test_sentence_encoder_calls_score_in_search_order(school_db):
                                 MatchLevel.DATABASE, below_threshold=True)
 
 
+def test_passes_that_read_no_lanes_never_build_them(school_db, table,
+                                                     monkeypatch):
+    """Database-level matches whose backend or literal takes no lanes build
+    neither a column's lanes nor a merged batch's, and still agree with
+    the brute-force search, in the documented scoring order."""
+    def unread(*args):
+        raise AssertionError("lanes were built")
+
+    monkeypatch.setattr(calibration, "_encode_lanes", unread)
+    monkeypatch.setattr(calibration, "_merge_lanes", unread)
+    texts = ["timmy", "wardle", "lee", "ward", "art", "math", "001",
+             "jordy wu"]
+    encoder = StubSentenceEncoder(
+        {t: [float(t == u) for u in texts] + [0.5] for t in texts + ["zed"]})
+    calls = []
+    encode = encoder.encode
+
+    def recording_encode(texts):
+        calls.append(tuple(texts))
+        return encode(texts)
+
+    encoder.encode = recording_encode
+    cases = [(SentenceEncoder(encoder), "zed"), (WordEmbedding(table), "zed"),
+             (WordEmbedding(table), "king")]
+    cases += [(CharacterFuzzy(), literal)
+              for literal in ("tîmmy", "ti\0mmy", "timmy" * 13)]
+    for backend, literal in cases:
+        sql = f"SELECT course FROM Student WHERE given_name = '{literal}'"
+        calls.clear()
+        feedback = multi_level_match(school_db, parse_sql(sql), 1.0, backend)
+        scored = calls[:]
+        assert feedback and list(feedback.replacements) == oracle_multi_level(
+            school_db.schema, school_db.path, sql, 1.0,
+            similarity=backend.score), (backend.kind, literal)
+        if isinstance(backend, SentenceEncoder):
+            # Search order: each level's columns not scored yet, values
+            # sorted.
+            assert scored == [
+                ("zed", t) for t in ["timmy", "wardle", "lee", "ward", "art",
+                                     "math", "001", "math", "jordy wu"]]
+
+
 # --------------------------------------------------------------------------
 # Value index: matching reflects current content
 
@@ -543,6 +588,152 @@ def test_held_connection_never_blocks_a_writer(school_db_path):
     assert _match_of(db, "timmothy").value == "timothy"  # reopens after close
     db.close()
 
+
+def test_a_commit_encodes_only_the_columns_whose_values_changed(
+        school_db_path, monkeypatch):
+    encoded = []
+
+    class CountingValues(EncodedValues):
+        def __init__(self, values):
+            encoded.append(list(values))
+            super().__init__(values)
+
+    monkeypatch.setattr(calibration, "EncodedValues", CountingValues)
+    db = Database(school_db_path)
+    scans = []
+    scan = db.distinct_text_values
+
+    def counting_scan(table, column, cap):
+        scans.append((table.lower(), column.lower()))
+        return scan(table, column, cap)
+
+    db.distinct_text_values = counting_scan
+    query = parse_sql("SELECT course FROM Student WHERE given_name = 'zed'")
+    every_column = sorted((t.lower(), c.lower()) for t, c in level_columns(
+        MatchLevel.DATABASE, db.schema, None, []))
+
+    def match():
+        """The columns one database-level match scans, and the value lists
+        it encodes; its feedback must be a new handle's."""
+        scans.clear()
+        encoded.clear()
+        feedback = multi_level_match(db, query, 1.0, CharacterFuzzy())
+        seen = sorted(scans), encoded[:]
+        with closing(Database(school_db_path)) as fresh:
+            assert feedback == multi_level_match(fresh, query, 1.0,
+                                                 CharacterFuzzy())
+        return seen
+
+    scanned, first = match()
+    assert scanned == every_column and len(first) == len(every_column)
+    assert match() == ([], [])
+    with closing(sqlite3.connect(school_db_path)) as writer:
+        for statement, changed in [
+                ("UPDATE Student SET last_name = 'lane' "
+                 "WHERE last_name = 'lee'", [["lane", "ward"]]),
+                # a duplicate row changes no column's distinct values
+                ("INSERT INTO Student SELECT 3, given_name, last_name, "
+                 "course, score FROM Student WHERE id = 1", []),
+                ("UPDATE Course SET teacher = 'Jordy Wu'", [["Jordy Wu"]])]:
+            writer.execute(statement)
+            writer.commit()
+            assert match() == (every_column, changed), statement
+    db.close()
+
+
+_FRESH_DDL = """
+CREATE TABLE p (id INTEGER PRIMARY KEY, name TEXT, city TEXT);
+CREATE TABLE q (id INTEGER PRIMARY KEY, label TEXT);
+INSERT INTO p (name, city) VALUES ('timmy', 'lee'), ('ward', 'Leeds'),
+                                  ('tîm', 'lee');
+INSERT INTO q (label) VALUES ('math'), ('a' || char(0) || 'b');
+"""
+_FRESH_COLUMNS = {"p": ("name", "city"), "q": ("label",)}
+_FRESH_QUERIES = [parse_sql(sql) for sql in [
+    "SELECT id FROM p WHERE name = 'timy'",
+    "SELECT id FROM p WHERE city = 'LEE' AND name = 'wrd'",
+    "SELECT id FROM q WHERE label = 'tîmy'",
+    "SELECT id FROM p WHERE nosuch = 'ma'",
+    f"SELECT id FROM q WHERE label = '{'tim' * 22}'",
+]]
+_FRESH_TEXT = st.one_of(
+    st.sampled_from(["timmy", "Timmy", "tim", "ward", "lee", "a", "zz"]),
+    st.text("abTé\x00 ", min_size=1, max_size=5),
+)
+_FRESH_WRITES = st.tuples(
+    st.sampled_from(["insert", "delete", "update", "duplicate", "case"]),
+    st.sampled_from([(t, c) for t, cs in _FRESH_COLUMNS.items() for c in cs]),
+    st.integers(0, 3),
+    _FRESH_TEXT,
+)
+
+
+def _fresh_write(kind, target, row, text):
+    """One write as (statement, parameters) on the ``row``-th row (by rowid)
+    of the target's table, or none when there is no such row."""
+    table, column = target
+    pick = f"(SELECT rowid FROM {table} ORDER BY rowid LIMIT 1 OFFSET {row})"
+    columns = ", ".join(_FRESH_COLUMNS[table])
+    return {
+        "insert": (f"INSERT INTO {table} ({column}) VALUES (?)", (text,)),
+        "delete": (f"DELETE FROM {table} WHERE rowid = {pick}", ()),
+        "update": (f"UPDATE {table} SET {column} = ? WHERE rowid = {pick}",
+                   (text,)),
+        # The copy of a row changes no column's distinct values.
+        "duplicate": (f"INSERT INTO {table} ({columns}) SELECT {columns} "
+                      f"FROM {table} WHERE rowid = {pick}", ()),
+        "case": (f"UPDATE {table} SET {column} = CASE WHEN {column} = "
+                 f"upper({column}) THEN lower({column}) ELSE upper({column}) "
+                 f"END WHERE rowid = {pick}", ()),
+    }[kind]
+
+
+def _every_feedback(match):
+    """(column, value, repr(score), level, below_threshold) of what
+    ``match(query, levels, scan_cap)`` finds for every fresh-test query,
+    at each level and all levels, under a small and the default scan cap."""
+    out = []
+    for query in _FRESH_QUERIES:
+        for levels in (ALL_LEVELS, *((level,) for level in MatchLevel)):
+            for cap in (2, DEFAULT_SCAN_CAP):
+                out.append([(m.column, m.value, repr(m.score), m.level,
+                             m.below_threshold)
+                            for _, m in match(query, levels, cap).replacements])
+    return out
+
+
+@pytest.mark.parametrize("journal_mode", ["delete", "wal"])
+@settings(max_examples=15, deadline=None)
+@given(writes=st.lists(_FRESH_WRITES, min_size=1, max_size=5))
+@example(writes=[("case", ("p", "name"), 0, "x")])
+@example(writes=[("insert", ("p", "name"), 0, "zz"),
+                 ("update", ("q", "label"), 1, "tîmy\x00")])
+def test_kept_value_index_matches_a_new_handle_after_each_write(journal_mode,
+                                                                writes):
+    """After each write by another connection, a handle that keeps its
+    value index matches as a new handle does for each match call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fresh.sqlite")
+
+        def kept(query, levels, cap):
+            return multi_level_match(db, query, 0.65, CharacterFuzzy(),
+                                     scan_cap=cap, levels=levels)
+
+        def new(query, levels, cap):
+            with closing(Database(path)) as fresh:
+                return multi_level_match(fresh, query, 0.65, CharacterFuzzy(),
+                                         scan_cap=cap, levels=levels)
+
+        with closing(sqlite3.connect(path)) as writer:
+            writer.executescript(_FRESH_DDL)
+            writer.execute(f"PRAGMA journal_mode={journal_mode}")
+            db = Database(path)
+            _every_feedback(kept)
+            for write in writes:
+                writer.execute(*_fresh_write(*write))
+                writer.commit()
+                assert _every_feedback(kept) == _every_feedback(new), write
+            db.close()
 
 # --------------------------------------------------------------------------
 # Multi-level matching
