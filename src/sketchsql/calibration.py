@@ -16,9 +16,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
 from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +81,9 @@ _MAX_LANE_LITERAL = 63
 _MAX_LANE_VALUE = 255
 
 
-class Lanes(NamedTuple):
-    """Values laid out for :func:`_lane_scores`.
+class EncodedValues(Sequence):
+    """Candidate values normalised and encoded once for
+    :meth:`CharacterFuzzy.score_many`; a sequence of the original values.
 
     Values whose normalised form (``strip().lower()``) is ASCII without
     NUL and at most ``_MAX_LANE_VALUE`` long become lanes: byte codes in
@@ -93,31 +92,32 @@ class Lanes(NamedTuple):
     the first ``active[j]`` lanes.  Padding is code 0, whose mask is
     always 0.  Other non-blank values are scored one at a time; blank ones
     cannot be scored at all.
-    """
-
-    index: np.ndarray    # position of each lane's value in the values
-    lengths: np.ndarray  # normalised length of each lane
-    codes: np.ndarray    # character position x lane
-    active: list         # active[j]: how many lanes are longer than j
-    others: list         # positions of the other non-blank values
-
-
-class EncodedValues(Sequence):
-    """Candidate values for :meth:`CharacterFuzzy.score_many`; a sequence
-    of the original values.  Their :attr:`lanes` are built on first read
-    and kept, so a pass that reads no lanes never builds them.
 
     The values fall into segments, one per column: ``values[bounds[s]:
     bounds[s + 1]]`` is segment ``s``.  The constructor makes one segment;
-    :meth:`concat` lays several columns out as one batch, whose lanes are
-    merged from theirs.
+    :meth:`concat` lays several columns out as one lane set.
     """
 
     def __init__(self, values):
         self.values = list(values)
         n = len(self.values)
         self.bounds = np.array([0, n])
-        self._columns = None
+        normal = [v.strip().lower() for v in self.values]
+        lengths = np.fromiter(map(len, normal), np.int64, n)
+        fits = ((lengths > 0) & (lengths <= _MAX_LANE_VALUE)
+                & np.fromiter(map(str.isascii, normal), bool, n)
+                & ~np.fromiter(map(str.__contains__, normal, repeat("\0")),
+                               bool, n))
+        self.others = np.flatnonzero(~fits & (lengths > 0)).tolist()
+        lanes = np.flatnonzero(fits)
+        self.lanes = lanes[np.argsort(-lengths[lanes], kind="stable")]
+        self.lengths = lengths[self.lanes]
+        width = int(self.lengths[0]) if len(lanes) else 0
+        packed = "".join([normal[i].ljust(width, "\0")
+                          for i in self.lanes.tolist()])
+        self.codes = np.frombuffer(packed.encode("ascii"), np.uint8) \
+            .reshape(len(lanes), width).T.copy()
+        self.active = _active_lanes(self.lengths, width)
         # rank[i]: position of values[i] in its segment's sorted order,
         # for tie-breaks.
         self.rank = np.empty(n, dtype=np.intp)
@@ -126,21 +126,33 @@ class EncodedValues(Sequence):
     @classmethod
     def concat(cls, columns: list) -> "EncodedValues":
         """The values of ``columns`` (single-segment instances) in order,
-        one segment each.  A single column is returned as it is."""
+        one segment each, as one longest-first lane set.  A single column
+        is returned as it is."""
         if len(columns) == 1:
             return columns[0]
         merged = cls.__new__(cls)
-        merged._columns = columns
-        merged.bounds = np.cumsum([0] + [len(c) for c in columns])
+        starts = np.cumsum([0] + [len(c) for c in columns])
+        merged.bounds = starts
         merged.values = list(chain.from_iterable(c.values for c in columns))
+        merged.others = [i + int(s) for c, s in zip(columns, starts)
+                         for i in c.others]
+        lengths = np.concatenate([c.lengths for c in columns])
+        order = np.argsort(-lengths, kind="stable")
+        lanes = np.concatenate([c.lanes for c in columns]) + np.repeat(
+            starts[:-1], [len(c.lanes) for c in columns])
+        merged.lanes = lanes[order]
+        merged.lengths = lengths[order]
+        width = int(merged.lengths[0]) if len(order) else 0
+        codes = np.zeros((width, len(order)), np.uint8)
+        at = 0
+        for c in columns:
+            rows, count = c.codes.shape
+            codes[:rows, at:at + count] = c.codes
+            at += count
+        merged.codes = codes[:, order]
+        merged.active = _active_lanes(merged.lengths, width)
         merged.rank = np.concatenate([c.rank for c in columns])
         return merged
-
-    @cached_property
-    def lanes(self) -> Lanes:
-        if self._columns is None:
-            return _encode_lanes(self.values)
-        return _merge_lanes([c.lanes for c in self._columns], self.bounds)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -149,52 +161,13 @@ class EncodedValues(Sequence):
         return self.values[i]
 
 
-def _encode_lanes(values: list) -> Lanes:
-    n = len(values)
-    normal = [v.strip().lower() for v in values]
-    lengths = np.fromiter(map(len, normal), np.int64, n)
-    fits = ((lengths > 0) & (lengths <= _MAX_LANE_VALUE)
-            & np.fromiter(map(str.isascii, normal), bool, n)
-            & ~np.fromiter(map(str.__contains__, normal, repeat("\0")),
-                           bool, n))
-    others = np.flatnonzero(~fits & (lengths > 0)).tolist()
-    lanes = np.flatnonzero(fits)
-    index = lanes[np.argsort(-lengths[lanes], kind="stable")]
-    lengths = lengths[index]
-    width = int(lengths[0]) if len(index) else 0
-    packed = "".join([normal[i].ljust(width, "\0") for i in index.tolist()])
-    codes = np.frombuffer(packed.encode("ascii"), np.uint8) \
-        .reshape(len(index), width).T.copy()
-    return Lanes(index, lengths, codes, _active_lanes(lengths, width), others)
-
-
-def _merge_lanes(parts: list, starts: np.ndarray) -> Lanes:
-    """The lanes of columns laid out one after another from ``starts``,
-    as one longest-first lane set."""
-    lengths = np.concatenate([p.lengths for p in parts])
-    order = np.argsort(-lengths, kind="stable")
-    index = np.concatenate([p.index for p in parts]) + np.repeat(
-        starts[:-1], [len(p.index) for p in parts])
-    lengths = lengths[order]
-    width = int(lengths[0]) if len(order) else 0
-    codes = np.zeros((width, len(order)), np.uint8)
-    at = 0
-    for p in parts:
-        rows, count = p.codes.shape
-        codes[:rows, at:at + count] = p.codes
-        at += count
-    others = [i + int(s) for p, s in zip(parts, starts) for i in p.others]
-    return Lanes(index[order], lengths, codes[:, order],
-                 _active_lanes(lengths, width), others)
-
-
 def _active_lanes(lengths: np.ndarray, width: int) -> list:
     """active[j]: how many lanes are longer than j, for j < width."""
     longer = np.cumsum(np.bincount(lengths, minlength=width + 1)[::-1])
     return longer[::-1][1:].tolist()
 
 
-def _lane_scores(a: str, lanes: Lanes) -> np.ndarray:
+def _lane_scores(a: str, encoded: EncodedValues) -> np.ndarray:
     """Indel similarity of ``a`` against every lane, in lane order.
 
     ``a`` is normalised, non-empty, ASCII without NUL and at most
@@ -212,18 +185,18 @@ def _lane_scores(a: str, lanes: Lanes) -> np.ndarray:
         bits[code] = bits.get(code, 0) | (1 << i)
     masks = np.zeros(128, dtype=np.uint64)
     masks[list(bits)] = list(bits.values())
-    n = len(lanes.index)
+    n = len(encoded.lanes)
     row, xs, ys = (np.zeros(n, dtype=np.uint64) for _ in range(3))
-    for j, k in enumerate(lanes.active):
+    for j, k in enumerate(encoded.active):
         lane, x, y = row[:k], xs[:k], ys[:k]
-        masks.take(lanes.codes[j, :k], out=x)
+        masks.take(encoded.codes[j, :k], out=x)
         np.bitwise_or(x, lane, out=x)
         np.left_shift(lane, 1, out=y)
         np.subtract(y, x, out=y)
         np.bitwise_and(x, y, out=lane)
     lcs = np.bitwise_count(row).astype(np.int64)
-    indel = len(a) + lanes.lengths - 2 * lcs
-    return np.clip(1.0 - indel / np.minimum(len(a), lanes.lengths), 0.0, 1.0)
+    indel = len(a) + encoded.lengths - 2 * lcs
+    return np.clip(1.0 - indel / np.minimum(len(a), encoded.lengths), 0.0, 1.0)
 
 
 def _score_each(backend, literal: str, values) -> np.ndarray:
@@ -341,9 +314,8 @@ class CharacterFuzzy:
     def score_many(self, literal: str, values) -> np.ndarray:
         """``fuzzy_similarity(literal, v)`` for each value, exactly; NaN
         where either side is blank.  ``values`` may be an
-        :class:`EncodedValues`, which keeps its lanes for later calls.  A
-        literal that fits no lane scores the values one at a time, so it
-        reads no lanes."""
+        :class:`EncodedValues`, which saves encoding them again.  A literal
+        that fits no lane scores the values one at a time."""
         a = literal.strip().lower()
         if not a:
             return np.full(len(values), np.nan)
@@ -351,10 +323,9 @@ class CharacterFuzzy:
             return _score_each(self, literal, values)
         if not isinstance(values, EncodedValues):
             values = EncodedValues(values)
-        lanes = values.lanes
         scores = np.full(len(values), np.nan)
-        scores[lanes.index] = _lane_scores(a, lanes)
-        for i in lanes.others:
+        scores[values.lanes] = _lane_scores(a, values)
+        for i in values.others:
             scores[i] = fuzzy_similarity(literal, values[i])
         return scores
 

@@ -109,7 +109,8 @@ class Database:
         self._lock = threading.RLock()
         self._held: sqlite3.Connection | None = None
         self._stamp: tuple | None = None
-        # key -> (content version it was last scanned at, encoding)
+        # key -> (content version it was last scanned at, the scanned
+        # values, their encoding)
         self._index: dict = {}
         # Moved on by sync() whenever the stamp moves.
         self._version = 0
@@ -226,20 +227,20 @@ class Database:
         """The value index: ``encode(scan())``, kept under ``key``.
 
         An entry made before the last content change that :meth:`sync`
-        saw is checked on its next use: ``scan()`` runs again, and the
-        entry is encoded again only when the scanned list differs from
-        its ``values``.  So an entry is always the encoding of a scan made
-        since the last :meth:`sync`, and unchanged columns keep theirs.
-        ``encode`` must be a pure function of the list, keeping it as
-        ``values``.  :meth:`close` empties the index.
+        saw is checked on its next use: ``scan()`` runs again, and
+        ``encode`` runs again only when the scanned list differs from the
+        one the entry was encoded from.  So an entry is always the
+        encoding of a scan made since the last :meth:`sync`, and unchanged
+        columns keep theirs; ``encode`` must be a pure function of the
+        list.  :meth:`close` empties the index.
         """
         with self._lock:
-            version, encoded = self._index.get(key, (None, None))
+            version, values, encoded = self._index.get(key, (None,) * 3)
             if version != self._version:
-                values = scan()
-                if encoded is None or encoded.values != values:
-                    encoded = encode(values)
-                self._index[key] = (self._version, encoded)
+                scanned = scan()
+                if scanned != values:
+                    values, encoded = scanned, encode(scanned)
+                self._index[key] = (self._version, values, encoded)
             return encoded
 
     def execute(self, sql: str, timeout: float | None = None) -> ExecutionOutcome:
