@@ -19,8 +19,9 @@ import json
 import logging
 import re
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import DatasetIntegrityError, SqlParseError
@@ -61,6 +62,8 @@ _FORMATS = {
     "spider": ("database", ("dev.json", "examples.json", "train_spider.json")),
     "kaggledbqa": ("databases", ("examples.json", "dev.json", "test.json")),
 }
+# Keys that may hold an example's gold SQL; the first non-empty one is used.
+_SQL_KEYS = ("query", "SQL", "sql")
 
 
 @dataclass(frozen=True)
@@ -88,14 +91,19 @@ def _read_examples(path: Path) -> list[BenchmarkExample]:
     out = []
     for i, record in enumerate(raw):
         try:
-            question = record["question"]
-            db_id = record["db_id"]
-            sql = record.get("query") or record.get("SQL") or record.get("sql")
+            question, db_id = record["question"], record["db_id"]
         except (TypeError, KeyError) as exc:
             raise DatasetIntegrityError(
                 f"example {i} in {path} lacks field {exc}") from exc
-        if not sql:
+        sql_key = next((key for key in _SQL_KEYS if record.get(key)), None)
+        if sql_key is None:
             raise DatasetIntegrityError(f"example {i} in {path} has no gold SQL")
+        sql = record[sql_key]
+        for key, value in (("question", question), ("db_id", db_id), (sql_key, sql)):
+            if not isinstance(value, str):
+                raise DatasetIntegrityError(
+                    f"example {i} in {path}: field {key!r} must be a string, "
+                    f"not {type(value).__name__}")
         out.append(BenchmarkExample(question, db_id, sql))
     return out
 
@@ -223,22 +231,6 @@ class ExampleResult:
     error: str | None = None
     trace: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "db_id": self.db_id,
-            "question": self.question,
-            "gold_sql": self.gold_sql,
-            "predicted_sql": self.predicted_sql,
-            "status": self.status,
-            "correct": self.correct,
-            "predicted_outcome": self.predicted_outcome,
-            "gold_outcome": self.gold_outcome,
-            "tokens": self.tokens,
-            "latency": self.latency,
-            "error": self.error,
-            "trace": self.trace,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -249,17 +241,6 @@ class EvalReport:
     tokens_total: int
     tokens_average: float
     per_example: list
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "correct": self.correct,
-            "execution_accuracy": self.execution_accuracy,
-            "status_counts": dict(sorted(self.status_counts.items())),
-            "tokens_total": self.tokens_total,
-            "tokens_average": self.tokens_average,
-            "per_example": [r.to_dict() for r in self.per_example],
-        }
 
 
 def _gold_order_sensitive(gold_sql: str) -> bool:
@@ -284,7 +265,7 @@ def _evaluate_one(example: BenchmarkExample, schema: DatabaseSchema,
                 config.k_keywords)
             status = trace.status
             if config.trace:
-                trace_dict = trace.to_dict()
+                trace_dict = asdict(trace)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             log.warning("example failed (%s / %r): %s",
@@ -344,9 +325,7 @@ def evaluate(config: EvalConfig, bundle: DatasetBundle) -> EvalReport:
 
     total = len(results)
     correct = sum(r.correct for r in results)
-    status_counts: dict[str, int] = {}
-    for r in results:
-        status_counts[r.status] = status_counts.get(r.status, 0) + 1
+    status_counts = dict(sorted(Counter(r.status for r in results).items()))
     tokens_total = sum(r.tokens for r in results)
     return EvalReport(
         total=total,

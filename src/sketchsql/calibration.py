@@ -25,11 +25,10 @@ from .sql_analysis import (
     OP_LIKE,
     ParsedQuery,
     Predicate,
-    alias_map,
     extract_predicates,
-    from_tables,
     merge_like_pattern,
     split_like_pattern,
+    table_scope,
 )
 
 log = logging.getLogger(__name__)
@@ -577,10 +576,7 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
                 bests[key] = (len(values), best)
         return [bests[key] for key in keys]
 
-    tables = from_tables(query)
-    # Only qualified references read the alias map, a second query walk.
-    qualified = any(p.ref.table is not None for p in predicates)
-    aliases = alias_map(query) if qualified else {}
+    tables, aliases = table_scope(query)
     replacements = []
     for predicate in predicates:
         ref = predicate.ref

@@ -327,8 +327,8 @@ def cmd_translate(args: argparse.Namespace, config: RunConfig) -> int:
         args.question, db.schema, db, provider, aligner, selection,
         config.k_select, config.k_from, config.k_keywords)
     if config.trace:
-        _write_json({"config": _config_echo(config), "trace": trace.to_dict()},
-                    config.trace)
+        _write_json({"config": _config_echo(config),
+                     "trace": dataclasses.asdict(trace)}, config.trace)
         log.info("trace written to %s", config.trace)
     if sql is not None:
         print(sql)
@@ -378,7 +378,7 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
                                    provider=provider, aligner=aligner,
                                    trace=bool(config.trace))
     report = evaluate(eval_config, _load_bundle(config))
-    payload = {"config": _config_echo(config), **report.to_dict()}
+    payload = {"config": _config_echo(config), **dataclasses.asdict(report)}
     if config.output:
         _write_json(payload, config.output)
         log.info("report written to %s", config.output)
@@ -386,7 +386,7 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
         _write_json(payload)
     if config.trace:
         _write_json({"config": _config_echo(config),
-                     "traces": [r.trace for r in report.per_example]},
+                     "traces": [r["trace"] for r in payload["per_example"]]},
                     config.trace)
         log.info("traces written to %s", config.trace)
     print(format_summary(report), file=sys.stderr)

@@ -267,6 +267,13 @@ def schema_from_spider_record(record: dict) -> DatabaseSchema:
     except (KeyError, TypeError) as exc:
         raise SchemaLoadError(f"malformed schema record: missing field {exc}") from None
     column_types = record.get("column_types") or []
+    fk_pairs = record.get("foreign_keys") or []
+    for key, value in (("table_names_original", table_names),
+                       ("column_names_original", column_names),
+                       ("column_types", column_types), ("foreign_keys", fk_pairs)):
+        if not isinstance(value, list):
+            raise SchemaLoadError(f"malformed schema record {db_id!r}: field "
+                                  f"{key!r} must be a list, not {type(value).__name__}")
 
     columns_by_table: dict[int, list[ColumnDef]] = {i: [] for i in range(len(table_names))}
     # Global column id -> (table index, local column index), used to decode
@@ -289,7 +296,7 @@ def schema_from_spider_record(record: dict) -> DatabaseSchema:
         TableDef(str(table_names[i]), columns_by_table[i]) for i in range(len(table_names))
     )
     foreign_keys = []
-    for pair in record.get("foreign_keys") or []:
+    for pair in fk_pairs:
         try:
             src, dst = pair
             ft, fc = locals_by_global[src]
@@ -380,23 +387,24 @@ def schema_from_sqlite(path: str | os.PathLike, db_name: str | None = None) -> D
                 )
             ]
             tables = []
+            # Lowercase name -> (table index, table_info rows), first wins
+            # as in DatabaseSchema.table_index.
+            by_name: dict[str, tuple[int, list]] = {}
             for name in names:
                 info = conn.execute(
                     f"PRAGMA table_info({quote_identifier(name)})").fetchall()
                 columns = [ColumnDef(row[1], _normalize_sqlite_type(row[2])) for row in info]
-                if columns:
-                    tables.append(TableDef(name, columns))
-                else:
+                if not columns:
                     log.warning("skipping table %r with no columns", name)
-            schema = DatabaseSchema(
-                db_name or os.path.splitext(os.path.basename(path))[0], tables
-            )
+                    continue
+                by_name.setdefault(name.lower(), (len(tables), info))
+                tables.append(TableDef(name, columns))
             foreign_keys = []
-            for ti, table in enumerate(schema.tables):
+            for ti, table in enumerate(tables):
                 for row in conn.execute(
                         f"PRAGMA foreign_key_list({quote_identifier(table.name)})"):
                     ref_table, from_col, to_col = row[2], row[3], row[4]
-                    tt = schema.table_index(str(ref_table))
+                    tt, info = by_name.get(str(ref_table).lower(), (None, None))
                     fc = table.column_index(str(from_col))
                     if tt is None or fc is None:
                         log.warning(
@@ -406,15 +414,9 @@ def schema_from_sqlite(path: str | os.PathLike, db_name: str | None = None) -> D
                         continue
                     if to_col is None:
                         # Implicit reference to the parent's primary key.
-                        pk = [
-                            r[1]
-                            for r in conn.execute(
-                                f"PRAGMA table_info({quote_identifier(str(ref_table))})"
-                            )
-                            if r[5]
-                        ]
+                        pk = [r[1] for r in info if r[5]]
                         to_col = pk[0] if len(pk) == 1 else None
-                    tc = schema.tables[tt].column_index(str(to_col)) if to_col else None
+                    tc = tables[tt].column_index(str(to_col)) if to_col else None
                     if tc is None:
                         log.warning(
                             "skipping foreign key with unresolvable target %s.%s",
@@ -424,7 +426,9 @@ def schema_from_sqlite(path: str | os.PathLike, db_name: str | None = None) -> D
                     foreign_keys.append(ForeignKeyDef(ti, fc, tt, tc))
     except sqlite3.Error as exc:
         raise DatabaseAccessError(f"cannot read database {path}: {exc}") from exc
-    return DatabaseSchema(schema.db_name, schema.tables, foreign_keys)
+    return DatabaseSchema(
+        db_name or os.path.splitext(os.path.basename(path))[0], tables,
+        foreign_keys)
 
 
 def load_schema_file(path: str | os.PathLike) -> dict[str, DatabaseSchema]:

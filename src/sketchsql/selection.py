@@ -68,35 +68,17 @@ class ExecutionAttempt:
     outcome: str
     message: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"sql": self.sql, "outcome": self.outcome, "message": self.message}
-
 
 @dataclass
 class SketchAttempt:
     rank: int
     completion: str | None
     executions: list = field(default_factory=list)
+    rewrites: int = 0
     calibration: list = field(default_factory=list)
     calibrated_sql: str | None = None
     final_outcome: str | None = None
     status: str = ""
-
-    @property
-    def rewrites(self) -> int:
-        return max(len(self.executions) - 1, 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "completion": self.completion,
-            "executions": [a.to_dict() for a in self.executions],
-            "rewrites": self.rewrites,
-            "calibration": self.calibration,
-            "calibrated_sql": self.calibrated_sql,
-            "final_outcome": self.final_outcome,
-            "status": self.status,
-        }
 
 
 @dataclass
@@ -105,15 +87,10 @@ class SelectionTrace:
     status: str = ""
     final_sql: str | None = None
     sketches: list = field(default_factory=list)
-    last_run: tuple[str, ExecutionOutcome] | None = None  # not in to_dict()
-
-    def to_dict(self) -> dict:
-        return {
-            "question": self.question,
-            "status": self.status,
-            "final_sql": self.final_sql,
-            "sketches": [s.to_dict() for s in self.sketches],
-        }
+    # The last (sql, ExecutionOutcome) selection ran, for the harness to
+    # score.  Unannotated, so it is a class attribute rather than a field:
+    # the outcome must never reach the JSON that dataclasses.asdict gives.
+    last_run = None
 
 
 def _feedback_to_dicts(feedback: CalibrationFeedback) -> list[dict]:
@@ -315,6 +292,7 @@ def select_query(question: str, schema: DatabaseSchema, db: Database,
         executable, outcome = execution_check(
             completion, db, config.patience, config.completer,
             timeout=config.statement_timeout, attempts_out=record.executions)
+        record.rewrites = len(record.executions) - 1
         trace.last_run = (executable, outcome)
         if outcome.is_error:
             record.status = "no_executable"

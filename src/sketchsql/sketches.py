@@ -29,10 +29,9 @@ from .sql_analysis import (
     ColumnRef,
     ParsedQuery,
     SetOp,
-    alias_map,
-    from_tables,
     parse_sql,
     render_expr,
+    table_scope,
     tokenize,
 )
 
@@ -239,12 +238,11 @@ def assemble_sketches(best: AlignedPair, from_candidates: list) -> list[SqlSketc
 # --------------------------------------------------------------------------
 # Gold-SQL sketch extraction
 
-def _index_column_renderer(parsed: ParsedQuery, schema: DatabaseSchema,
-                           tables: list[str]):
+def _index_column_renderer(schema: DatabaseSchema, tables: list[str],
+                           aliases: dict[str, str]):
     """Column renderer emitting ``t<i>.c<j>`` index tokens for the columns
-    of ``parsed``, whose FROM tables are ``tables``.  A reference that does
-    not land in the schema is a SchemaMismatchError."""
-    aliases = alias_map(parsed)
+    of a query whose FROM scope is ``tables`` and ``aliases``.  A reference
+    that does not land in the schema is a SchemaMismatchError."""
 
     def column_text(ref: ColumnRef) -> str:
         if ref.name == "*":
@@ -270,8 +268,8 @@ def extract_sketch_from_sql(sql, schema: DatabaseSchema) -> SqlSketch:
     node = parsed.root
     while isinstance(node, SetOp):
         node = node.left
-    table_names = from_tables(parsed)
-    column_text = _index_column_renderer(parsed, schema, table_names)
+    table_names, aliases = table_scope(parsed)
+    column_text = _index_column_renderer(schema, table_names, aliases)
     select_content = "SELECT " + ", ".join(
         render_expr(item.expr, column_text) for item in node.items)
 

@@ -946,45 +946,26 @@ def _walk(node, in_condition: bool = False):
             yield from _walk(value, condition)
 
 
-def iter_selects(node):
-    """Yield every Select node in document order."""
-    if isinstance(node, ParsedQuery):
-        node = node.root
-    return (n for n, _ in _walk(node) if type(n) is Select)
+def table_scope(query: ParsedQuery) -> tuple[list[str], dict[str, str]]:
+    """The FROM scope of ``query`` at any depth: ``(tables, aliases)``.
 
-
-def _sources(sel: Select):
-    if sel.source is not None:
-        yield sel.source
-    for join in sel.joins:
-        yield join.source
-
-
-def from_tables(query: ParsedQuery) -> list[str]:
-    """Table names referenced in FROM clauses at any depth.
-
-    Appearance order, case-insensitively deduplicated, first spelling kept.
+    Select nodes are visited in document order, each one's source before
+    its joins.  ``tables`` holds the table names, case-insensitively
+    deduplicated with the first spelling kept; ``aliases`` maps each
+    lowercase table name and alias to its table name, first binding kept.
     """
-    names: list[str] = []
-    seen: set[str] = set()
-    for sel in iter_selects(query):
-        for src in _sources(sel):
-            if isinstance(src, TableRef) and src.name.lower() not in seen:
-                seen.add(src.name.lower())
-                names.append(src.name)
-    return names
-
-
-def alias_map(query: ParsedQuery) -> dict[str, str]:
-    """Map lowercase aliases and table names to actual table names."""
-    mapping: dict[str, str] = {}
-    for sel in iter_selects(query):
-        for src in _sources(sel):
+    names: dict[str, str] = {}
+    aliases: dict[str, str] = {}
+    for node, _ in _walk(query.root):
+        if type(node) is not Select:
+            continue
+        for src in (node.source, *(join.source for join in node.joins)):
             if isinstance(src, TableRef):
-                mapping.setdefault(src.name.lower(), src.name)
+                names.setdefault(src.name.lower(), src.name)
+                aliases.setdefault(src.name.lower(), src.name)
                 if src.alias:
-                    mapping.setdefault(src.alias.lower(), src.name)
-    return mapping
+                    aliases.setdefault(src.alias.lower(), src.name)
+    return list(names.values()), aliases
 
 
 def order_sensitive(query: ParsedQuery) -> bool:

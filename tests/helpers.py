@@ -13,11 +13,10 @@ from pathlib import Path
 from sketchsql.calibration import MatchLevel, MatchResult
 from sketchsql.schema import schema_from_spider_record
 from sketchsql.sql_analysis import (
-    alias_map,
     extract_predicates,
-    from_tables,
     parse_sql,
     split_like_pattern,
+    table_scope,
 )
 
 
@@ -63,7 +62,7 @@ def scan_text_values(db_path, table: str, column: str,
 
 
 def _oracle_resolve(schema, parsed, column_text):
-    aliases = alias_map(parsed)
+    tables, aliases = table_scope(parsed)
     if "." in column_text:
         qualifier, column = column_text.split(".", 1)
         table = aliases.get(qualifier.lower(), qualifier)
@@ -71,7 +70,7 @@ def _oracle_resolve(schema, parsed, column_text):
         if ti is None or schema.tables[ti].column_index(column) is None:
             return None
         return schema.tables[ti].name, column
-    for table in from_tables(parsed):
+    for table in tables:
         ti = schema.table_index(table)
         if ti is not None and schema.tables[ti].column_index(column_text) is not None:
             return schema.tables[ti].name, column_text
@@ -90,7 +89,7 @@ def _oracle_candidates(level, schema, db_path, parsed, predicate, cap):
             tables = [resolved[0]]
         else:
             known = {t.name.lower() for t in schema.tables}
-            tables = [t for t in from_tables(parsed) if t.lower() in known]
+            tables = [t for t in table_scope(parsed)[0] if t.lower() in known]
     else:
         tables = [t.name for t in schema.tables]
     out = []

@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -118,6 +119,13 @@ def test_load_dataset_validation(tmp_path, dataset_root):
         encoding="utf-8")
     with pytest.raises(DatasetIntegrityError, match="no gold SQL"):
         load_dataset(dataset_root)
+    for key in ("question", "db_id", "SQL"):
+        record = {"question": "q", "db_id": "school", "SQL": "SELECT 1", key: [1]}
+        (dataset_root / "dev.json").write_text(json.dumps([record]),
+                                               encoding="utf-8")
+        with pytest.raises(DatasetIntegrityError,
+                           match=f"field '{key}' must be a string, not list"):
+            load_dataset(dataset_root)
 
 
 # --------------------------------------------------------------------------
@@ -432,8 +440,8 @@ def test_evaluate_parallel_matches_serial(dataset_root, tmp_path):
     serial, _ = run_gold_echo(dataset_root, workers=1)
     parallel, _ = run_gold_echo(dataset_root, workers=3)
     a, b = tmp_path / "serial.json", tmp_path / "parallel.json"
-    _write_json(serial.to_dict(), a)
-    _write_json(parallel.to_dict(), b)
+    _write_json(asdict(serial), a)
+    _write_json(asdict(parallel), b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -443,7 +451,7 @@ def test_evaluate_two_workers_match_serial_with_calibration(tmp_path):
     for workers in (1, 2):
         report, _ = run_gold_echo(root, workers=workers, trace=True)
         path = tmp_path / f"workers{workers}.json"
-        _write_json(report.to_dict(), path)
+        _write_json(asdict(report), path)
         reports.append(path.read_bytes())
     assert b'"match_value": "timmy"' in reports[0]
     assert reports[0] == reports[1]
@@ -517,18 +525,18 @@ def test_evaluate_is_deterministic(dataset_root, tmp_path):
     for name in ("one.json", "two.json"):
         report, _ = run_gold_echo(dataset_root, trace=True)
         path = tmp_path / name
-        _write_json(report.to_dict(), path)
+        _write_json(asdict(report), path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_report_serialization(dataset_root, tmp_path):
     report, _ = run_gold_echo(dataset_root)
-    payload = report.to_dict()
+    payload = asdict(report)
     assert list(payload["status_counts"]) == \
         sorted(payload["status_counts"])
     path = tmp_path / "report.json"
-    _write_json(report.to_dict(), path)
+    _write_json(asdict(report), path)
     loaded = json.loads(path.read_text(encoding="utf-8"))
     assert loaded["total"] == 6 and loaded["execution_accuracy"] == 1.0
     assert len(loaded["per_example"]) == 6

@@ -48,7 +48,7 @@ from sketchsql.errors import EmptyValueError
 from sketchsql.execution import Database
 from sketchsql.gateway import StubScript, StubSentenceEncoder
 from sketchsql.selection import SelectionConfig, calibrate_deterministic
-from sketchsql.sql_analysis import ColumnRef, Predicate, from_tables, parse_sql
+from sketchsql.sql_analysis import ColumnRef, Predicate, parse_sql, table_scope
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def candidate_values(level, db, predicate, query, scan_cap=DEFAULT_SCAN_CAP):
     resolved = _oracle_resolve(db.schema, query, predicate.column)
     return [(column, value)
             for table, column in level_columns(level, db.schema, resolved,
-                                               from_tables(query))
+                                               table_scope(query)[0])
             for value in column_values(db, table, column, scan_cap)]
 
 

@@ -79,6 +79,17 @@ def test_serialize_from_tables_json(tmp_path, capsys):
                  "--db-id", "nope"]) == EXIT_ERROR
 
 
+@pytest.mark.parametrize("key,value", [("column_names_original", 5),
+                                       ("table_names_original", 7)])
+def test_serialize_rejects_a_malformed_tables_file(tmp_path, caplog, key,
+                                                   value):
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps([dict(SCHOOL_RECORD, **{key: value})]),
+                      encoding="utf-8")
+    assert main(["serialize", "--tables", str(tables)]) == EXIT_ERROR
+    assert f"field {key!r} must be a list, not int" in caplog.text
+
+
 def test_serialize_json_output(school_path, capsys):
     assert main(["serialize", "--db", str(school_path), "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
@@ -217,6 +228,21 @@ def test_evaluate_end_to_end(bench, tmp_path, capsys):
     assert all(t["status"] == "Selected" for t in traces["traces"])
 
 
+def test_evaluate_report_serialization_shape(bench, capsys):
+    root, script = bench
+    assert main(["evaluate", "--dataset", str(root), "--stub-script",
+                 str(script), "--no-latency", "--limit", "1"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"config", "total", "correct", "execution_accuracy",
+                           "status_counts", "tokens_total", "tokens_average",
+                           "per_example"}
+    (example,) = report["per_example"]
+    assert set(example) == {"db_id", "question", "gold_sql", "predicted_sql",
+                            "status", "correct", "predicted_outcome",
+                            "gold_outcome", "tokens", "latency", "error",
+                            "trace"}
+
+
 def test_evaluate_report_to_stdout_with_limit(bench, capsys):
     root, script = bench
     code = main(["evaluate", "--dataset", str(root),
@@ -243,6 +269,17 @@ def test_evaluate_runs_are_reproducible(bench, tmp_path, capsys):
 def test_evaluate_requires_dataset(bench):
     _, script = bench
     assert main(["evaluate", "--stub-script", str(script)]) == EXIT_ERROR
+
+
+def test_evaluate_rejects_a_non_string_db_id(bench, caplog):
+    root, script = bench
+    examples = json.loads((root / "dev.json").read_text(encoding="utf-8"))
+    examples[1]["db_id"] = 5
+    (root / "dev.json").write_text(json.dumps(examples), encoding="utf-8")
+    assert main(["evaluate", "--dataset", str(root),
+                 "--stub-script", str(script)]) == EXIT_ERROR
+    assert "example 1 in" in caplog.text
+    assert "field 'db_id' must be a string, not int" in caplog.text
 
 
 def test_evaluate_missing_dataset_dir(bench, tmp_path):

@@ -155,6 +155,13 @@ def test_spider_record_bad_foreign_key():
         schema_from_spider_record(record)
 
 
+def test_spider_record_rejects_string_column_types():
+    # A string would otherwise be read one character per column.
+    with pytest.raises(SchemaLoadError,
+                       match="field 'column_types' must be a list, not str"):
+        schema_from_spider_record(dict(CAR_1_RECORD, column_types="text"))
+
+
 def test_schema_validation_rejects_duplicates():
     with pytest.raises(SchemaLoadError):
         DatabaseSchema("d", [TableDef("t", [ColumnDef("a"), ColumnDef("A")])])
@@ -190,6 +197,31 @@ def test_schema_from_sqlite_foreign_keys(tmp_path):
     schema = schema_from_sqlite(path)
     assert schema.foreign_keys == (ForeignKeyDef(1, 1, 0, 0),)
     assert "t1.c1 = t0.c0" in serialize_schema(schema)
+
+
+def test_schema_from_sqlite_foreign_key_targets(tmp_path, caplog):
+    """An implicit target resolves to the parent's single-column primary
+    key whatever the spelling of its name; a composite or missing target
+    is skipped with a warning."""
+    path = tmp_path / "fk.sqlite"
+    with sqlite3.connect(path) as conn:
+        conn.executescript("""
+            CREATE TABLE Parent (id INTEGER PRIMARY KEY, label TEXT);
+            CREATE TABLE pair (a INTEGER, b INTEGER, PRIMARY KEY (a, b));
+            CREATE TABLE child (id INTEGER PRIMARY KEY,
+                                p INTEGER REFERENCES parent,
+                                q INTEGER REFERENCES pair,
+                                g INTEGER REFERENCES ghost(id),
+                                l TEXT REFERENCES PARENT(label));
+        """)
+    with caplog.at_level("WARNING", logger="sketchsql.schema"):
+        schema = schema_from_sqlite(path)
+    assert schema.foreign_keys == (ForeignKeyDef(2, 4, 0, 1),
+                                   ForeignKeyDef(2, 1, 0, 0))
+    assert sorted(r.getMessage() for r in caplog.records) == [
+        "skipping foreign key with unresolvable target pair.None",
+        "skipping unresolvable foreign key child.g -> ghost.id",
+    ]
 
 
 def test_schema_from_sqlite_missing_file(tmp_path):

@@ -1,5 +1,6 @@
 import sqlite3
 from contextlib import closing
+from dataclasses import asdict
 
 import pytest
 
@@ -457,7 +458,7 @@ def test_trace_serialization_shape(school_db, school_schema):
     })
     _, trace = select_query("Q?", school_schema, school_db, [sk],
                             SelectionConfig(client))
-    payload = trace.to_dict()
+    payload = asdict(trace)
     assert set(payload) == {"question", "status", "final_sql", "sketches"}
     (record,) = payload["sketches"]
     assert set(record) == {"rank", "completion", "executions", "rewrites",

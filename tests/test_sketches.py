@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -436,7 +437,7 @@ def test_concurrent_parts_keep_reports_identical(tmp_path):
             selection=SelectionConfig(completer=clients["completer"]),
             provider=clients["sketch"], aligner=clients["aligner"],
             workers=workers, trace=True, record_latency=False)
-        return json.dumps(evaluate(config, bundle).to_dict(), sort_keys=True)
+        return json.dumps(asdict(evaluate(config, bundle)), sort_keys=True)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

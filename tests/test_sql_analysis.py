@@ -32,15 +32,14 @@ from sketchsql.sql_analysis import (
     SubqueryTable,
     TableRef,
     Unary,
-    alias_map,
     extract_predicates,
-    from_tables,
     merge_like_pattern,
     order_sensitive,
     parse_sql,
     render_query,
     rewrite_predicates,
     split_like_pattern,
+    table_scope,
     tokenize,
 )
 from sketchsql.sql_analysis import _BINARY_PREC
@@ -463,13 +462,16 @@ def test_spans_locate_the_source_text():
 
 def test_from_tables_order_and_dedupe():
     query = parse_sql("SELECT 1 FROM b, a JOIN B ON 1 = 1")
-    assert from_tables(query) == ["b", "a"]
+    assert table_scope(query)[0] == ["b", "a"]
+    # The outer FROM comes before a subquery in the select list.
+    query = parse_sql("SELECT (SELECT x FROM b) FROM a")
+    assert table_scope(query)[0] == ["a", "b"]
 
 
 def test_alias_map():
     query = parse_sql("SELECT 1 FROM people AS p JOIN dogs d ON p.id = d.oid")
-    assert alias_map(query) == {"p": "people", "people": "people",
-                                "d": "dogs", "dogs": "dogs"}
+    assert table_scope(query)[1] == {"p": "people", "people": "people",
+                                     "d": "dogs", "dogs": "dogs"}
 
 
 def test_order_sensitive():
