@@ -90,9 +90,13 @@ def _read_examples(path: Path) -> list[BenchmarkExample]:
         raise DatasetIntegrityError(f"examples file {path} must be a JSON array")
     out = []
     for i, record in enumerate(raw):
+        if not isinstance(record, dict):
+            raise DatasetIntegrityError(
+                f"example {i} in {path} must be a JSON object, "
+                f"not {type(record).__name__}")
         try:
             question, db_id = record["question"], record["db_id"]
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise DatasetIntegrityError(
                 f"example {i} in {path} lacks field {exc}") from exc
         sql_key = next((key for key in _SQL_KEYS if record.get(key)), None)

@@ -305,8 +305,6 @@ def sentence_similarity(a: str, b: str, encoder) -> float:
 # Similarity backends
 
 class CharacterFuzzy:
-    kind = "CharacterFuzzy"
-
     def score(self, a: str, b: str) -> float:
         return fuzzy_similarity(a, b)
 
@@ -330,8 +328,6 @@ class CharacterFuzzy:
 
 
 class WordEmbedding:
-    kind = "WordEmbedding"
-
     def __init__(self, table: EmbeddingTable):
         self.table = table
 
@@ -347,8 +343,6 @@ class SentenceEncoder:
     unreachable encoder logs one warning and scores with
     :func:`fuzzy_similarity` instead of failing the whole calibration
     pass."""
-
-    kind = "SentenceEncoder"
 
     def __init__(self, encoder):
         self.encoder = encoder

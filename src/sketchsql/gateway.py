@@ -4,18 +4,19 @@ Three logical roles share one request/response shape: the sketch provider
 (``/generate``), the aligner (``/score``), and the completer
 (``/complete``, optionally adapted onto a chat-style messages API).  A
 sentence-encoder client (``/encode``) backs semantic value matching.
-Each HTTP client retries transient failures with exponential backoff,
-bounds concurrent in-flight requests, and attaches a bearer token when
-one is configured.
 
-The pipeline calls the roles only through the ``request_*`` helpers,
-which record each call that succeeds inside a :func:`recording_calls`
-block; the evaluation harness counts tokens over those records.  The
-completer is always sent temperature 0.0, top_p 1.0, frequency_penalty 0.0.
+The pipeline calls the roles only through the ``request_*`` helpers.  They
+check each role's response and record each call that succeeds inside a
+:func:`recording_calls` block; the evaluation harness counts tokens over
+those records.  The completer is always sent temperature 0.0, top_p 1.0,
+frequency_penalty 0.0.
 
-For offline runs and tests, :class:`StubScript` supplies deterministic
-scripted responses keyed by request fingerprint, with in-process stub
-clients for every role.
+The transports only move bytes.  Each HTTP client retries transient
+failures with exponential backoff, bounds concurrent in-flight requests,
+attaches a bearer token when one is configured, and hands back its role's
+field as the server sent it.  For offline runs and tests,
+:class:`StubScript` answers every role from deterministic scripted
+responses keyed by request fingerprint.
 """
 
 from __future__ import annotations
@@ -126,21 +127,7 @@ class _HttpEndpoint:
 
 
 # --------------------------------------------------------------------------
-# Role clients
-
-def _validate_scores(sequences: list, scores) -> list[float]:
-    if not isinstance(scores, list) or len(scores) != len(sequences):
-        got = len(scores) if isinstance(scores, list) else type(scores).__name__
-        raise ProtocolError(
-            f"aligner returned {got} score(s) for {len(sequences)} sequence(s)")
-    out = []
-    for value in scores:
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(value) or not 0.0 <= value <= 1.0:
-            raise ProtocolError(f"aligner score {value!r} is not a real in [0,1]")
-        out.append(float(value))
-    return out
-
+# HTTP role clients
 
 class SketchProviderClient:
     """Client for the sketch-generation service (``POST /generate``)."""
@@ -149,15 +136,10 @@ class SketchProviderClient:
         self._endpoint = _HttpEndpoint(config, "sketch provider",
                                        ProviderUnavailableError)
 
-    def generate(self, task_input: str, k: int) -> list[str]:
-        data = self._endpoint.post("/generate",
-                                   {"input": task_input, "num_hypotheses": k})
-        hypotheses = data.get("hypotheses")
-        if not isinstance(hypotheses, list) or \
-                not all(isinstance(h, str) for h in hypotheses):
-            raise ProtocolError("sketch provider response lacks a 'hypotheses' "
-                                "list of strings")
-        return hypotheses[:k]
+    def generate(self, task_input: str, k: int):
+        return self._endpoint.post(
+            "/generate", {"input": task_input, "num_hypotheses": k}
+        ).get("hypotheses")
 
 
 class AlignerClient:
@@ -167,9 +149,9 @@ class AlignerClient:
         self._endpoint = _HttpEndpoint(config, "aligner",
                                        ProviderUnavailableError)
 
-    def score(self, sequences: list[str]) -> list[float]:
-        data = self._endpoint.post("/score", {"sequences": list(sequences)})
-        return _validate_scores(sequences, data.get("scores"))
+    def score(self, sequences: list[str]):
+        return self._endpoint.post(
+            "/score", {"sequences": list(sequences)}).get("scores")
 
 
 class CompleterClient:
@@ -186,25 +168,20 @@ class CompleterClient:
         self._endpoint = _HttpEndpoint(config, "completer",
                                        CompleterUnavailableError)
 
-    def complete(self, prompt: str) -> str:
+    def complete(self, prompt: str):
         sampling = {"temperature": DEFAULT_TEMPERATURE, "top_p": DEFAULT_TOP_P,
                     "frequency_penalty": DEFAULT_FREQUENCY_PENALTY}
-        if self.config.chat_adapter:
-            payload = {"messages": [{"role": "user", "content": prompt}],
-                       **sampling}
-            data = self._endpoint.post("/chat/completions", payload)
-            try:
-                text = data["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError):
-                raise ProtocolError("chat completion response lacks "
-                                    "choices[0].message.content") from None
-        else:
-            data = self._endpoint.post("/complete",
-                                       {"prompt": prompt, **sampling})
-            text = data.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError("completer response lacks a 'text' string")
-        return text
+        if not self.config.chat_adapter:
+            return self._endpoint.post(
+                "/complete", {"prompt": prompt, **sampling}).get("text")
+        payload = {"messages": [{"role": "user", "content": prompt}],
+                   **sampling}
+        data = self._endpoint.post("/chat/completions", payload)
+        try:
+            return data["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            raise ProtocolError("chat completion response lacks "
+                                "choices[0].message.content") from None
 
 
 class EncoderClient:
@@ -226,7 +203,7 @@ class EncoderClient:
 # Deterministic stubs
 
 class StubScript:
-    """Scripted responses for offline runs.
+    """Scripted responses for offline runs, and the client for every role.
 
     The script file is a JSON object with one section per role
     (``generate``, ``score``, ``complete``, ``encode``).  Each section
@@ -283,76 +260,34 @@ class StubScript:
                 return queue.pop(0)
             return queue[0]
 
+    # The role clients.  Entries come back unchecked, as a server's would;
+    # the request_* helpers check them.
 
-class StubSketchProvider:
-    def __init__(self, script: StubScript):
-        self._script = script
+    def generate(self, task_input: str, k: int):
+        return self.take("generate", task_input)
 
-    def generate(self, task_input: str, k: int) -> list[str]:
-        response = self._script.take("generate", task_input)
-        if not isinstance(response, list) or \
-                not all(isinstance(h, str) for h in response):
-            raise StubScriptError("generate stub entries must be lists of strings")
-        return response[:k]
+    def score(self, sequences: list[str]) -> list:
+        return [self.take("score", seq) for seq in sequences]
 
+    def complete(self, prompt: str):
+        return self.take("complete", prompt)
 
-class StubAligner:
-    def __init__(self, script: StubScript):
-        self._script = script
-
-    def score(self, sequences: list[str]) -> list[float]:
-        scores = [self._script.take("score", seq) for seq in sequences]
-        return _validate_scores(sequences, scores)
-
-
-class StubCompleter:
-    def __init__(self, script: StubScript):
-        self._script = script
-
-    def complete(self, prompt: str) -> str:
-        response = self._script.take("complete", prompt)
-        if not isinstance(response, str):
-            raise StubScriptError("complete stub entries must be strings")
-        return response
-
-
-class StubSentenceEncoder:
-    """Stub encoder mapping each text to a scripted vector.
-
-    Accepts either a loaded :class:`StubScript` (its ``encode`` section)
-    or a plain ``{text: vector}`` mapping.
-    """
-
-    def __init__(self, source):
-        if isinstance(source, StubScript):
-            self._script = source
-        else:
-            self._script = StubScript(
-                {"encode": {text: [vec] for text, vec in source.items()}})
-
-    def encode(self, texts: list[str]) -> list[list[float]]:
-        out = []
-        for text in texts:
-            try:
-                vector = self._script.take("encode", text)
-            except StubScriptError as exc:
-                raise EncoderUnavailableError(str(exc)) from exc
-            out.append([float(x) for x in vector])
-        return out
+    def encode(self, texts: list[str]) -> list:
+        """One scripted vector per text.  A missing entry is an unavailable
+        encoder, so the sentence-encoder backend falls back to fuzzy."""
+        try:
+            return [self.take("encode", text) for text in texts]
+        except StubScriptError as exc:
+            raise EncoderUnavailableError(str(exc)) from exc
 
 
 def clients_from_script(script: StubScript) -> dict:
-    """Build the full stub client set from one script."""
-    return {
-        "sketch": StubSketchProvider(script),
-        "aligner": StubAligner(script),
-        "completer": StubCompleter(script),
-        "encoder": StubSentenceEncoder(script),
-    }
+    """The client for every role: the script itself."""
+    return dict.fromkeys(("sketch", "aligner", "completer", "encoder"), script)
 
 
 # --------------------------------------------------------------------------
-# Role-level helpers with request validation and call recording
+# Role-level helpers: request and response checks, call recording
 
 # The pairs of the innermost recording_calls block, or None.  Work on another
 # thread is recorded only when run in a copy of the caller's context.
@@ -377,6 +312,20 @@ def _record(request: dict, response) -> None:
         calls.append((request, response))
 
 
+def _validate_scores(sequences: list, scores) -> list[float]:
+    if not isinstance(scores, list) or len(scores) != len(sequences):
+        got = len(scores) if isinstance(scores, list) else type(scores).__name__
+        raise ProtocolError(
+            f"aligner returned {got} score(s) for {len(sequences)} sequence(s)")
+    out = []
+    for value in scores:
+        if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                or not math.isfinite(value) or not 0.0 <= value <= 1.0:
+            raise ProtocolError(f"aligner score {value!r} is not a real in [0,1]")
+        out.append(float(value))
+    return out
+
+
 def request_candidates(endpoint, task_input: str, k: int) -> list[str]:
     """Top-k sketch-part hypotheses for ``task_input``, best first.
 
@@ -387,16 +336,20 @@ def request_candidates(endpoint, task_input: str, k: int) -> list[str]:
     if not task_input:
         raise ValueError("task input must be non-empty")
     hypotheses = endpoint.generate(task_input, k)
+    if not isinstance(hypotheses, list) or \
+            not all(isinstance(h, str) for h in hypotheses):
+        raise ProtocolError("sketch provider response lacks a 'hypotheses' "
+                            "list of strings")
+    hypotheses = hypotheses[:k]
     _record({"input": task_input}, hypotheses)
-    return hypotheses[:k]
+    return hypotheses
 
 
 def request_alignment_scores(endpoint, sequences: list[str]) -> list[float]:
-    """One [0,1] alignment score per input sequence, as validated by the
-    endpoint, in input order."""
+    """One [0,1] alignment score per input sequence, in input order."""
     if not sequences:
         raise ValueError("sequences must be non-empty")
-    scores = endpoint.score(sequences)
+    scores = _validate_scores(sequences, endpoint.score(sequences))
     _record({"sequences": list(sequences)}, scores)
     return scores
 
@@ -405,5 +358,7 @@ def request_completion(endpoint, prompt: str) -> str:
     if not prompt:
         raise ValueError("prompt must be non-empty")
     text = endpoint.complete(prompt)
+    if not isinstance(text, str):
+        raise ProtocolError("completer response lacks a 'text' string")
     _record({"prompt": prompt}, text)
     return text

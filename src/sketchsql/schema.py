@@ -67,12 +67,6 @@ class ForeignKeyDef:
 
 
 @dataclass(frozen=True)
-class IndexRef:
-    table_index: int
-    column_index: int | None = None
-
-
-@dataclass(frozen=True)
 class DatabaseSchema:
     db_name: str
     tables: tuple[TableDef, ...]
@@ -188,22 +182,24 @@ def serialize_schema(schema: DatabaseSchema) -> str:
     return schema.serialized
 
 
-def resolve_index(schema: DatabaseSchema, ref: IndexRef) -> str:
-    """Map an index reference to ``table`` or ``table.column`` text."""
-    if not (0 <= ref.table_index < len(schema.tables)):
+def resolve_index(schema: DatabaseSchema, table_index: int,
+                  column_index: int | None = None) -> str:
+    """Map index ``t<table_index>[.c<column_index>]`` to ``table`` or
+    ``table.column`` text."""
+    if not (0 <= table_index < len(schema.tables)):
         raise IndexResolutionError(
-            f"table index t{ref.table_index} out of range "
+            f"table index t{table_index} out of range "
             f"(schema {schema.db_name!r} has {len(schema.tables)} tables)"
         )
-    table = schema.tables[ref.table_index]
-    if ref.column_index is None:
+    table = schema.tables[table_index]
+    if column_index is None:
         return table.name
-    if not (0 <= ref.column_index < len(table.columns)):
+    if not (0 <= column_index < len(table.columns)):
         raise IndexResolutionError(
-            f"column index c{ref.column_index} out of range "
+            f"column index c{column_index} out of range "
             f"(table {table.name!r} has {len(table.columns)} columns)"
         )
-    return f"{table.name}.{table.columns[ref.column_index].name}"
+    return f"{table.name}.{table.columns[column_index].name}"
 
 
 # Longest-match index tokens: `t3.c1` is one token, never `t3` plus `.c1`.
@@ -222,7 +218,7 @@ def translate_indexed_text(schema: DatabaseSchema, sketch_text: str) -> str:
         ti = int(match.group(1))
         ci = int(match.group(2)) if match.group(2) is not None else None
         try:
-            return resolve_index(schema, IndexRef(ti, ci))
+            return resolve_index(schema, ti, ci)
         except IndexResolutionError as exc:
             raise IndexResolutionError(
                 f"cannot translate token {match.group(0)!r} at offset {match.start()}: {exc}"
@@ -445,5 +441,8 @@ def load_schema_file(path: str | os.PathLike) -> dict[str, DatabaseSchema]:
     schemas = {}
     for record in records:
         schema = schema_from_spider_record(record)
+        if schema.db_name in schemas:
+            raise SchemaLoadError(f"schema file holds db_id "
+                                  f"{schema.db_name!r} more than once")
         schemas[schema.db_name] = schema
     return schemas

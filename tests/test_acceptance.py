@@ -36,7 +36,7 @@ from sketchsql.calibration import (
 )
 from sketchsql.cli import main
 from sketchsql.execution import Database, ResultSet, results_equal
-from sketchsql.gateway import StubCompleter, StubScript, clients_from_script
+from sketchsql.gateway import StubScript, clients_from_script
 from sketchsql.schema import (
     schema_from_spider_record,
     serialize_schema,
@@ -169,7 +169,7 @@ def test_acceptance_5_execution_guided_selection(tmp_path):
             repair_prompt(bad1, message): [bad2],
             completion_prompt("Q?", schema, sk2): [SCHOOL_GOLD_SQL],
         }})
-        config = SelectionConfig(StubCompleter(script), patience=1)
+        config = SelectionConfig(script, patience=1)
         final, trace = select_query("Q?", schema, db, [sk1, sk2], config)
         assert final == SCHOOL_GOLD_SQL and trace.status == "Selected"
         first, second = trace.sketches
@@ -182,7 +182,7 @@ def test_acceptance_5_execution_guided_selection(tmp_path):
             completion_prompt("Q?", schema, sk1): [null_sql],
         }})
         final, trace = select_query("Q?", schema, db, [sk1],
-                                    SelectionConfig(StubCompleter(script)))
+                                    SelectionConfig(script))
         assert trace.status == "Exhausted" and final == null_sql
 
 

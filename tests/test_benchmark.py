@@ -114,6 +114,13 @@ def test_load_dataset_validation(tmp_path, dataset_root):
         '[{"db_id": "school", "query": "SELECT 1"}]', encoding="utf-8")
     with pytest.raises(DatasetIntegrityError, match="lacks field"):
         load_dataset(dataset_root)
+    for record, kind in (([], "list"), ("q", "str"), (None, "NoneType")):
+        (dataset_root / "dev.json").write_text(json.dumps([record]),
+                                               encoding="utf-8")
+        with pytest.raises(DatasetIntegrityError,
+                           match=f"example 0 in .* must be a JSON object, "
+                                 f"not {kind}$"):
+            load_dataset(dataset_root)
     (dataset_root / "dev.json").write_text(
         '[{"question": "q", "db_id": "school", "query": ""}]',
         encoding="utf-8")

@@ -46,7 +46,7 @@ from sketchsql.calibration import (
 )
 from sketchsql.errors import EmptyValueError
 from sketchsql.execution import Database
-from sketchsql.gateway import StubScript, StubSentenceEncoder
+from sketchsql.gateway import StubScript
 from sketchsql.selection import SelectionConfig, calibrate_deterministic
 from sketchsql.sql_analysis import ColumnRef, Predicate, parse_sql, table_scope
 
@@ -149,21 +149,26 @@ def test_embedding_similarity_oov_falls_back_to_fuzzy(table):
 # --------------------------------------------------------------------------
 # Sentence-encoder similarity
 
+def encoder_for(vectors: dict) -> StubScript:
+    """A stub encoder answering ``vectors[text]`` for each text."""
+    return StubScript({"encode": {text: [v] for text, v in vectors.items()}})
+
+
 def test_sentence_similarity_cosine():
-    encoder = StubSentenceEncoder({"a": [3.0, 0.0], "b": [5.0, 0.0],
-                                   "c": [0.0, 1.0], "d": [-1.0, 0.0]})
+    encoder = encoder_for({"a": [3.0, 0.0], "b": [5.0, 0.0],
+                           "c": [0.0, 1.0], "d": [-1.0, 0.0]})
     assert sentence_similarity("a", "b", encoder) == pytest.approx(1.0)
     assert sentence_similarity("a", "c", encoder) == pytest.approx(0.0)
     assert sentence_similarity("a", "d", encoder) == 0.0  # clamped
 
 
 def test_sentence_similarity_zero_vector():
-    encoder = StubSentenceEncoder({"a": [0.0, 0.0], "b": [1.0, 0.0]})
+    encoder = encoder_for({"a": [0.0, 0.0], "b": [1.0, 0.0]})
     assert sentence_similarity("a", "b", encoder) == 0.0
 
 
 def test_sentence_backend_falls_back_once(caplog):
-    backend = SentenceEncoder(StubSentenceEncoder({}))
+    backend = SentenceEncoder(StubScript({}))
     with caplog.at_level(logging.WARNING):
         assert backend.score("wards", "ward") == 0.75
         assert backend.score("timmy", "timmothy") == 0.4
@@ -309,7 +314,7 @@ def test_score_many_equals_oracle_exactly(literal, values):
 def test_score_many_loops_over_score_for_other_backends(table):
     values = ["queen", "wards", "   ", "kings"]
     for backend in (WordEmbedding(table),
-                    SentenceEncoder(StubSentenceEncoder({}))):
+                    SentenceEncoder(StubScript({}))):
         scores = backend.score_many("king", values)
         assert scores[0] == backend.score("king", "queen")
         assert scores[1] == backend.score("king", "wards")
@@ -436,7 +441,7 @@ def test_sentence_encoder_calls_score_in_search_order(school_db):
     literal_queue = [[x * (k + 1) for x in onehot[text][:-1]] + [20.0]
                      for k, text in enumerate(order)]
     script = {"zed": literal_queue, **{t: [v] for t, v in onehot.items()}}
-    encoder = StubSentenceEncoder(StubScript({"encode": script}))
+    encoder = StubScript({"encode": script})
     calls = []
     encode = encoder.encode
 
@@ -459,7 +464,7 @@ def test_passes_that_read_no_lanes_agree_with_the_search(school_db, table):
     with the brute-force search, in the documented scoring order."""
     texts = ["timmy", "wardle", "lee", "ward", "art", "math", "001",
              "jordy wu"]
-    encoder = StubSentenceEncoder(
+    encoder = encoder_for(
         {t: [float(t == u) for u in texts] + [0.5] for t in texts + ["zed"]})
     calls = []
     encode = encoder.encode
@@ -480,7 +485,7 @@ def test_passes_that_read_no_lanes_agree_with_the_search(school_db, table):
         scored = calls[:]
         assert feedback and list(feedback.replacements) == oracle_multi_level(
             school_db.schema, school_db.path, sql, 1.0,
-            similarity=backend.score), (backend.kind, literal)
+            similarity=backend.score), (type(backend).__name__, literal)
         if isinstance(backend, SentenceEncoder):
             # Search order: each level's columns not scored yet, values
             # sorted.

@@ -90,6 +90,16 @@ def test_serialize_rejects_a_malformed_tables_file(tmp_path, caplog, key,
     assert f"field {key!r} must be a list, not int" in caplog.text
 
 
+def test_serialize_rejects_a_repeated_db_id(tmp_path, caplog, capsys):
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps([SCHOOL_RECORD, SCHOOL_RECORD]),
+                      encoding="utf-8")
+    assert main(["serialize", "--tables", str(tables),
+                 "--db-id", "school"]) == EXIT_ERROR
+    assert "db_id 'school' more than once" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_serialize_json_output(school_path, capsys):
     assert main(["serialize", "--db", str(school_path), "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -18,10 +19,7 @@ from sketchsql.gateway import (
     EncoderClient,
     EndpointConfig,
     SketchProviderClient,
-    StubAligner,
-    StubCompleter,
     StubScript,
-    StubSketchProvider,
     clients_from_script,
     request_alignment_scores,
     request_candidates,
@@ -109,7 +107,7 @@ def test_generate_success_and_auth_header(server):
 def test_generate_truncates_to_k(server):
     server.responses.append((200, {"hypotheses": ["a", "b", "c"]}))
     client = SketchProviderClient(fast_config(server))
-    assert client.generate("inp", 2) == ["a", "b"]
+    assert request_candidates(client, "inp", 2) == ["a", "b"]
     assert server.requests[0]["auth"] is None
 
 
@@ -155,13 +153,13 @@ def test_generate_missing_hypotheses(server):
     server.responses.append((200, {"outputs": ["a"]}))
     client = SketchProviderClient(fast_config(server))
     with pytest.raises(ProtocolError, match="hypotheses"):
-        client.generate("inp", 1)
+        request_candidates(client, "inp", 1)
 
 
 def test_score_success(server):
     server.responses.append((200, {"scores": [0.25, 1]}))
     client = AlignerClient(fast_config(server))
-    assert client.score(["s1", "s2"]) == [0.25, 1.0]
+    assert request_alignment_scores(client, ["s1", "s2"]) == [0.25, 1.0]
     assert server.requests[0]["path"] == "/score"
     assert server.requests[0]["payload"] == {"sequences": ["s1", "s2"]}
 
@@ -172,7 +170,7 @@ def test_score_protocol_violations(server, scores):
     server.responses.append((200, {"scores": scores}))
     client = AlignerClient(fast_config(server))
     with pytest.raises(ProtocolError):
-        client.score(["s1", "s2"])
+        request_alignment_scores(client, ["s1", "s2"])
 
 
 def test_complete_native(server):
@@ -189,7 +187,7 @@ def test_complete_missing_text(server):
     server.responses.append((200, {"text": 7}))
     client = CompleterClient(fast_config(server))
     with pytest.raises(ProtocolError, match="'text'"):
-        client.complete("prompt")
+        request_completion(client, "prompt")
 
 
 def test_complete_unavailable_error_type(server):
@@ -310,34 +308,94 @@ def test_stub_clients():
         "generate": {"inp": [["s1", "s2", "s3"]]},
         "score": {"*": [0.5]},
         "complete": {"p": ["SELECT 1"]},
+        "encode": {"*": [[1.0, 0.0]]},
     })
-    assert StubSketchProvider(script).generate("inp", 2) == ["s1", "s2"]
-    assert StubAligner(script).score(["a", "b"]) == [0.5, 0.5]
-    assert StubCompleter(script).complete("p") == "SELECT 1"
+    assert request_candidates(script, "inp", 2) == ["s1", "s2"]
+    assert request_alignment_scores(script, ["a", "b"]) == [0.5, 0.5]
+    assert request_completion(script, "p") == "SELECT 1"
+    assert script.encode(["a", "b"]) == [[1.0, 0.0], [1.0, 0.0]]
     clients = clients_from_script(script)
-    assert set(clients) == {"sketch", "aligner", "completer", "encoder"}
+    assert clients == dict.fromkeys(("sketch", "aligner", "completer",
+                                     "encoder"), script)
 
 
 def test_stub_clients_type_checks():
     script = StubScript({"generate": {"inp": ["not-a-list"]},
                          "complete": {"p": [["not-a-string"]]}})
-    with pytest.raises(StubScriptError):
-        StubSketchProvider(script).generate("inp", 1)
-    with pytest.raises(StubScriptError):
-        StubCompleter(script).complete("p")
+    with pytest.raises(ProtocolError, match="'hypotheses' list of strings"):
+        request_candidates(script, "inp", 1)
+    with pytest.raises(ProtocolError, match="'text' string"):
+        request_completion(script, "p")
 
 
 def test_stub_aligner_rejects_out_of_range():
     script = StubScript({"score": {"*": [1.5]}})
     with pytest.raises(ProtocolError):
-        StubAligner(script).score(["a"])
+        request_alignment_scores(script, ["a"])
 
 
 @pytest.mark.parametrize("scripted", [True, "0.5", "x"])
 def test_stub_aligner_rejects_non_numbers_like_the_client(scripted):
     script = StubScript({"score": {"*": [scripted]}})
     with pytest.raises(ProtocolError):
-        StubAligner(script).score(["a"])
+        request_alignment_scores(script, ["a"])
+
+
+# --------------------------------------------------------------------------
+# One response check for both transports
+
+# (role, request helper arguments after the client, the role's answer)
+MALFORMED_ANSWERS = {
+    "hypotheses not a list": ("generate", ("inp", 2), "SELECT 1"),
+    "hypothesis not a string": ("generate", ("inp", 2), ["SELECT 1", 7]),
+    "score out of range": ("score", (["s1", "s2"],), [0.5, 1.5]),
+    "score negative": ("score", (["s1", "s2"],), [-0.1, 0.5]),
+    "score a bool": ("score", (["s1", "s2"],), [0.5, True]),
+    "score a string": ("score", (["s1", "s2"],), ["0.5", 0.5]),
+    "completion not a string": ("complete", ("p",), ["SELECT 1"]),
+}
+HELPERS = {"generate": request_candidates, "score": request_alignment_scores,
+           "complete": request_completion}
+HTTP = {"generate": (SketchProviderClient, "hypotheses"),
+        "score": (AlignerClient, "scores"),
+        "complete": (CompleterClient, "text")}
+
+
+def _protocol_error(helper, client, args) -> str:
+    with pytest.raises(ProtocolError) as caught:
+        helper(client, *args)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ANSWERS))
+def test_stub_and_http_answers_fail_the_same_check(server, case):
+    role, args, answer = MALFORMED_ANSWERS[case]
+    if role == "score":
+        # The stub answers each sequence from its own entry.
+        stub = StubScript({"score": dict(zip(args[0], answer))})
+    else:
+        stub = StubScript({role: {args[0]: [answer]}})
+    cls, field = HTTP[role]
+    server.responses.append((200, {field: answer}))
+    http = cls(fast_config(server))
+    helper = HELPERS[role]
+    assert _protocol_error(helper, stub, args) == \
+        _protocol_error(helper, http, args)
+
+
+def test_score_count_is_checked_in_the_helper(server):
+    """A stub answers one score per sequence by construction, so a short
+    answer can only come from a server or another client."""
+    class ShortAligner:
+        def score(self, sequences):
+            return [0.5]
+
+    server.responses.append((200, {"scores": [0.5]}))
+    http = AlignerClient(fast_config(server))
+    message = "aligner returned 1 score(s) for 2 sequence(s)"
+    for client in (http, ShortAligner()):
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            request_alignment_scores(client, ["s1", "s2"])
 
 
 # --------------------------------------------------------------------------

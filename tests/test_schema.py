@@ -12,7 +12,6 @@ from sketchsql.schema import (
     ColumnDef,
     DatabaseSchema,
     ForeignKeyDef,
-    IndexRef,
     TableDef,
     load_schema_file,
     resolve_index,
@@ -118,12 +117,12 @@ def test_translate_out_of_range_token(stadium):
 
 
 def test_resolve_index_bounds(stadium):
-    assert resolve_index(stadium, IndexRef(0, 2)) == "stadium.highest"
-    assert resolve_index(stadium, IndexRef(1)) == "singer"
+    assert resolve_index(stadium, 0, 2) == "stadium.highest"
+    assert resolve_index(stadium, 1) == "singer"
     with pytest.raises(IndexResolutionError):
-        resolve_index(stadium, IndexRef(2))
+        resolve_index(stadium, 2)
     with pytest.raises(IndexResolutionError):
-        resolve_index(stadium, IndexRef(0, 5))
+        resolve_index(stadium, 0, 5)
 
 
 def test_resolve_translate_round_trip(car1):
@@ -131,11 +130,11 @@ def test_resolve_translate_round_trip(car1):
     for _ in range(500):
         ti = rng.randrange(len(car1.tables))
         if rng.random() < 0.5:
-            token, ref = f"t{ti}", IndexRef(ti)
+            token, ref = f"t{ti}", (ti,)
         else:
             ci = rng.randrange(len(car1.tables[ti].columns))
-            token, ref = f"t{ti}.c{ci}", IndexRef(ti, ci)
-        assert translate_indexed_text(car1, token) == resolve_index(car1, ref)
+            token, ref = f"t{ti}.c{ci}", (ti, ci)
+        assert translate_indexed_text(car1, token) == resolve_index(car1, *ref)
 
 
 def test_spider_record_skips_star_and_decodes_foreign_keys(car1):
@@ -257,6 +256,13 @@ def test_load_schema_file(tmp_path):
         load_schema_file(bad)
 
 
+def test_load_schema_file_rejects_a_repeated_db_id(tmp_path):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([CAR_1_RECORD, CAR_1_RECORD]), encoding="utf-8")
+    with pytest.raises(SchemaLoadError, match="db_id 'car_1' more than once"):
+        load_schema_file(path)
+
+
 _names = st.text(alphabet="abcdefgh_", min_size=1, max_size=6)
 
 
@@ -285,7 +291,7 @@ def test_translation_matches_resolution_everywhere(schema, data):
                              st.integers(0, len(table.columns) - 1)))
     token = f"t{ti}" if ci is None else f"t{ti}.c{ci}"
     assert translate_indexed_text(schema, token) == \
-        resolve_index(schema, IndexRef(ti, ci))
+        resolve_index(schema, ti, ci)
 
 
 @given(_schemas())

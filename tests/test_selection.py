@@ -11,7 +11,7 @@ from sketchsql.calibration import CalibrationFeedback, MatchLevel, MatchResult
 from sketchsql.errors import EmptyCandidateError, SqlParseError, StubScriptError
 from sketchsql.execution import Database
 from sketchsql.schema import MAX_VALUE_BYTES
-from sketchsql.gateway import StubCompleter, StubScript
+from sketchsql.gateway import StubScript
 from sketchsql.selection import (
     STATUS_EXHAUSTED,
     STATUS_SELECTED,
@@ -36,7 +36,7 @@ def sketch(select, fr, keywords, rank=0):
 
 
 def completer(entries):
-    return StubCompleter(StubScript({"complete": entries}))
+    return StubScript({"complete": entries})
 
 
 def config(entries=None, **kwargs):

@@ -23,12 +23,7 @@ from sketchsql.errors import (
     SchemaMismatchError,
     ScoreArityError,
 )
-from sketchsql.gateway import (
-    StubAligner,
-    StubScript,
-    StubSketchProvider,
-    clients_from_script,
-)
+from sketchsql.gateway import StubScript, clients_from_script
 from sketchsql.selection import SelectionConfig
 from sketchsql.sketches import (
     INSTRUCTION_SELECT,
@@ -276,8 +271,7 @@ def test_request_candidate_sets_sanitizes(school_schema):
         inputs[PART_KEYWORDS]: [["select from where", "blah",
                                  "SELECT FROM WHERE"]],
     }})
-    sets = request_candidate_sets(StubSketchProvider(script), "Q?",
-                                  school_schema)
+    sets = request_candidate_sets(script, "Q?", school_schema)
     assert [p.content for p in sets.select_candidates] == \
         ["SELECT t1.c3", "SELECT *"]
     assert [p.content for p in sets.from_candidates] == \
@@ -302,8 +296,7 @@ def test_build_sketches_end_to_end(school_schema):
             "*": [0.2],
         },
     })
-    sketches = build_sketches(StubSketchProvider(script), StubAligner(script),
-                              question, school_schema)
+    sketches = build_sketches(script, script, question, school_schema)
     assert len(sketches) == 2
     assert all(s.select_part.content == "SELECT t1.c3" for s in sketches)
     assert [s.from_part.content for s in sketches] == \
