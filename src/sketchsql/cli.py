@@ -45,15 +45,7 @@ from .calibration import (
 )
 from .errors import EmptyCandidateError, SketchSqlError
 from .execution import Database
-from .gateway import (
-    AlignerClient,
-    CompleterClient,
-    EncoderClient,
-    EndpointConfig,
-    SketchProviderClient,
-    StubScript,
-    clients_from_script,
-)
+from .gateway import EndpointConfig, HttpClient, StubScript, clients_from_script
 from .schema import load_schema_file, schema_from_sqlite, serialize_schema
 from .selection import (
     DEFAULT_PATIENCE,
@@ -198,45 +190,27 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
 
 
 def build_clients(config: RunConfig) -> dict:
-    """Stub clients from a script file, or HTTP clients from URLs.
+    """Stub clients from a script file, or one HTTP client per role URL.
 
     Roles without a URL map to None; commands check for the roles they
     actually need.  Auth tokens come only from the environment.
     """
     if config.stub_script:
         return clients_from_script(StubScript.load(config.stub_script))
-    classes = {
-        "sketch": SketchProviderClient,
-        "aligner": AlignerClient,
-        "completer": CompleterClient,
-        "encoder": EncoderClient,
-    }
-    urls = {
-        "sketch": config.sketch_url,
-        "aligner": config.aligner_url,
-        "completer": config.completer_url,
-        "encoder": config.encoder_url,
-    }
-    clients = {}
-    for role, url in urls.items():
-        if not url:
-            clients[role] = None
-            continue
-        endpoint = EndpointConfig(
-            url,
-            auth_token=os.environ.get(TOKEN_ENV[role]),
-            chat_adapter=config.chat_adapter if role == "completer" else False,
-        )
-        clients[role] = classes[role](endpoint)
-    return clients
+    urls = {"sketch": config.sketch_url, "aligner": config.aligner_url,
+            "completer": config.completer_url, "encoder": config.encoder_url}
+    return {role: HttpClient(EndpointConfig(
+                url, auth_token=os.environ.get(TOKEN_ENV[role]),
+                chat_adapter=config.chat_adapter and role == "completer"))
+            if url else None
+            for role, url in urls.items()}
 
 
 def _require(clients: dict, *roles: str):
     for role in roles:
         if clients.get(role) is None:
-            raise SketchSqlError(
-                f"no {role} endpoint configured; pass --{role}-url "
-                f"(--completer-url for completer) or --stub-script")
+            raise SketchSqlError(f"no {role} endpoint configured; pass "
+                                 f"--{role}-url or --stub-script")
     return [clients[role] for role in roles]
 
 
@@ -401,9 +375,7 @@ def cmd_derive_train(args: argparse.Namespace, config: RunConfig) -> int:
     for line in diagnostics:
         log.warning("%s", line)
 
-    clients = build_clients(config) if (config.stub_script
-                                        or config.sketch_url) else {}
-    provider = clients.get("sketch")
+    provider = build_clients(config)["sketch"]
     aligner_records = []
     for example in bundle.examples:
         schema = bundle.schemas[example.db_id]

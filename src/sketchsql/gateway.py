@@ -1,9 +1,9 @@
 """Clients for the model services behind the pipeline.
 
-Three logical roles share one request/response shape: the sketch provider
-(``/generate``), the aligner (``/score``), and the completer
-(``/complete``, optionally adapted onto a chat-style messages API).  A
-sentence-encoder client (``/encode``) backs semantic value matching.
+Four roles: the sketch provider (``/generate``), the aligner
+(``/score``), the completer (``/complete``, optionally adapted onto a
+chat-style messages API), and the sentence encoder (``/encode``), which
+backs semantic value matching.
 
 The pipeline calls the roles only through the ``request_*`` helpers.  They
 check each role's response and record each call that succeeds inside a
@@ -11,12 +11,14 @@ check each role's response and record each call that succeeds inside a
 those records.  The completer is always sent temperature 0.0, top_p 1.0,
 frequency_penalty 0.0.
 
-The transports only move bytes.  Each HTTP client retries transient
-failures with exponential backoff, bounds concurrent in-flight requests,
-attaches a bearer token when one is configured, and hands back its role's
-field as the server sent it.  For offline runs and tests,
-:class:`StubScript` answers every role from deterministic scripted
-responses keyed by request fingerprint.
+Two clients serve every role, with one method each: ``generate``,
+``score``, ``complete`` and ``encode``.  :class:`HttpClient` talks to one
+service URL and serves whichever role it is given, so a run makes one per
+URL.  It retries transient failures with exponential backoff, bounds its
+own in-flight requests, attaches a bearer token when one is configured,
+and hands back the role's field as the server sent it.  For offline runs
+and tests, :class:`StubScript` answers every role from deterministic
+scripted responses keyed by request fingerprint.
 """
 
 from __future__ import annotations
@@ -67,136 +69,114 @@ class EndpointConfig:
             raise ValueError("endpoint timeout must be positive")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
+        if self.retries < 0:
+            raise ValueError("retries must be at least 0")
+        if self.backoff < 0:
+            raise ValueError("backoff must not be negative")
 
 
-class _TransientHttpError(Exception):
-    pass
+# Each path's service label in messages, and the error raised when that
+# service cannot be reached.
+_SERVICES = {
+    "/generate": ("sketch provider", ProviderUnavailableError),
+    "/score": ("aligner", ProviderUnavailableError),
+    "/complete": ("completer", CompleterUnavailableError),
+    "/chat/completions": ("completer", CompleterUnavailableError),
+    "/encode": ("sentence encoder", EncoderUnavailableError),
+}
 
 
-class _HttpEndpoint:
-    """One service endpoint: retry/backoff, in-flight bound, auth, logging."""
+class HttpClient:
+    """The client for one service URL, serving whichever role it is given.
 
-    def __init__(self, config: EndpointConfig, role: str, unavailable_error):
-        self.config = config
-        self.role = role
-        self.unavailable_error = unavailable_error
-        self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
-        self._session = requests.Session()
-
-    def post(self, path: str, payload: dict) -> dict:
-        url = self.config.base_url.rstrip("/") + path
-        headers = {}
-        if self.config.auth_token:
-            headers["Authorization"] = f"Bearer {self.config.auth_token}"
-        delay = self.config.backoff
-        last_error: Exception | None = None
-        for attempt in range(1, self.config.retries + 2):
-            try:
-                return self._post_once(url, payload, headers)
-            except (requests.RequestException, _TransientHttpError) as exc:
-                last_error = exc
-                log.debug("%s request attempt %d failed: %s", self.role, attempt, exc)
-                if attempt <= self.config.retries:
-                    time.sleep(delay)
-                    delay *= 2
-        message = (f"{self.role} endpoint {url} unavailable after "
-                   f"{self.config.retries + 1} attempts: {last_error}")
-        raise self.unavailable_error(message) from last_error
-
-    def _post_once(self, url: str, payload: dict, headers: dict) -> dict:
-        with self._semaphore:
-            response = self._session.post(url, json=payload, headers=headers,
-                                          timeout=self.config.timeout)
-        if response.status_code >= 500:
-            raise _TransientHttpError(f"HTTP {response.status_code}")
-        if response.status_code >= 400:
-            # Client errors will not improve on retry.
-            raise self.unavailable_error(
-                f"{self.role} endpoint {url} rejected the request: "
-                f"HTTP {response.status_code}")
-        try:
-            data = response.json()
-        except ValueError as exc:
-            raise ProtocolError(
-                f"{self.role} endpoint {url} returned non-JSON body") from exc
-        if not isinstance(data, dict):
-            raise ProtocolError(
-                f"{self.role} endpoint {url} returned {type(data).__name__}, "
-                f"expected an object")
-        return data
-
-
-# --------------------------------------------------------------------------
-# HTTP role clients
-
-class SketchProviderClient:
-    """Client for the sketch-generation service (``POST /generate``)."""
-
-    def __init__(self, config: EndpointConfig):
-        self._endpoint = _HttpEndpoint(config, "sketch provider",
-                                       ProviderUnavailableError)
-
-    def generate(self, task_input: str, k: int):
-        return self._endpoint.post(
-            "/generate", {"input": task_input, "num_hypotheses": k}
-        ).get("hypotheses")
-
-
-class AlignerClient:
-    """Client for the sketch-ranking service (``POST /score``)."""
-
-    def __init__(self, config: EndpointConfig):
-        self._endpoint = _HttpEndpoint(config, "aligner",
-                                       ProviderUnavailableError)
-
-    def score(self, sequences: list[str]):
-        return self._endpoint.post(
-            "/score", {"sequences": list(sequences)}).get("scores")
-
-
-class CompleterClient:
-    """Client for the SQL-completion service.
-
-    The native contract is ``POST /complete`` with the prompt and the
-    fixed ``DEFAULT_*`` sampling parameters; ``chat_adapter`` maps the same
-    call onto a chat-style ``POST /chat/completions`` with a single user
-    message.
+    Each role's method posts that role's request and hands back its field
+    as the server sent it.  The completer's native contract is ``POST
+    /complete`` with the prompt and the fixed ``DEFAULT_*`` sampling
+    parameters; ``chat_adapter`` maps the same call onto a chat-style
+    ``POST /chat/completions`` with a single user message.
     """
 
     def __init__(self, config: EndpointConfig):
         self.config = config
-        self._endpoint = _HttpEndpoint(config, "completer",
-                                       CompleterUnavailableError)
+        self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
+        self._session = requests.Session()
+
+    def generate(self, task_input: str, k: int):
+        return self._post("/generate", {"input": task_input,
+                                        "num_hypotheses": k}).get("hypotheses")
+
+    def score(self, sequences: list[str]):
+        return self._post("/score", {"sequences": list(sequences)}).get("scores")
 
     def complete(self, prompt: str):
         sampling = {"temperature": DEFAULT_TEMPERATURE, "top_p": DEFAULT_TOP_P,
                     "frequency_penalty": DEFAULT_FREQUENCY_PENALTY}
         if not self.config.chat_adapter:
-            return self._endpoint.post(
-                "/complete", {"prompt": prompt, **sampling}).get("text")
-        payload = {"messages": [{"role": "user", "content": prompt}],
-                   **sampling}
-        data = self._endpoint.post("/chat/completions", payload)
+            return self._post("/complete",
+                              {"prompt": prompt, **sampling}).get("text")
+        data = self._post("/chat/completions", {
+            "messages": [{"role": "user", "content": prompt}], **sampling})
         try:
             return data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
             raise ProtocolError("chat completion response lacks "
                                 "choices[0].message.content") from None
 
-
-class EncoderClient:
-    """Client for the sentence-encoder service (``POST /encode``)."""
-
-    def __init__(self, config: EndpointConfig):
-        self._endpoint = _HttpEndpoint(config, "sentence encoder",
-                                       EncoderUnavailableError)
-
     def encode(self, texts: list[str]) -> list[list[float]]:
-        data = self._endpoint.post("/encode", {"texts": list(texts)})
-        vectors = data.get("vectors")
+        vectors = self._post("/encode", {"texts": list(texts)}).get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ProtocolError("encoder response lacks one vector per text")
         return vectors
+
+    def _post(self, path: str, payload: dict) -> dict:
+        """The JSON object the service answers at ``path``, after retrying
+        transport failures and 5xx answers."""
+        role, unavailable_error = _SERVICES[path]
+        url = self.config.base_url.rstrip("/") + path
+        headers = {}
+        if self.config.auth_token:
+            headers["Authorization"] = f"Bearer {self.config.auth_token}"
+        delay = self.config.backoff
+        for attempt in range(1, self.config.retries + 2):
+            try:
+                with self._semaphore:
+                    response = self._session.post(
+                        url, json=payload, headers=headers,
+                        timeout=self.config.timeout)
+            except requests.RequestException as exc:
+                last_error = exc
+            else:
+                if response.status_code < 500:
+                    break
+                last_error = requests.HTTPError(f"HTTP {response.status_code}")
+            log.debug("%s request attempt %d failed: %s", role, attempt,
+                      last_error)
+            if attempt <= self.config.retries:
+                time.sleep(delay)
+                delay *= 2
+        else:
+            raise unavailable_error(
+                f"{role} endpoint {url} unavailable after "
+                f"{self.config.retries + 1} attempts: {last_error}"
+            ) from last_error
+        if response.status_code >= 400:
+            # Client errors will not improve on retry.
+            raise unavailable_error(f"{role} endpoint {url} rejected the "
+                                    f"request: HTTP {response.status_code}")
+        try:
+            data = response.json()
+        except ValueError as exc:
+            raise ProtocolError(
+                f"{role} endpoint {url} returned non-JSON body") from exc
+        if not isinstance(data, dict):
+            raise ProtocolError(
+                f"{role} endpoint {url} returned {type(data).__name__}, "
+                f"expected an object")
+        return data
+
+
+# Per-role names that callers, the perfbench workloads among them, import.
+SketchProviderClient = AlignerClient = CompleterClient = EncoderClient = HttpClient
 
 
 # --------------------------------------------------------------------------

@@ -145,6 +145,20 @@ def test_translate_requires_endpoints(school_path):
                  "--question", "Q?"]) == EXIT_ERROR
 
 
+def test_missing_endpoint_names_its_flag(school_path, caplog):
+    assert main(["translate", "--db", str(school_path),
+                 "--question", "Q?"]) == EXIT_ERROR
+    assert "no sketch endpoint configured; pass --sketch-url or " \
+        "--stub-script" in caplog.text
+    caplog.clear()
+    assert main(["calibrate", "--db", str(school_path),
+                 "--sql", SCHOOL_GOLD_SQL, "--backend", "encoder",
+                 "--sketch-url", "http://s"]) == EXIT_ERROR
+    assert "no encoder endpoint configured; pass --encoder-url or " \
+        "--stub-script" in caplog.text
+    assert "completer" not in caplog.text
+
+
 def test_translate_missing_db(tmp_path):
     script = write_script(tmp_path, {"score": {"*": [0.9]}})
     assert main(["translate", "--db", str(tmp_path / "none.sqlite"),
@@ -478,10 +492,17 @@ def test_tokens_come_from_environment(monkeypatch):
                                       aligner_url="http://a",
                                       completer_url="http://c",
                                       chat_adapter=True))
-    assert clients["sketch"]._endpoint.config.auth_token == "tok-s"
-    assert clients["aligner"]._endpoint.config.auth_token is None
-    assert clients["completer"]._endpoint.config.auth_token == "tok-c"
+    assert clients["sketch"].config.auth_token == "tok-s"
+    assert clients["aligner"].config.auth_token is None
+    assert clients["completer"].config.auth_token == "tok-c"
     # the chat adapter applies to the completer endpoint only
     assert clients["completer"].config.chat_adapter is True
-    assert clients["sketch"]._endpoint.config.chat_adapter is False
+    assert clients["sketch"].config.chat_adapter is False
     assert clients["encoder"] is None
+    monkeypatch.setenv("ENCODER_TOKEN", "tok-e")
+    clients = build_clients(RunConfig(encoder_url="http://e",
+                                      chat_adapter=True))
+    assert clients["encoder"].config.base_url == "http://e"
+    assert clients["encoder"].config.auth_token == "tok-e"
+    assert clients["encoder"].config.chat_adapter is False
+    assert clients["sketch"] is None

@@ -5,12 +5,15 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from helpers import SCHOOL_GOLD_SQL, make_school_db
 
+from sketchsql.cli import main
 from sketchsql.errors import (
     CompleterUnavailableError,
     EncoderUnavailableError,
     ProtocolError,
     ProviderUnavailableError,
+    SketchSqlError,
     StubScriptError,
 )
 from sketchsql.gateway import (
@@ -18,6 +21,7 @@ from sketchsql.gateway import (
     CompleterClient,
     EncoderClient,
     EndpointConfig,
+    HttpClient,
     SketchProviderClient,
     StubScript,
     clients_from_script,
@@ -252,6 +256,59 @@ def test_endpoint_config_validation():
         EndpointConfig("http://x", timeout=0)
     with pytest.raises(ValueError):
         EndpointConfig("http://x", max_in_flight=0)
+    with pytest.raises(ValueError, match="retries"):
+        EndpointConfig("http://x", retries=-1)
+    with pytest.raises(ValueError, match="backoff"):
+        EndpointConfig("http://x", backoff=-1)
+
+
+def test_role_client_names_are_the_http_client():
+    for name in (SketchProviderClient, AlignerClient, CompleterClient,
+                 EncoderClient):
+        assert name is HttpClient
+
+
+# method -> (its arguments, the error it raises, the label it names)
+ROLE_FAILURES = {
+    "generate": (("inp", 1), ProviderUnavailableError, "sketch provider"),
+    "score": ((["s1"],), ProviderUnavailableError, "aligner"),
+    "complete": (("prompt",), CompleterUnavailableError, "completer"),
+    "encode": ((["a"],), EncoderUnavailableError, "sentence encoder"),
+}
+
+
+@pytest.mark.parametrize("chat_adapter", [False, True])
+def test_one_client_keeps_each_role_error(server, chat_adapter):
+    server.default = (404, {})
+    client = HttpClient(fast_config(server, chat_adapter=chat_adapter))
+    for method, (args, error, label) in ROLE_FAILURES.items():
+        with pytest.raises(SketchSqlError) as caught:
+            getattr(client, method)(*args)
+        assert type(caught.value) is error
+        assert str(caught.value).startswith(f"{label} endpoint ")
+        assert str(caught.value).endswith("rejected the request: HTTP 404")
+    complete = "/chat/completions" if chat_adapter else "/complete"
+    assert [r["path"] for r in server.requests] == \
+        ["/generate", "/score", complete, "/encode"]
+
+
+def test_encoder_backend_over_http(server, tmp_path, monkeypatch, caplog,
+                                   capsys):
+    """``calibrate --backend encoder`` reaches the encoder URL with its
+    token; an encoder that rejects the request leaves fuzzy matching."""
+    db = tmp_path / "school.sqlite"
+    make_school_db(db)
+    monkeypatch.setenv("ENCODER_TOKEN", "tok-e")
+    server.default = (404, {})
+    bad = ("SELECT course FROM Student WHERE given_name = 'timmothy' "
+           "AND last_name = 'wards' ORDER BY score LIMIT 1")
+    assert main(["calibrate", "--db", str(db), "--sql", bad,
+                 "--backend", "encoder",
+                 "--encoder-url", server.base_url]) == 0
+    assert capsys.readouterr().out == SCHOOL_GOLD_SQL + "\n"
+    assert "sentence encoder unavailable" in caplog.text
+    assert {(r["path"], r["auth"]) for r in server.requests} == \
+        {("/encode", "Bearer tok-e")}
 
 
 # --------------------------------------------------------------------------
