@@ -31,6 +31,7 @@ from .schema import DatabaseSchema, load_schema_file, schema_from_sqlite
 from .selection import (
     SelectionConfig,
     SelectionTrace,
+    check_ranges,
     completion_prompt,
     select_query,
 )
@@ -218,6 +219,13 @@ class EvalConfig:
     # Wall-clock latencies are inherently non-deterministic; reproducibility
     # checks disable them so reports compare byte-for-byte.
     record_latency: bool = True
+
+    RANGES = {"k_select": (1, True, None), "k_from": (1, True, None),
+              "k_keywords": (1, True, None), "workers": (1, True, None),
+              "example_timeout": (0, False, None)}
+
+    def __post_init__(self):
+        check_ranges(self, self.RANGES)
 
 
 @dataclass

@@ -3,10 +3,11 @@
 A generated query often compares a column against a literal that is close
 to, but not exactly, what the database stores ("timmothy" vs "timmy").
 This module scores candidate database values against the query's literal
-with a pluggable similarity backend and searches at widening scopes —
-first the predicate's own column, then its table, then the whole
-database — stopping at the first scope whose best score clears the
-threshold.  The winners are packaged as replacement suggestions.
+with a similarity backend (one class each, with ``score`` and
+``score_many``) and searches at widening scopes — first the predicate's
+own column, then its table, then the whole database — stopping at the
+first scope whose best score clears the threshold.  The winners are
+packaged as replacement suggestions.
 """
 
 from __future__ import annotations
@@ -211,97 +212,6 @@ def _score_each(backend, literal: str, values) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Word-embedding similarity
-
-@dataclass
-class EmbeddingTable:
-    """Word vectors loaded from a text file (token then D numbers per line)."""
-
-    dimension: int
-    entries: dict
-
-    @classmethod
-    def load(cls, path) -> "EmbeddingTable":
-        dimension = None
-        entries: dict[str, np.ndarray] = {}
-        skipped = 0
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                token, numbers = parts[0], parts[1:]
-                if dimension is None:
-                    if not numbers:
-                        skipped += 1
-                        continue
-                    dimension = len(numbers)
-                if len(numbers) != dimension:
-                    skipped += 1
-                    continue
-                try:
-                    vector = np.array([float(x) for x in numbers], dtype=np.float64)
-                except ValueError:
-                    skipped += 1
-                    continue
-                entries[token.lower()] = vector
-        if skipped:
-            log.warning("skipped %d malformed line(s) in word-vector file %s",
-                        skipped, path)
-        if not entries:
-            raise ValueError(f"word-vector file {path} contains no usable entries")
-        return cls(dimension, entries)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.entries
-
-
-def _tokens(text: str) -> list[str]:
-    return _WORD.findall(text.lower())
-
-
-def _mean_vector(text: str, table: EmbeddingTable) -> np.ndarray | None:
-    vectors = [table.entries[tok] for tok in _tokens(text) if tok in table.entries]
-    if not vectors:
-        return None
-    mean = np.mean(vectors, axis=0)
-    norm = np.linalg.norm(mean)
-    if norm == 0.0:
-        return None
-    return mean / norm
-
-
-def embedding_similarity(a: str, b: str, table: EmbeddingTable) -> float:
-    """Cosine similarity of averaged word vectors, clamped to [0,1].
-
-    When either side has no in-vocabulary tokens (or the average vector is
-    zero), falls back to :func:`fuzzy_similarity`.
-    """
-    va = _mean_vector(a, table)
-    vb = _mean_vector(b, table)
-    if va is None or vb is None:
-        return fuzzy_similarity(a, b)
-    return float(max(0.0, min(1.0, np.dot(va, vb))))
-
-
-# --------------------------------------------------------------------------
-# Sentence-encoder similarity
-
-def sentence_similarity(a: str, b: str, encoder) -> float:
-    """Clamped cosine similarity of sentence encodings.
-
-    ``encoder`` is any object with ``encode(texts) -> list of vectors``;
-    encoding failures surface as :class:`EncoderUnavailableError`.
-    """
-    va, vb = (np.asarray(v, dtype=np.float64) for v in encoder.encode([a, b]))
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        log.warning("sentence encoder returned a zero vector; scoring 0.0")
-        return 0.0
-    return float(max(0.0, min(1.0, np.dot(va / na, vb / nb))))
-
-
-# --------------------------------------------------------------------------
 # Similarity backends
 
 class CharacterFuzzy:
@@ -328,35 +238,97 @@ class CharacterFuzzy:
 
 
 class WordEmbedding:
-    def __init__(self, table: EmbeddingTable):
-        self.table = table
+    """Cosine similarity of averaged word vectors (``entries`` maps each
+    lowercase word to its vector), clamped to [0,1].  A pair where either
+    side has no in-vocabulary word, or a zero average, is scored with
+    :func:`fuzzy_similarity` instead."""
+
+    def __init__(self, entries: dict):
+        self.entries = entries
+
+    @classmethod
+    def load(cls, path) -> "WordEmbedding":
+        """Word vectors from a text file, a token then D numbers per line.
+        Malformed lines are skipped with one warning; a file with no usable
+        line is a :class:`ValueError`."""
+        dimension = None
+        entries: dict[str, np.ndarray] = {}
+        skipped = 0
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                parts = line.split()
+                if not parts:
+                    continue
+                token, numbers = parts[0], parts[1:]
+                if dimension is None and numbers:
+                    dimension = len(numbers)
+                if len(numbers) != dimension:
+                    skipped += 1
+                    continue
+                try:
+                    vector = np.array([float(x) for x in numbers], dtype=np.float64)
+                except ValueError:
+                    skipped += 1
+                    continue
+                entries[token.lower()] = vector
+        if skipped:
+            log.warning("skipped %d malformed line(s) in word-vector file %s",
+                        skipped, path)
+        if not entries:
+            raise ValueError(f"word-vector file {path} contains no usable entries")
+        return cls(entries)
+
+    def _mean_vector(self, text: str) -> np.ndarray | None:
+        vectors = [self.entries[tok] for tok in _WORD.findall(text.lower())
+                   if tok in self.entries]
+        if not vectors:
+            return None
+        mean = np.mean(vectors, axis=0)
+        norm = np.linalg.norm(mean)
+        if norm == 0.0:
+            return None
+        return mean / norm
 
     def score(self, a: str, b: str) -> float:
-        return embedding_similarity(a, b, self.table)
+        va, vb = self._mean_vector(a), self._mean_vector(b)
+        if va is None or vb is None:
+            return fuzzy_similarity(a, b)
+        return float(max(0.0, min(1.0, np.dot(va, vb))))
 
     def score_many(self, literal: str, values) -> np.ndarray:
         return _score_each(self, literal, values)
 
 
 class SentenceEncoder:
-    """Sentence-encoder backend that degrades to character fuzz: an
-    unreachable encoder logs one warning and scores with
-    :func:`fuzzy_similarity` instead of failing the whole calibration
-    pass."""
+    """Clamped cosine similarity of sentence encodings from ``encoder``,
+    any object with ``encode(texts) -> list of vectors`` whose failures
+    surface as :class:`EncoderUnavailableError`.  The first failure logs a
+    warning and drops the encoder: every later pair is scored with
+    :func:`fuzzy_similarity` and sends nothing, so a dead encoder costs one
+    retry schedule per backend (one run), not one per value pair.  Workers
+    that share the backend and fail together may each send one request and
+    log the warning before they see it dropped."""
 
     def __init__(self, encoder):
         self.encoder = encoder
-        self._warned = False
 
     def score(self, a: str, b: str) -> float:
-        try:
-            return sentence_similarity(a, b, self.encoder)
-        except EncoderUnavailableError:
-            if not self._warned:
-                log.warning("sentence encoder unavailable; falling back to "
-                            "character fuzzy matching")
-                self._warned = True
+        encoder = self.encoder
+        if encoder is None:
             return fuzzy_similarity(a, b)
+        try:
+            encoded = encoder.encode([a, b])
+        except EncoderUnavailableError:
+            log.warning("sentence encoder unavailable; falling back to "
+                        "character fuzzy matching")
+            self.encoder = None
+            return fuzzy_similarity(a, b)
+        va, vb = (np.asarray(v, dtype=np.float64) for v in encoded)
+        na, nb = np.linalg.norm(va), np.linalg.norm(vb)
+        if na == 0.0 or nb == 0.0:
+            log.warning("sentence encoder returned a zero vector; scoring 0.0")
+            return 0.0
+        return float(max(0.0, min(1.0, np.dot(va / na, vb / nb))))
 
     def score_many(self, literal: str, values) -> np.ndarray:
         return _score_each(self, literal, values)

@@ -39,7 +39,6 @@ from .calibration import (
     DEFAULT_SCAN_CAP,
     DEFAULT_SIMILARITY_THRESHOLD,
     CharacterFuzzy,
-    EmbeddingTable,
     SentenceEncoder,
     WordEmbedding,
 )
@@ -52,6 +51,7 @@ from .selection import (
     STATUS_EXHAUSTED,
     SelectionConfig,
     calibrate_deterministic,
+    check_ranges,
 )
 from .sketches import (
     DEFAULT_K_FROM,
@@ -118,15 +118,9 @@ _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 # ``(str, NoneType)`` and so on.
 _CONFIG_TYPES = {key: typing.get_args(hint) or (hint,)
                  for key, hint in typing.get_type_hints(RunConfig).items()}
-# Key -> (least allowed value, whether that value itself is allowed,
-# greatest allowed value or None).  A statement timeout of 0 clears the
-# deadline.
-_CONFIG_BOUNDS = {"k_select": (1, True, None), "k_from": (1, True, None),
-                  "k_keywords": (1, True, None), "patience": (0, True, None),
-                  "threshold": (0, False, 1), "scan_cap": (1, True, None),
-                  "workers": (1, True, None), "limit": (0, True, None),
-                  "example_timeout": (0, False, None),
-                  "statement_timeout": (0, True, None)}
+# Key -> its range: the library configs' own, and the CLI's example limit.
+_CONFIG_RANGES = {**SelectionConfig.RANGES, **EvalConfig.RANGES,
+                  "limit": (0, True, None)}
 
 
 def _check_config_value(key: str, value) -> None:
@@ -169,17 +163,10 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
-    for key, (least, inclusive, most) in _CONFIG_BOUNDS.items():
-        value = getattr(config, key)
-        if value is None:
-            continue
-        if not (value >= least if inclusive else value > least) or (
-                most is not None and value > most):
-            bound = f"{'at least' if inclusive else 'greater than'} {least}"
-            if most is not None:
-                bound += f" and at most {most}"
-            raise SketchSqlError(f"config key {key!r} must be {bound}, "
-                                 f"got {value!r}")
+    try:
+        check_ranges(config, _CONFIG_RANGES)
+    except ValueError as exc:
+        raise SketchSqlError(f"config key {exc}") from None
     if config.backend not in BACKENDS:
         raise SketchSqlError(f"unknown backend {config.backend!r}; "
                              f"expected one of {', '.join(BACKENDS)}")
@@ -221,7 +208,7 @@ def build_backend(config: RunConfig, clients: dict):
         if not config.embeddings:
             raise SketchSqlError(
                 "the embedding backend needs --embeddings <vector file>")
-        return WordEmbedding(EmbeddingTable.load(config.embeddings))
+        return WordEmbedding.load(config.embeddings)
     (encoder,) = _require(clients, "encoder")
     return SentenceEncoder(encoder)
 

@@ -29,8 +29,8 @@ from .errors import (DatabaseAccessError, IndexResolutionError,
 
 log = logging.getLogger(__name__)
 
-#: Normalized column types.  Calibration only needs to know which columns
-#: hold text, so everything else collapses into a coarse bucket.
+#: Normalized column types, read only by ``serialize --json`` and record
+#: validation: calibration's value scans filter on SQLite's runtime ``typeof``.
 COLUMN_TYPES = ("text", "integer", "real", "other")
 
 

@@ -39,6 +39,21 @@ STATUS_SELECTED = "Selected"
 STATUS_EXHAUSTED = "Exhausted"
 
 
+def check_ranges(settings, ranges: dict) -> None:
+    """Raise :class:`ValueError` naming the first attribute of ``settings``
+    that is not None and is out of its range in ``ranges``: (least allowed
+    value, whether it is allowed itself, greatest allowed value or None)."""
+    for key, (least, inclusive, most) in ranges.items():
+        value = getattr(settings, key)
+        if value is None or ((value >= least if inclusive else value > least)
+                             and (most is None or value <= most)):
+            continue
+        bound = f"{'at least' if inclusive else 'greater than'} {least}"
+        if most is not None:
+            bound += f" and at most {most}"
+        raise ValueError(f"{key!r} must be {bound}, got {value!r}")
+
+
 @dataclass
 class SelectionConfig:
     """Knobs for one selection run, including the completer client."""
@@ -50,13 +65,14 @@ class SelectionConfig:
     statement_timeout: float | None = None
     scan_cap: int = DEFAULT_SCAN_CAP
 
+    # check_ranges holds the settings to these.  A statement timeout of 0
+    # clears the deadline.
+    RANGES = {"patience": (0, True, None), "threshold": (0, False, 1),
+              "statement_timeout": (0, True, None),
+              "scan_cap": (1, True, None)}
+
     def __post_init__(self):
-        if self.patience < 0:
-            raise ValueError(
-                f"'patience' must be at least 0, got {self.patience!r}")
-        if not 0 < self.threshold <= 1:
-            raise ValueError(
-                f"'threshold' must be in (0, 1], got {self.threshold!r}")
+        check_ranges(self, self.RANGES)
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import json
 import logging
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -343,29 +342,18 @@ def write_records_jsonl(records, path) -> None:
 # --------------------------------------------------------------------------
 # Live candidate generation
 
-# Runs the From and Keywords requests while the calling thread makes the
-# Select request.  Made on first use and kept for the process, because an
-# executor per call would start and join threads for every question.
-_part_pool: ThreadPoolExecutor | None = None
-_part_pool_lock = threading.Lock()
-
-
-def _part_executor() -> ThreadPoolExecutor:
+def _new_part_pool() -> None:
+    """Make the pool that runs the From and Keywords requests while the
+    calling thread makes the Select one.  One pool serves the process, as
+    an executor per call would start threads for every question; it starts
+    none before its first request.  A forked child, which has none of the
+    parent's pool threads, gets a new pool instead of waiting on them."""
     global _part_pool
-    with _part_pool_lock:
-        if _part_pool is None:
-            _part_pool = ThreadPoolExecutor(thread_name_prefix="sketch-part")
-        return _part_pool
+    _part_pool = ThreadPoolExecutor(thread_name_prefix="sketch-part")
 
 
-def _forget_part_executor() -> None:
-    # A forked child has none of the parent's pool threads, and the
-    # executor would wait for them forever.
-    global _part_pool, _part_pool_lock
-    _part_pool, _part_pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_part_executor)
+_new_part_pool()
+os.register_at_fork(after_in_child=_new_part_pool)
 
 
 def request_candidate_sets(provider, question: str, schema: DatabaseSchema,
@@ -400,8 +388,7 @@ def request_candidate_sets(provider, question: str, schema: DatabaseSchema,
         return tuple(parts)
 
     # Copies of the caller's context carry its gateway.recording_calls list.
-    pool = _part_executor()
-    later = [pool.submit(contextvars.copy_context().run, ask, kind, k)
+    later = [_part_pool.submit(contextvars.copy_context().run, ask, kind, k)
              for kind, k in ((PART_FROM, k_from), (PART_KEYWORDS, k_keywords))]
     try:
         selects = ask(PART_SELECT, k_select)

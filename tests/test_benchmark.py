@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import time
 from dataclasses import asdict
@@ -434,8 +435,29 @@ def test_evaluate_isolates_per_example_failures(dataset_root):
     assert failed.gold_outcome == "rows"  # gold still executed and scored
 
 
+@pytest.mark.parametrize("key,value,message", [
+    # k_select=0 asked for no Select hypothesis: every example an Error.
+    ("k_select", 0, "'k_select' must be at least 1, got 0"),
+    ("k_from", 0, "'k_from' must be at least 1, got 0"),
+    ("k_keywords", 0, "'k_keywords' must be at least 1, got 0"),
+    ("workers", 0, "'workers' must be at least 1, got 0"),
+    ("example_timeout", 0.0, "'example_timeout' must be greater than 0, "
+                             "got 0.0"),
+])
+def test_eval_config_checks_the_cli_ranges(key, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        eval_config(StubScript({}), **{key: value})
+
+
+def test_eval_config_at_its_bounds():
+    config = eval_config(StubScript({}), k_select=1, k_from=1, k_keywords=1,
+                         workers=1, example_timeout=0.001)
+    assert (config.k_select, config.k_from, config.k_keywords, config.workers,
+            config.example_timeout) == (1, 1, 1, 1, 0.001)
+
+
 def test_evaluate_example_timeout_is_post_hoc(dataset_root):
-    report, _ = run_gold_echo(dataset_root, example_timeout=0.0)
+    report, _ = run_gold_echo(dataset_root, example_timeout=1e-9)
     assert report.status_counts == {"Timeout": 6}
     assert report.correct == 0
     for result in report.per_example:

@@ -27,7 +27,6 @@ from sketchsql.calibration import (
     DEFAULT_SCAN_CAP,
     CalibrationFeedback,
     CharacterFuzzy,
-    EmbeddingTable,
     EncodedValues,
     MatchLevel,
     MatchResult,
@@ -35,13 +34,11 @@ from sketchsql.calibration import (
     WordEmbedding,
     best_match,
     column_values,
-    embedding_similarity,
     fuzzy_similarity,
     is_identity_replacement,
     level_columns,
     multi_level_match,
     replacement_value,
-    sentence_similarity,
     single_level_match,
 )
 from sketchsql.errors import EmptyValueError
@@ -112,37 +109,37 @@ junk one two
 def table(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text(VECTORS, encoding="utf-8")
-    return EmbeddingTable.load(path)
+    return WordEmbedding.load(path)
 
 
 def test_embedding_table_load(table, caplog):
-    assert table.dimension == 2
+    assert {len(v) for v in table.entries.values()} == {2}
     assert set(table.entries) == {"king", "queen", "apple"}
-    assert "king" in table and "short" not in table
+    assert "king" in table.entries and "short" not in table.entries
 
 
 def test_embedding_table_no_usable_entries(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("word\n", encoding="utf-8")
     with pytest.raises(ValueError):
-        EmbeddingTable.load(path)
+        WordEmbedding.load(path)
 
 
 def test_embedding_similarity_cosine(table):
-    assert embedding_similarity("king", "queen", table) == pytest.approx(0.8)
-    assert embedding_similarity("king", "apple", table) == pytest.approx(0.0)
-    assert embedding_similarity("KING", "king", table) == pytest.approx(1.0)
+    assert table.score("king", "queen") == pytest.approx(0.8)
+    assert table.score("king", "apple") == pytest.approx(0.0)
+    assert table.score("KING", "king") == pytest.approx(1.0)
 
 
 def test_embedding_similarity_multiword_mean(table):
     # mean(king, apple) is (0.5, 0.5); cosine against king is cos(45 deg)
-    assert embedding_similarity("king apple", "king", table) == \
+    assert table.score("king apple", "king") == \
         pytest.approx(np.sqrt(0.5))
 
 
 def test_embedding_similarity_oov_falls_back_to_fuzzy(table):
-    assert embedding_similarity("wards", "ward", table) == 0.75
-    assert embedding_similarity("king", "kings", table) == \
+    assert table.score("wards", "ward") == 0.75
+    assert table.score("king", "kings") == \
         fuzzy_similarity("king", "kings")
 
 
@@ -157,14 +154,15 @@ def encoder_for(vectors: dict) -> StubScript:
 def test_sentence_similarity_cosine():
     encoder = encoder_for({"a": [3.0, 0.0], "b": [5.0, 0.0],
                            "c": [0.0, 1.0], "d": [-1.0, 0.0]})
-    assert sentence_similarity("a", "b", encoder) == pytest.approx(1.0)
-    assert sentence_similarity("a", "c", encoder) == pytest.approx(0.0)
-    assert sentence_similarity("a", "d", encoder) == 0.0  # clamped
+    backend = SentenceEncoder(encoder)
+    assert backend.score("a", "b") == pytest.approx(1.0)
+    assert backend.score("a", "c") == pytest.approx(0.0)
+    assert backend.score("a", "d") == 0.0  # clamped
 
 
 def test_sentence_similarity_zero_vector():
     encoder = encoder_for({"a": [0.0, 0.0], "b": [1.0, 0.0]})
-    assert sentence_similarity("a", "b", encoder) == 0.0
+    assert SentenceEncoder(encoder).score("a", "b") == 0.0
 
 
 def test_sentence_backend_falls_back_once(caplog):
@@ -173,6 +171,7 @@ def test_sentence_backend_falls_back_once(caplog):
         assert backend.score("wards", "ward") == 0.75
         assert backend.score("timmy", "timmothy") == 0.4
     assert sum("falling back" in r.message for r in caplog.records) == 1
+    assert backend.encoder is None
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +312,7 @@ def test_score_many_equals_oracle_exactly(literal, values):
 
 def test_score_many_loops_over_score_for_other_backends(table):
     values = ["queen", "wards", "   ", "kings"]
-    for backend in (WordEmbedding(table),
+    for backend in (table,
                     SentenceEncoder(StubScript({}))):
         scores = backend.score_many("king", values)
         assert scores[0] == backend.score("king", "queen")
@@ -474,8 +473,8 @@ def test_passes_that_read_no_lanes_agree_with_the_search(school_db, table):
         return encode(texts)
 
     encoder.encode = recording_encode
-    cases = [(SentenceEncoder(encoder), "zed"), (WordEmbedding(table), "zed"),
-             (WordEmbedding(table), "king")]
+    cases = [(SentenceEncoder(encoder), "zed"), (table, "zed"),
+             (table, "king")]
     cases += [(CharacterFuzzy(), literal)
               for literal in ("tîmmy", "ti\0mmy", "timmy" * 13)]
     for backend, literal in cases:

@@ -5,8 +5,13 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from helpers import SCHOOL_GOLD_SQL, make_school_db
+from helpers import SCHOOL_BAD_SQL, SCHOOL_GOLD_SQL, make_school_db
 
+from sketchsql.calibration import (
+    CharacterFuzzy,
+    SentenceEncoder,
+    multi_level_match,
+)
 from sketchsql.cli import main
 from sketchsql.errors import (
     CompleterUnavailableError,
@@ -16,6 +21,7 @@ from sketchsql.errors import (
     SketchSqlError,
     StubScriptError,
 )
+from sketchsql.execution import Database
 from sketchsql.gateway import (
     AlignerClient,
     CompleterClient,
@@ -29,6 +35,7 @@ from sketchsql.gateway import (
     request_candidates,
     request_completion,
 )
+from sketchsql.sql_analysis import parse_sql
 
 
 class StubServer:
@@ -307,8 +314,26 @@ def test_encoder_backend_over_http(server, tmp_path, monkeypatch, caplog,
                  "--encoder-url", server.base_url]) == 0
     assert capsys.readouterr().out == SCHOOL_GOLD_SQL + "\n"
     assert "sentence encoder unavailable" in caplog.text
-    assert {(r["path"], r["auth"]) for r in server.requests} == \
-        {("/encode", "Bearer tok-e")}
+    # The rejected encoder is dropped: no request for any later value pair.
+    assert [(r["path"], r["auth"]) for r in server.requests] == \
+        [("/encode", "Bearer tok-e")]
+
+
+def test_unavailable_encoder_is_called_once(server, tmp_path, caplog):
+    """An encoder that answers 503 costs one retry schedule, not one per
+    value pair, and the match is the character-fuzzy one.  No level holds a
+    value within the threshold of 'timmothy', so its search scores every
+    column of the database."""
+    server.default = (503, {})
+    db = Database(make_school_db(tmp_path / "school.sqlite"))
+    query = parse_sql(SCHOOL_BAD_SQL)
+    backend = SentenceEncoder(EncoderClient(fast_config(server, retries=2)))
+    feedback = multi_level_match(db, query, 0.65, backend)
+    assert len(server.requests) == 3
+    assert sum("sentence encoder unavailable" in r.message
+               for r in caplog.records) == 1
+    assert feedback == multi_level_match(db, query, 0.65, CharacterFuzzy())
+    db.close()
 
 
 # --------------------------------------------------------------------------

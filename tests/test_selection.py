@@ -1,3 +1,4 @@
+import re
 import sqlite3
 from contextlib import closing
 from dataclasses import asdict
@@ -443,12 +444,30 @@ def test_selection_config_validation():
     with pytest.raises(ValueError, match=r"^'patience' must be at least 0, "
                                          r"got -1$"):
         SelectionConfig(completer({}), patience=-1)
-    with pytest.raises(ValueError, match=r"^'threshold' must be in \(0, 1\], "
-                                         r"got 0.0$"):
+    with pytest.raises(ValueError, match=r"^'threshold' must be greater than "
+                                         r"0 and at most 1, got 0.0$"):
         SelectionConfig(completer({}), threshold=0.0)
-    with pytest.raises(ValueError, match=r"^'threshold' must be in \(0, 1\], "
-                                         r"got 1.5$"):
+    with pytest.raises(ValueError, match=r"^'threshold' must be greater than "
+                                         r"0 and at most 1, got 1.5$"):
         SelectionConfig(completer({}), threshold=1.5)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    # A negative timeout left a recursive CTE running with no deadline.
+    ("statement_timeout", -1, "'statement_timeout' must be at least 0, got -1"),
+    # A cap of 0 scanned no value, so no predicate was ever rewritten.
+    ("scan_cap", 0, "'scan_cap' must be at least 1, got 0"),
+])
+def test_selection_config_checks_the_cli_ranges(key, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SelectionConfig(completer({}), **{key: value})
+
+
+def test_selection_config_at_its_bounds():
+    config = SelectionConfig(completer({}), patience=0, threshold=1,
+                             statement_timeout=0, scan_cap=1)
+    assert (config.patience, config.threshold, config.statement_timeout,
+            config.scan_cap) == (0, 1, 0, 1)
 
 
 def test_trace_serialization_shape(school_db, school_schema):
