@@ -40,9 +40,6 @@ from .sketches import (
     DEFAULT_K_KEYWORDS,
     DEFAULT_K_SELECT,
     INSTRUCTIONS,
-    PART_FROM,
-    PART_KEYWORDS,
-    PART_SELECT,
     build_sketches,
     build_task_input,
     extract_sketch_from_sql,
@@ -58,7 +55,7 @@ STATUS_TIMEOUT = "Timeout"
 
 _ORDER_BY = re.compile(r"\border\s+by\b", re.IGNORECASE)
 
-_FORMATS = {
+FORMATS = {
     # dataset format -> (database directory name, example-file candidates)
     "spider": ("database", ("dev.json", "examples.json", "train_spider.json")),
     "kaggledbqa": ("databases", ("examples.json", "dev.json", "test.json")),
@@ -122,11 +119,11 @@ def load_dataset(root, fmt: str = "spider",
     conventional names are tried).  Every example's db_id must resolve to
     a database file; the full list of unresolved ids is reported at once.
     """
-    if fmt not in _FORMATS:
+    if fmt not in FORMATS:
         raise DatasetIntegrityError(
-            f"unknown dataset format {fmt!r}; expected one of {sorted(_FORMATS)}")
+            f"unknown dataset format {fmt!r}; expected one of {sorted(FORMATS)}")
     root = Path(root)
-    db_dir_name, candidates = _FORMATS[fmt]
+    db_dir_name, candidates = FORMATS[fmt]
 
     if examples_file is not None:
         examples_path = root / examples_file
@@ -380,14 +377,10 @@ def build_gold_echo_script(bundle: DatasetBundle) -> dict:
     for example in bundle.examples:
         schema = bundle.schemas[example.db_id]
         sketch = extract_sketch_from_sql(example.gold_sql, schema)
-        parts = {
-            PART_SELECT: sketch.select_part.content,
-            PART_FROM: sketch.from_part.content,
-            PART_KEYWORDS: sketch.keywords_part.content,
-        }
-        for kind, content in parts.items():
-            key = build_task_input(INSTRUCTIONS[kind], example.question, schema)
-            generate[key] = [[content]]
+        for part in sketch.parts:
+            key = build_task_input(INSTRUCTIONS[part.kind], example.question,
+                                   schema)
+            generate[key] = [[part.content]]
         prompt = completion_prompt(example.question, schema, sketch)
         complete[prompt] = [example.gold_sql]
     return {

@@ -29,6 +29,7 @@ import yaml
 
 from .benchmark import (
     DEFAULT_EXAMPLE_TIMEOUT,
+    FORMATS,
     EvalConfig,
     evaluate,
     format_summary,
@@ -42,7 +43,7 @@ from .calibration import (
     SentenceEncoder,
     WordEmbedding,
 )
-from .errors import EmptyCandidateError, SketchSqlError
+from .errors import SketchSqlError
 from .execution import Database
 from .gateway import EndpointConfig, HttpClient, StubScript, clients_from_script
 from .schema import load_schema_file, schema_from_sqlite, serialize_schema
@@ -57,11 +58,7 @@ from .sketches import (
     DEFAULT_K_FROM,
     DEFAULT_K_KEYWORDS,
     DEFAULT_K_SELECT,
-    combine_candidates,
-    derive_aligner_records,
     derive_training_records,
-    extract_sketch_from_sql,
-    request_candidate_sets,
     write_records_jsonl,
 )
 
@@ -72,7 +69,6 @@ EXIT_ERROR = 1
 EXIT_EXHAUSTED = 2
 
 BACKENDS = ("fuzzy", "embedding", "encoder")
-FORMATS = ("spider", "kaggledbqa")
 
 TOKEN_ENV = {
     "sketch": "SKETCH_TOKEN",
@@ -358,48 +354,21 @@ def cmd_derive_train(args: argparse.Namespace, config: RunConfig) -> int:
     bundle = _load_bundle(config)
     dataset = [(ex.question, bundle.schemas[ex.db_id], ex.gold_sql)
                for ex in bundle.examples]
-    records, diagnostics = derive_training_records(dataset)
+    records, aligner_records, diagnostics = derive_training_records(
+        dataset, build_clients(config)["sketch"],
+        config.k_select, config.k_from, config.k_keywords)
     for line in diagnostics:
         log.warning("%s", line)
 
-    provider = build_clients(config)["sketch"]
-    aligner_records = []
-    for example in bundle.examples:
-        schema = bundle.schemas[example.db_id]
-        try:
-            gold = extract_sketch_from_sql(example.gold_sql, schema)
-        except Exception:
-            continue  # already reported by derive_training_records
-        pairs = [(gold.select_part, gold.keywords_part)]
-        if provider is not None:
-            sets = request_candidate_sets(provider, example.question, schema,
-                                          config.k_select, config.k_from,
-                                          config.k_keywords)
-            try:
-                pairs = combine_candidates(list(sets.select_candidates),
-                                           list(sets.keyword_candidates))
-            except EmptyCandidateError as exc:
-                log.warning("no candidate pairs for %r: %s",
-                            example.question, exc)
-                pairs = []
-        aligner_records.extend(derive_aligner_records(
-            example.question, pairs,
-            gold.select_part.content, gold.keywords_part.content))
-
     out_dir = Path(config.output or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    sketch_path = out_dir / "sketch_records.jsonl"
-    aligner_path = out_dir / "aligner_records.jsonl"
-    write_records_jsonl(records, sketch_path)
-    write_records_jsonl(aligner_records, aligner_path)
-    log.info("wrote %d sketch record(s) to %s", len(records), sketch_path)
-    log.info("wrote %d aligner record(s) to %s", len(aligner_records),
-             aligner_path)
-    print(json.dumps({
-        "sketch_records": len(records),
-        "aligner_records": len(aligner_records),
-        "skipped_examples": len(diagnostics),
-    }))
+    for role, items in (("sketch", records), ("aligner", aligner_records)):
+        path = out_dir / f"{role}_records.jsonl"
+        write_records_jsonl(items, path)
+        log.info("wrote %d %s record(s) to %s", len(items), role, path)
+    print(json.dumps({"sketch_records": len(records),
+                      "aligner_records": len(aligner_records),
+                      "skipped_examples": len(diagnostics)}))
     return EXIT_OK
 
 

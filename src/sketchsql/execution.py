@@ -1,12 +1,12 @@
 """SQL execution against SQLite with outcome classification and result
 comparison.
 
-Every run is classified as Error (engine rejection or timeout, message
-kept so it can be fed back to the completer), Null (empty result
-or rows that are entirely NULL, e.g. an aggregate over an empty
-relation), or Rows.  Comparison for the accuracy metric is multiset-based
-with numeric tolerance; column names are deliberately ignored since
-equivalent queries alias freely.
+Every run is classified as Error (engine rejection, timeout, or a result
+of more than ``MAX_RESULT_ROWS`` rows; the message is kept so it can be
+fed back to the completer), Null (empty result or rows that are entirely
+NULL, e.g. an aggregate over an empty relation), or Rows.  Comparison for
+the accuracy metric is multiset-based with numeric tolerance; column names
+are deliberately ignored since equivalent queries alias freely.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ log = logging.getLogger(__name__)
 DEFAULT_STATEMENT_TIMEOUT = 30.0
 # How many SQLite VM instructions run between timeout checks.
 _PROGRESS_INTERVAL = 10_000
+# The most rows a statement's result may hold; a longer one is an Error.
+MAX_RESULT_ROWS = 100_000
 
 ERROR = "error"
 NULL = "null"
@@ -247,13 +249,15 @@ class Database:
         """Run ``sql`` and classify the outcome.  Never raises: engine
         errors, timeouts, and connection failures all become Error
         outcomes that keep the underlying message, plus the deadline or
-        the length limit that stopped the statement."""
+        the length limit that stopped the statement.  A result of more
+        than ``MAX_RESULT_ROWS`` rows is an Error too; its statement is
+        stopped, so the connection keeps no read lock."""
         limit = DEFAULT_STATEMENT_TIMEOUT if timeout is None else timeout
         try:
             with self._statement_connection(limit) as conn:
                 try:
                     cursor = conn.execute(sql)
-                    rows = tuple(tuple(row) for row in cursor.fetchall())
+                    rows = tuple(map(tuple, cursor.fetchmany(MAX_RESULT_ROWS + 1)))
                 except Exception as exc:
                     message = str(exc)
                     if message == "interrupted" and limit > 0:
@@ -262,6 +266,10 @@ class Database:
                     elif message == "string or blob too big":
                         message += f": over the {MAX_VALUE_BYTES} byte length limit"
                     return ExecutionOutcome.error(message)
+                if len(rows) > MAX_RESULT_ROWS:
+                    cursor.close()
+                    return ExecutionOutcome.error(
+                        f"result has more than {MAX_RESULT_ROWS} rows")
                 column_count = len(cursor.description) if cursor.description else 0
         except Exception as exc:  # connection failure -> Error outcome
             return ExecutionOutcome.error(str(exc))

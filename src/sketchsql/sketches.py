@@ -21,7 +21,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
-from .errors import EmptyCandidateError, SchemaMismatchError, ScoreArityError
+from .errors import (EmptyCandidateError, SchemaMismatchError,
+                     ScoreArityError, SketchSqlError)
 from .gateway import request_alignment_scores, request_candidates
 from .schema import DatabaseSchema, serialize_schema
 from .sql_analysis import (
@@ -156,6 +157,11 @@ class SqlSketch:
     keywords_part: SketchPart
     rank: int
 
+    @property
+    def parts(self) -> tuple[SketchPart, SketchPart, SketchPart]:
+        """The Select, From and Keywords parts, in ``PART_KINDS`` order."""
+        return (self.select_part, self.from_part, self.keywords_part)
+
 
 @dataclass(frozen=True)
 class TrainingRecord:
@@ -289,28 +295,43 @@ def extract_sketch_from_sql(sql, schema: DatabaseSchema) -> SqlSketch:
 # --------------------------------------------------------------------------
 # Training-record derivation
 
-def derive_training_records(dataset) -> tuple[list[TrainingRecord], list[str]]:
-    """Three provider records (one per subtask) for each (question, schema,
-    gold sql) example.  Extraction failures become diagnostics, not
-    errors; failed examples contribute no records."""
-    records: list[TrainingRecord] = []
-    diagnostics: list[str] = []
+def derive_training_records(dataset, provider=None,
+                            k_select: int = DEFAULT_K_SELECT,
+                            k_from: int = DEFAULT_K_FROM,
+                            k_keywords: int = DEFAULT_K_KEYWORDS) -> tuple:
+    """Provider and aligner training records from (question, schema, gold
+    sql) examples, extracting each gold sketch once.
+
+    Each example gives three provider records, one per subtask, and one
+    aligner record per (Select, Keywords) pair: the gold pair alone, or,
+    given a sketch ``provider``, its candidate pairs.  An example whose gold
+    sketch cannot be extracted gives a diagnostic instead.  Returns
+    ``(records, aligner_records, diagnostics)``."""
+    records, aligner_records, diagnostics = [], [], []
     for position, (question, schema, gold_sql) in enumerate(dataset):
         try:
-            sketch = extract_sketch_from_sql(gold_sql, schema)
-        except Exception as exc:
+            gold = extract_sketch_from_sql(gold_sql, schema)
+        except (SketchSqlError, ValueError) as exc:
             diagnostics.append(f"example {position}: {exc}")
             continue
         serialized = serialize_schema(schema)
-        labels = {
-            PART_SELECT: sketch.select_part.content,
-            PART_FROM: sketch.from_part.content,
-            PART_KEYWORDS: sketch.keywords_part.content,
-        }
-        for subtask in PART_KINDS:
-            records.append(TrainingRecord(INSTRUCTIONS[subtask], question,
-                                          serialized, labels[subtask], subtask))
-    return records, diagnostics
+        records.extend(TrainingRecord(INSTRUCTIONS[part.kind], question,
+                                      serialized, part.content, part.kind)
+                       for part in gold.parts)
+        pairs = [(gold.select_part, gold.keywords_part)]
+        if provider is not None:
+            sets = request_candidate_sets(provider, question, schema,
+                                          k_select, k_from, k_keywords)
+            try:
+                pairs = combine_candidates(list(sets.select_candidates),
+                                           list(sets.keyword_candidates))
+            except EmptyCandidateError as exc:
+                log.warning("no candidate pairs for %r: %s", question, exc)
+                pairs = []
+        aligner_records.extend(derive_aligner_records(
+            question, pairs, gold.select_part.content,
+            gold.keywords_part.content))
+    return records, aligner_records, diagnostics
 
 
 def _normalized(text: str) -> str:

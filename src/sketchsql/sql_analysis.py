@@ -595,10 +595,13 @@ class _Parser:
 def parse_sql(text: str) -> ParsedQuery:
     """Parse SQL text, returning an immutable :class:`ParsedQuery`.
 
-    Raises :class:`SqlParseError` with the failure offset on invalid input.
+    Raises :class:`SqlParseError` on invalid input, with the failure
+    offset when known, and on a query nested past the recursion limit.
     """
-    parser = _Parser(text)
-    root = parser.parse_statement()
+    try:
+        root = _Parser(text).parse_statement()
+    except RecursionError:
+        raise SqlParseError("query nests too deeply to analyze") from None
     return ParsedQuery(root, text)
 
 

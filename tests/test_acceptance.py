@@ -268,7 +268,7 @@ def test_acceptance_8_training_record_derivation(tmp_path):
         bundle = load_dataset(root)
         dataset = [(ex.question, bundle.schemas[ex.db_id], ex.gold_sql)
                    for ex in bundle.examples]
-        records, diagnostics = derive_training_records(dataset)
+        records, _, diagnostics = derive_training_records(dataset)
         assert len(records) == 30 and diagnostics == []
         assert [r.subtask for r in records[:3]] == \
             ["Select", "From", "Keywords"]
@@ -292,7 +292,7 @@ def test_acceptance_8_training_record_derivation(tmp_path):
                  "SELECT course FROM Student WHERE given_name = 'timmy'",
                  "SELECT given_name FROM Student ORDER BY score DESC"]
         big = [(f"case {i}", schema, golds[i % 4]) for i in range(7000)]
-        records, diagnostics = derive_training_records(big)
+        records, _, diagnostics = derive_training_records(big)
         assert len(records) == 21000 and diagnostics == []
 
 

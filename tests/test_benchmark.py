@@ -23,11 +23,12 @@ from sketchsql.benchmark import (
     translate_question,
 )
 from sketchsql.cli import _write_json
-from sketchsql.errors import DatasetIntegrityError
+from sketchsql.errors import DatasetIntegrityError, SqlParseError
 from sketchsql.execution import Database
 from sketchsql.gateway import StubScript, clients_from_script, recording_calls
 from sketchsql.selection import SelectionConfig, completion_prompt
 from sketchsql.sketches import extract_sketch_from_sql
+from sketchsql.sql_analysis import parse_sql
 
 SCHOOL_TIMMY_SQL = "SELECT course FROM Student WHERE given_name = 'timmy'"
 
@@ -283,6 +284,21 @@ def test_gold_order_is_parsed_only_when_it_can_matter(
         tmp_path, monkeypatch, gold, predicted, correct, parses):
     assert _order_case(tmp_path, gold, predicted, monkeypatch) == \
         (correct, parses)
+
+
+@pytest.mark.parametrize("predicted,correct", [
+    ("SELECT given_name FROM Student ORDER BY id", True),
+    ("SELECT given_name FROM Student ORDER BY id DESC", False),
+])
+def test_gold_nested_past_the_parser_depth_is_scored_by_its_text(
+        tmp_path, monkeypatch, predicted, correct):
+    # SQLite runs 90 nested parentheses (its parser stack holds under 100),
+    # past the depth the analyzer's recursion reaches.
+    nested = "(" * 90 + "id > 0" + ")" * 90
+    gold = f"SELECT given_name FROM Student WHERE {nested} ORDER BY id"
+    with pytest.raises(SqlParseError, match="nests too deeply"):
+        parse_sql(gold)
+    assert _order_case(tmp_path, gold, predicted, monkeypatch) == (correct, 1)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from helpers import (
     make_school_db,
 )
 
-from sketchsql.benchmark import build_gold_echo_script, load_dataset
+import sketchsql.cli as cli
+import sketchsql.sketches as sketches
+from sketchsql.benchmark import FORMATS, build_gold_echo_script, load_dataset
 from sketchsql.cli import (
     EXIT_ERROR,
     EXIT_EXHAUSTED,
@@ -201,6 +203,14 @@ def test_calibrate_unparseable_sql(school_path):
                  "--sql", "SELECT FROM WHERE"]) == EXIT_ERROR
 
 
+def test_calibrate_query_nested_too_deeply(school_path, caplog, capsys):
+    nested = "(" * 500 + "score > 0" + ")" * 500
+    assert main(["calibrate", "--db", str(school_path), "--sql",
+                 f"SELECT course FROM Student WHERE {nested}"]) == EXIT_ERROR
+    assert "query nests too deeply to analyze" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_calibrate_backend_requirements(school_path):
     assert main(["calibrate", "--db", str(school_path),
                  "--sql", SCHOOL_GOLD_SQL,
@@ -361,8 +371,50 @@ def test_derive_train_with_provider_candidates(bench, tmp_path, capsys):
     assert labels == [0, 1, 1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("stubbed", [False, True],
+                         ids=["gold-only", "stub-script"])
+def test_derive_train_extracts_each_gold_sketch_once(
+        bench, tmp_path, capsys, monkeypatch, stubbed):
+    root, script = bench
+    extracted = []
+
+    def counting_extract(sql, schema):
+        extracted.append(sql)
+        return extract_sketch_from_sql(sql, schema)
+
+    # The command module is patched too, so that an extraction it made
+    # itself would be counted as well.
+    for module in (sketches, cli):
+        monkeypatch.setattr(module, "extract_sketch_from_sql",
+                            counting_extract, raising=False)
+    argv = ["derive-train", "--dataset", str(root),
+            "--output", str(tmp_path / "train")]
+    if stubbed:
+        argv += ["--stub-script", str(script)]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "sketch_records": 15, "aligner_records": 5, "skipped_examples": 0}
+    assert extracted == [ex.gold_sql for ex in load_dataset(root).examples]
+
+
 # --------------------------------------------------------------------------
 # Configuration plumbing
+
+def test_dataset_formats_are_the_loaders(tmp_path, monkeypatch, caplog):
+    monkeypatch.setitem(FORMATS, "flat", ("dbs", ("items.json",)))
+    root = make_benchmark_dataset(tmp_path / "flat", 2, db_dir_name="dbs")
+    (root / "dev.json").rename(root / "items.json")
+    args = build_parser().parse_args(
+        ["evaluate", "--dataset", str(root), "--format", "flat"])
+    assert effective_config(args).format == "flat"
+    assert main(["derive-train", "--dataset", str(root), "--format", "flat",
+                 "--output", str(tmp_path / "train")]) == EXIT_OK
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("format: sqlite\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_ERROR
+    assert ("unknown dataset format 'sqlite'; expected one of spider, "
+            "kaggledbqa, flat") in caplog.text
+
 
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.yaml"

@@ -10,8 +10,10 @@ from hypothesis import given, strategies as st
 
 from helpers import is_closed, record_connections
 
+import sketchsql.execution as execution
 from sketchsql.errors import DatabaseAccessError
 from sketchsql.execution import (
+    MAX_RESULT_ROWS,
     Database,
     ExecutionOutcome,
     ResultSet,
@@ -183,6 +185,30 @@ def test_writer_commits_after_any_statement(db):
         count = db.execute("SELECT count(*) FROM item WHERE label = 'cap'",
                            timeout=0)
         assert count.result.rows == ((i + 1,),)
+
+
+def test_result_past_the_row_cap_is_an_error(db):
+    rows = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+            "WHERE x < 300000) SELECT x, printf('%100d', x) FROM c "
+            "JOIN item ON item.id = 1")
+    outcome = db.execute(rows, timeout=0)
+    assert outcome.is_error
+    assert outcome.message == \
+        f"result has more than {MAX_RESULT_ROWS} rows"
+    commit_row(db.path, 7, "cap")  # "database is locked" if a read is pinned
+    assert db.execute("SELECT count(*) FROM item").result.rows == ((7,),)
+
+
+def test_row_cap_admits_exactly_the_cap(db, monkeypatch):
+    monkeypatch.setattr(execution, "MAX_RESULT_ROWS", 6)
+    ids = "SELECT id FROM item ORDER BY id"
+    assert db.execute(ids).result == \
+        ResultSet(1, tuple((i,) for i in range(1, 7)))
+    commit_row(db.path, 7, "cap")
+    assert db.execute(ids) == \
+        ExecutionOutcome.error("result has more than 6 rows")
+    commit_row(db.path, 8, "cap")
+    assert db.execute("SELECT count(*) FROM item").result.rows == ((8,),)
 
 
 def test_pool_is_bounded_by_concurrent_callers(db, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 from helpers import SCHOOL_GOLD_SQL, make_benchmark_dataset
 
+import sketchsql.sketches as sketches_module
 from sketchsql.benchmark import (
     EvalConfig,
     build_gold_echo_script,
@@ -211,7 +212,7 @@ def test_derive_training_records(school_schema):
         ("broken", school_schema, "SELECT FROM WHERE"),
         ("Count students", school_schema, "SELECT count(*) FROM Student"),
     ]
-    records, diagnostics = derive_training_records(dataset)
+    records, _, diagnostics = derive_training_records(dataset)
     assert len(records) == 6
     assert [r.subtask for r in records[:3]] == ["Select", "From", "Keywords"]
     first = records[0]
@@ -222,6 +223,56 @@ def test_derive_training_records(school_schema):
     assert records[1].label == "FROM t1"
     assert records[2].label == "SELECT FROM WHERE ORDER BY LIMIT"
     assert len(diagnostics) == 1 and diagnostics[0].startswith("example 1:")
+
+
+def test_sketch_parts_follow_the_kind_order(school_schema):
+    sketch = extract_sketch_from_sql(SCHOOL_GOLD_SQL, school_schema)
+    assert sketch.parts == (sketch.select_part, sketch.from_part,
+                            sketch.keywords_part)
+    assert tuple(p.kind for p in sketch.parts) == PART_KINDS
+
+
+def _bench_dataset(tmp_path):
+    bundle = load_dataset(make_benchmark_dataset(tmp_path / "bench", 5))
+    dataset = [(ex.question, bundle.schemas[ex.db_id], ex.gold_sql)
+               for ex in bundle.examples]
+    return bundle, dataset
+
+
+def test_derive_training_records_labels_the_gold_pair(tmp_path):
+    _, dataset = _bench_dataset(tmp_path)
+    records, aligner_records, diagnostics = derive_training_records(dataset)
+    assert len(records) == 15 and diagnostics == []
+    assert [(r.question, r.select_part, r.keywords_part, r.label)
+            for r in aligner_records] == [
+        (records[i].question, records[i].label, records[i + 2].label, 1)
+        for i in range(0, 15, 3)]
+
+
+def test_derive_training_records_labels_provider_candidates(tmp_path):
+    bundle, dataset = _bench_dataset(tmp_path)
+    script = build_gold_echo_script(bundle)
+    question, schema, gold_sql = dataset[0]
+    gold = extract_sketch_from_sql(gold_sql, schema)
+    select_key = build_task_input(INSTRUCTION_SELECT, question, schema)
+    script["generate"][select_key] = [["SELECT *", gold.select_part.content]]
+    records, aligner_records, diagnostics = derive_training_records(
+        dataset, StubScript(script))
+    assert len(records) == 15 and diagnostics == []
+    assert [r.label for r in aligner_records] == [0, 1, 1, 1, 1, 1]
+    assert [r.select_part for r in aligner_records[:2]] == \
+        ["SELECT *", gold.select_part.content]
+
+
+def test_derive_training_records_lets_programming_errors_through(
+        school_schema, monkeypatch):
+    def broken_extract(sql, schema):
+        raise KeyError("t9")
+
+    monkeypatch.setattr(sketches_module, "extract_sketch_from_sql",
+                        broken_extract)
+    with pytest.raises(KeyError, match="t9"):
+        derive_training_records([("Q?", school_schema, SCHOOL_GOLD_SQL)])
 
 
 def test_derive_aligner_records():
@@ -245,7 +296,7 @@ def test_write_records_jsonl(tmp_path):
 
 
 def test_write_records_jsonl_roundtrip(tmp_path, school_schema):
-    records, _ = derive_training_records(
+    records, _, _ = derive_training_records(
         [("Q?", school_schema, SCHOOL_GOLD_SQL)])
     path = tmp_path / "train.jsonl"
     write_records_jsonl(records, path)

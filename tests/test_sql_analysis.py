@@ -104,6 +104,22 @@ def test_tokenize_unterminated_string():
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize("nest", [
+    lambda inner: f"({inner})",
+    lambda inner: f"abs({inner})",
+    lambda inner: f"x IN (SELECT x FROM t WHERE {inner})",
+], ids=["parentheses", "calls", "in-select"])
+def test_query_nested_past_the_recursion_limit_is_a_parse_error(nest):
+    condition = "x = 1"
+    for _ in range(500):
+        condition = nest(condition)
+    with pytest.raises(SqlParseError, match="nests too deeply to analyze") \
+            as err:
+        parse_sql(f"SELECT x FROM t WHERE {condition}")
+    assert err.value.position is None
+    assert parse_sql("SELECT x FROM t WHERE (x = 1)").root is not None
+
+
 def test_tokenize_unexpected_character():
     with pytest.raises(SqlParseError):
         tokenize("SELECT ?")
