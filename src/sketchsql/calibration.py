@@ -143,13 +143,15 @@ class EncodedValues(Sequence):
         merged.lanes = lanes[order]
         merged.lengths = lengths[order]
         width = int(merged.lengths[0]) if len(order) else 0
-        codes = np.zeros((width, len(order)), np.uint8)
+        # Each column's codes go straight to their lanes' merged positions.
+        where = np.empty_like(order)
+        where[order] = np.arange(len(order))
+        merged.codes = np.zeros((width, len(order)), np.uint8)
         at = 0
         for c in columns:
             rows, count = c.codes.shape
-            codes[:rows, at:at + count] = c.codes
+            merged.codes[:rows, where[at:at + count]] = c.codes
             at += count
-        merged.codes = codes[:, order]
         merged.active = _active_lanes(merged.lengths, width)
         merged.rank = np.concatenate([c.rank for c in columns])
         return merged
@@ -199,13 +201,16 @@ def _lane_scores(a: str, encoded: EncodedValues) -> np.ndarray:
     return np.clip(1.0 - indel / np.minimum(len(a), encoded.lengths), 0.0, 1.0)
 
 
-def _score_each(backend, literal: str, values) -> np.ndarray:
-    """``backend.score(literal, v)`` for each value; NaN where it raises
-    :class:`EmptyValueError`."""
+def _score_each(backend, literal: str, values, wanted=None) -> np.ndarray:
+    """``backend.score(literal, v)`` for each value, or each ``wanted`` one
+    when a mask is given, in order; NaN where it raises
+    :class:`EmptyValueError` and for the values not wanted."""
     scores = np.full(len(values), np.nan)
-    for i, value in enumerate(values):
+    indices = (range(len(values)) if wanted is None
+               else np.flatnonzero(wanted).tolist())
+    for i in indices:
         try:
-            scores[i] = backend.score(literal, value)
+            scores[i] = backend.score(literal, values[i])
         except EmptyValueError:
             pass
     return scores
@@ -218,22 +223,26 @@ class CharacterFuzzy:
     def score(self, a: str, b: str) -> float:
         return fuzzy_similarity(a, b)
 
-    def score_many(self, literal: str, values) -> np.ndarray:
+    def score_many(self, literal: str, values, wanted=None) -> np.ndarray:
         """``fuzzy_similarity(literal, v)`` for each value, exactly; NaN
         where either side is blank.  ``values`` may be an
         :class:`EncodedValues`, which saves encoding them again.  A literal
-        that fits no lane scores the values one at a time."""
+        that fits no lane scores the values one at a time.  ``wanted``, a
+        bool per value, limits the values scored one at a time to those
+        it marks; the lane pass still scores every lane, and the other
+        values are NaN."""
         a = literal.strip().lower()
         if not a:
             return np.full(len(values), np.nan)
         if len(a) > _MAX_LANE_LITERAL or not a.isascii() or "\0" in a:
-            return _score_each(self, literal, values)
+            return _score_each(self, literal, values, wanted)
         if not isinstance(values, EncodedValues):
             values = EncodedValues(values)
         scores = np.full(len(values), np.nan)
         scores[values.lanes] = _lane_scores(a, values)
         for i in values.others:
-            scores[i] = fuzzy_similarity(literal, values[i])
+            if wanted is None or wanted[i]:
+                scores[i] = fuzzy_similarity(literal, values[i])
         return scores
 
 
@@ -295,8 +304,8 @@ class WordEmbedding:
             return fuzzy_similarity(a, b)
         return float(max(0.0, min(1.0, np.dot(va, vb))))
 
-    def score_many(self, literal: str, values) -> np.ndarray:
-        return _score_each(self, literal, values)
+    def score_many(self, literal: str, values, wanted=None) -> np.ndarray:
+        return _score_each(self, literal, values, wanted)
 
 
 class SentenceEncoder:
@@ -330,8 +339,8 @@ class SentenceEncoder:
             return 0.0
         return float(max(0.0, min(1.0, np.dot(va / na, vb / nb))))
 
-    def score_many(self, literal: str, values) -> np.ndarray:
-        return _score_each(self, literal, values)
+    def score_many(self, literal: str, values, wanted=None) -> np.ndarray:
+        return _score_each(self, literal, values, wanted)
 
 
 # --------------------------------------------------------------------------
@@ -411,6 +420,16 @@ def replacement_value(pred: Predicate, match: MatchResult) -> str:
     return match.value
 
 
+def _level_tables(level: MatchLevel, schema, resolved, tables: list) -> tuple:
+    """The schema tables every column of which is a candidate at Table or
+    Database ``level`` (see :func:`level_columns`)."""
+    if level == MatchLevel.TABLE:
+        names = [resolved[0]] if resolved is not None else tables
+        return tuple(schema.tables[ti] for ti in map(schema.table_index, names)
+                     if ti is not None)
+    return schema.tables
+
+
 def level_columns(level: MatchLevel, schema, resolved, tables: list) -> list:
     """The (table, column) pairs whose values are candidates for a
     predicate at ``level``, in search order.
@@ -424,13 +443,9 @@ def level_columns(level: MatchLevel, schema, resolved, tables: list) -> list:
     """
     if level == MatchLevel.COLUMN:
         return [] if resolved is None else [resolved]
-    if level == MatchLevel.TABLE:
-        names = [resolved[0]] if resolved is not None else tables
-        tables = [schema.tables[ti] for ti in map(schema.table_index, names)
-                  if ti is not None]
-    else:
-        tables = schema.tables
-    return [(table.name, col.name) for table in tables for col in table.columns]
+    return [(table.name, col.name)
+            for table in _level_tables(level, schema, resolved, tables)
+            for col in table.columns]
 
 
 def column_values(db, table: str, column: str,
@@ -443,14 +458,50 @@ def column_values(db, table: str, column: str,
                      EncodedValues)
 
 
-def best_match(candidates: EncodedValues, value0: str, backend) -> list:
+def level_values(db, level: MatchLevel, schema, resolved, tables: list,
+                 scan_cap: int = DEFAULT_SCAN_CAP) -> EncodedValues:
+    """The values of :func:`level_columns`, one segment per column in that
+    order, as one lane set.
+
+    Column level gives the column's own :func:`column_values`.  The
+    columns of one table, and those of the whole database (the same set
+    when it has one table), are merged once and kept in ``db``'s value
+    index next to the columns, so they are merged again only when one of
+    their columns was encoded again.  The FROM tables of a column that
+    does not resolve, when there are several, are merged for this call.
+    """
+    if level == MatchLevel.COLUMN:
+        return column_values(db, *resolved, scan_cap)
+    scope = _level_tables(level, schema, resolved, tables)
+
+    def members():
+        return [column_values(db, table.name, col.name, scan_cap)
+                for table in scope for col in table.columns]
+
+    if len(scope) == 1:
+        key = (scope[0].name.lower(), None, scan_cap)
+    elif level == MatchLevel.DATABASE:
+        key = (None, None, scan_cap)
+    else:
+        return EncodedValues.concat(members())
+    return db.cached(key, members, EncodedValues.concat)
+
+
+def best_match(candidates: EncodedValues, value0: str, backend,
+               wanted=None) -> list:
     """Best ``(score, value)`` of each segment (column) of ``candidates``
     against ``value0``, or None for a segment none of whose values can be
-    scored.  All values are scored in one :meth:`score_many` call; equal
-    scores go to the lexicographically smaller value."""
-    scores = backend.score_many(value0, candidates)
+    scored, or that ``wanted`` (a bool per segment, when given) does not
+    mark.  All values are scored in one :meth:`score_many` call, which
+    scores values one at a time only in the wanted segments; equal scores
+    go to the lexicographically smaller value."""
     bounds = candidates.bounds
     sizes = bounds[1:] - bounds[:-1]
+    if wanted is not None:
+        wanted = np.repeat(wanted, sizes)
+    scores = backend.score_many(value0, candidates, wanted)
+    if wanted is not None:
+        scores[~wanted] = np.nan
     filled = sizes.nonzero()[0]
     out = [None] * len(sizes)
     # reduceat over the starts of non-empty segments only: an empty
@@ -469,8 +520,8 @@ def best_match(candidates: EncodedValues, value0: str, backend) -> list:
     return out
 
 
-def _match_predicate(schema, predicate: Predicate, resolved, tables: list,
-                     r: float, levels, column_bests) -> MatchResult | None:
+def _match_predicate(predicate: Predicate, resolved, r: float, levels,
+                     column_bests) -> MatchResult | None:
     value0 = _match_value(predicate)
     overall: MatchResult | None = None
     for level in levels:
@@ -478,9 +529,7 @@ def _match_predicate(schema, predicate: Predicate, resolved, tables: list,
         # that have candidates, then toward the smaller value.
         order: dict[str, int] = {}
         best_key, result = None, None
-        columns = level_columns(level, schema, resolved, tables)
-        for (_, column), (count, found) in zip(
-                columns, column_bests(value0, columns)):
+        for column, count, found in column_bests(value0, level, resolved):
             if count:
                 rank = order.setdefault(column, len(order))
             if found is None:
@@ -514,8 +563,11 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
     Database), stopping at the first whose best score reaches ``r``; when
     none does, the overall best match is reported with ``below_threshold``
     set.  Values come from ``db``'s value index, checked against the file
-    once at the start of the call, and each literal is scored against each
-    column at most once per call.
+    once at the start of the call, and each level is scored in one pass
+    over its lane set (see :func:`level_values`).  Each literal's best
+    value in each column is found once per call: a lane pass may score a
+    column that an earlier level scored, and keeps that level's result,
+    but values scored one at a time are scored once.
     """
     if not 0 < r <= 1:
         raise ValueError(f"similarity threshold must be in (0, 1], got {r}")
@@ -524,25 +576,28 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
         return CalibrationFeedback()
     db.sync()
     schema = db.schema
+    tables, aliases = table_scope(query)
     bests: dict = {}
 
-    def column_bests(value0: str, columns: list) -> list:
-        """``(value count, best_match)`` of each (table, column), scoring
-        the columns this call has not scored yet in one batch."""
+    def column_bests(value0: str, level: MatchLevel, resolved) -> list:
+        """``(column, value count, best_match)`` of each column searched at
+        ``level``.  The columns this call has not scored yet are scored in
+        one pass over the level's lane set; the others keep their first
+        result."""
+        columns = level_columns(level, schema, resolved, tables)
         keys = [(value0, table.lower(), column.lower())
                 for table, column in columns]
-        new = {}
-        for key, (table, column) in zip(keys, columns):
-            if key not in bests:
-                new[key] = column_values(db, table, column, scan_cap)
-        if new:
-            batch = EncodedValues.concat(list(new.values()))
-            for (key, values), best in zip(
-                    new.items(), best_match(batch, value0, backend)):
-                bests[key] = (len(values), best)
-        return [bests[key] for key in keys]
+        wanted = [key not in bests for key in keys]
+        if any(wanted):
+            batch = level_values(db, level, schema, resolved, tables, scan_cap)
+            sizes = (batch.bounds[1:] - batch.bounds[:-1]).tolist()
+            for key, new, size, best in zip(
+                    keys, wanted, sizes,
+                    best_match(batch, value0, backend, wanted)):
+                if new:
+                    bests[key] = (size, best)
+        return [(column, *bests[key]) for (_, column), key in zip(columns, keys)]
 
-    tables, aliases = table_scope(query)
     replacements = []
     for predicate in predicates:
         ref = predicate.ref
@@ -552,8 +607,7 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
             resolved = (schema.tables[ti].name, ref.name)
         except SchemaMismatchError:
             resolved = None
-        result = _match_predicate(schema, predicate, resolved, tables, r,
-                                  levels, column_bests)
+        result = _match_predicate(predicate, resolved, r, levels, column_bests)
         if result is not None:
             replacements.append((predicate, result))
     return CalibrationFeedback(tuple(replacements))

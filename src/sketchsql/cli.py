@@ -356,7 +356,7 @@ def cmd_derive_train(args: argparse.Namespace, config: RunConfig) -> int:
                for ex in bundle.examples]
     records, aligner_records, diagnostics = derive_training_records(
         dataset, build_clients(config)["sketch"],
-        config.k_select, config.k_from, config.k_keywords)
+        config.k_select, config.k_keywords)
     for line in diagnostics:
         log.warning("%s", line)
 

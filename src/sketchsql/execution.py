@@ -91,12 +91,14 @@ class Database:
     :func:`connect_readonly` for why a reused connection behaves like a
     fresh one).  The handle also holds one read-only connection, opened on
     first use, for the value scans behind calibration and for noticing
-    content changes (see :meth:`sync`), and a value index of encoded
-    column values that survives those changes: each entry is rescanned on
-    its first use after one and encoded again only when its values
-    changed (see :meth:`cached`).  :meth:`close` closes every
-    connection; the handle stays usable and opens new ones when next
-    needed.  Text is decoded as UTF-8 with
+    content changes (see :meth:`sync`), and a value index that survives
+    those changes.  It holds the encoded values of each scanned column,
+    and next to them the merged lane sets that calibration builds from
+    those entries, one per table and one for the database, per scan cap.
+    Each entry is checked on its first use after a change and built
+    again only when what it was built from changed (see :meth:`cached`).
+    :meth:`close` closes every connection; the handle stays usable and
+    opens new ones when next needed.  Text is decoded as UTF-8 with
     replacement: several benchmark databases contain stray non-UTF-8
     bytes, and a consistent lossy decode keeps gold and predicted results
     comparable.
@@ -111,8 +113,8 @@ class Database:
         self._lock = threading.RLock()
         self._held: sqlite3.Connection | None = None
         self._stamp: tuple | None = None
-        # key -> (content version it was last scanned at, the scanned
-        # values, their encoding)
+        # key -> (content version it was last scanned at, what the scan
+        # returned, the encoding built from it)
         self._index: dict = {}
         # Moved on by sync() whenever the stamp moves.
         self._version = 0
@@ -234,13 +236,20 @@ class Database:
         one the entry was encoded from.  So an entry is always the
         encoding of a scan made since the last :meth:`sync`, and unchanged
         columns keep theirs; ``encode`` must be a pure function of the
-        list.  :meth:`close` empties the index.
+        list.  A scan may itself read other entries: a merged lane set's
+        scan returns its columns' entries, which compare by identity, so
+        it is merged again only when one of them was encoded again.
+        :meth:`close` empties the index.
         """
         with self._lock:
             version, values, encoded = self._index.get(key, (None,) * 3)
             if version != self._version:
                 scanned = scan()
                 if scanned != values:
+                    # Let go of the old entry before encoding, so that it
+                    # and the new one are never held at once.
+                    self._index.pop(key, None)
+                    del values, encoded
                     values, encoded = scanned, encode(scanned)
                 self._index[key] = (self._version, values, encoded)
             return encoded

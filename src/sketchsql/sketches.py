@@ -297,14 +297,14 @@ def extract_sketch_from_sql(sql, schema: DatabaseSchema) -> SqlSketch:
 
 def derive_training_records(dataset, provider=None,
                             k_select: int = DEFAULT_K_SELECT,
-                            k_from: int = DEFAULT_K_FROM,
                             k_keywords: int = DEFAULT_K_KEYWORDS) -> tuple:
     """Provider and aligner training records from (question, schema, gold
     sql) examples, extracting each gold sketch once.
 
     Each example gives three provider records, one per subtask, and one
     aligner record per (Select, Keywords) pair: the gold pair alone, or,
-    given a sketch ``provider``, its candidate pairs.  An example whose gold
+    given a sketch ``provider``, its candidate pairs, for which it is asked
+    for Select and Keywords candidates only.  An example whose gold
     sketch cannot be extracted gives a diagnostic instead.  Returns
     ``(records, aligner_records, diagnostics)``."""
     records, aligner_records, diagnostics = [], [], []
@@ -320,11 +320,11 @@ def derive_training_records(dataset, provider=None,
                        for part in gold.parts)
         pairs = [(gold.select_part, gold.keywords_part)]
         if provider is not None:
-            sets = request_candidate_sets(provider, question, schema,
-                                          k_select, k_from, k_keywords)
+            selects, keywords = _request_parts(
+                provider, question, schema,
+                ((PART_SELECT, k_select), (PART_KEYWORDS, k_keywords)))
             try:
-                pairs = combine_candidates(list(sets.select_candidates),
-                                           list(sets.keyword_candidates))
+                pairs = combine_candidates(list(selects), list(keywords))
             except EmptyCandidateError as exc:
                 log.warning("no candidate pairs for %r: %s", question, exc)
                 pairs = []
@@ -377,19 +377,19 @@ _new_part_pool()
 os.register_at_fork(after_in_child=_new_part_pool)
 
 
-def request_candidate_sets(provider, question: str, schema: DatabaseSchema,
-                           k_select: int = DEFAULT_K_SELECT,
-                           k_from: int = DEFAULT_K_FROM,
-                           k_keywords: int = DEFAULT_K_KEYWORDS) -> CandidateSets:
-    """Ask the sketch provider for all three candidate lists.
+def _request_parts(provider, question: str, schema: DatabaseSchema,
+                   requests: tuple) -> list:
+    """The candidates of each ``(kind, k)`` part request in ``requests``,
+    in order.
 
     Keyword hypotheses are sanitized against the canonical vocabulary;
     hypotheses that are empty (or sanitize to nothing) are dropped.
     Duplicates keep their best-ranked occurrence.
 
-    The three requests are in flight together.  Every one has finished
-    when this returns or raises; when several fail, the first failure in
-    Select, From, Keywords order is raised.
+    The requests are in flight together: the first in the calling thread,
+    the others on the part pool.  Every one has finished when this returns
+    or raises; when several fail, the first failure in ``requests`` order
+    is raised.
     """
     def ask(kind: str, k: int) -> tuple:
         task_input = build_task_input(INSTRUCTIONS[kind], question, schema)
@@ -408,14 +408,28 @@ def request_candidate_sets(provider, question: str, schema: DatabaseSchema,
             parts.append(SketchPart(kind, content))
         return tuple(parts)
 
+    (kind, k), *rest = requests
     # Copies of the caller's context carry its gateway.recording_calls list.
     later = [_part_pool.submit(contextvars.copy_context().run, ask, kind, k)
-             for kind, k in ((PART_FROM, k_from), (PART_KEYWORDS, k_keywords))]
+             for kind, k in rest]
     try:
-        selects = ask(PART_SELECT, k_select)
+        first = ask(kind, k)
     finally:
         wait(later)
-    return CandidateSets(selects, later[0].result(), later[1].result())
+    return [first, *(future.result() for future in later)]
+
+
+def request_candidate_sets(provider, question: str, schema: DatabaseSchema,
+                           k_select: int = DEFAULT_K_SELECT,
+                           k_from: int = DEFAULT_K_FROM,
+                           k_keywords: int = DEFAULT_K_KEYWORDS) -> CandidateSets:
+    """Ask the sketch provider for all three candidate lists, in flight
+    together (see :func:`_request_parts`); when several requests fail, the
+    first failure in Select, From, Keywords order is raised."""
+    return CandidateSets(*_request_parts(
+        provider, question, schema,
+        ((PART_SELECT, k_select), (PART_FROM, k_from),
+         (PART_KEYWORDS, k_keywords))))
 
 
 def build_sketches(provider, aligner, question: str, schema: DatabaseSchema,

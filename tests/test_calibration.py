@@ -366,6 +366,19 @@ def test_best_match_batch_equals_oracle(literal, columns):
     _assert_batch_matches_oracle(literal, columns)
 
 
+@given(st.lists(st.lists(_VALUES, max_size=5), min_size=2, max_size=5))
+def test_concat_lays_lanes_out_as_one_column_would(columns):
+    """Each column's lanes are longest first, so the merge puts equal
+    lengths in value order, as one column of all the values does."""
+    merged = EncodedValues.concat([EncodedValues(c) for c in columns])
+    whole = EncodedValues([v for c in columns for v in c])
+    assert merged.values == whole.values and merged.others == whole.others
+    assert merged.active == whole.active
+    for name in ("lanes", "lengths", "codes"):
+        assert np.array_equal(getattr(merged, name), getattr(whole, name)), name
+    assert merged.codes.shape == whole.codes.shape
+
+
 def test_database_level_batch_matches_oracle(tmp_path):
     path = tmp_path / "segments.sqlite"
     with closing(sqlite3.connect(path)) as conn, conn:
@@ -422,7 +435,11 @@ def test_value_index_holds_one_entry_per_scanned_column(tmp_path):
         multi_level_match(db, parse_sql(sql), 1.0, CharacterFuzzy(),
                           scan_cap=cap)
     assert len(scanned) == 4 * 3 * 2
-    assert set(db._index) <= scanned
+    # Besides the column entries, the index keeps at most one merged lane
+    # set per table and one for the database, per scan cap.
+    columns = {key for key in db._index if None not in key}
+    assert columns <= scanned
+    assert len(db._index) - len(columns) <= (4 + 1) * 2
     db.close()
 
 
@@ -636,6 +653,146 @@ def test_a_commit_encodes_only_the_columns_whose_values_changed(
             writer.commit()
             assert match() == (every_column, changed), statement
     db.close()
+
+
+def test_kept_lane_sets_are_merged_once_per_content_version(
+        school_db_path, monkeypatch):
+    """Student's set, Course's set and the database's are merged on first
+    use, and again only after a commit that changes one of their columns'
+    values.  A set is told by its column count."""
+    scope = {3: "Course", 5: "Student", 8: "database"}
+    merged = []
+    concat = EncodedValues.concat.__func__
+
+    def counting_concat(cls, columns):
+        merged.append(scope[len(columns)])
+        return concat(cls, columns)
+
+    monkeypatch.setattr(EncodedValues, "concat", classmethod(counting_concat))
+    db = Database(school_db_path)
+    queries = [parse_sql("SELECT course FROM Student WHERE given_name = 'zed'"),
+               parse_sql("SELECT id FROM Course WHERE teacher = 'zed'")]
+
+    def match():
+        """The sets that database-level matches of both queries merge; their
+        feedback must be a new handle's."""
+        merged.clear()
+        feedback = [multi_level_match(db, query, 1.0, CharacterFuzzy())
+                    for query in queries]
+        seen = sorted(merged)
+        with closing(Database(school_db_path)) as fresh:
+            assert feedback == [multi_level_match(fresh, query, 1.0,
+                                                  CharacterFuzzy())
+                                for query in queries]
+        assert all(f.replacements[0][1].below_threshold for f in feedback)
+        return seen
+
+    assert match() == ["Course", "Student", "database"]
+    assert match() == []
+    with closing(sqlite3.connect(school_db_path)) as writer:
+        for statement, changed in [
+                ("UPDATE Student SET last_name = 'lane' "
+                 "WHERE last_name = 'lee'", ["Student", "database"]),
+                # a duplicate row changes no column's distinct values
+                ("INSERT INTO Student SELECT 3, given_name, last_name, "
+                 "course, score FROM Student WHERE id = 1", []),
+                ("UPDATE Course SET teacher = 'Jordy Wu'",
+                 ["Course", "database"])]:
+            writer.execute(statement)
+            writer.commit()
+            assert match() == changed, statement
+            assert match() == []
+    db.close()
+
+
+def test_a_one_table_database_keeps_one_merged_set(tmp_path, monkeypatch):
+    merged = []
+    concat = EncodedValues.concat.__func__
+
+    def counting_concat(cls, columns):
+        merged.append(len(columns))
+        return concat(cls, columns)
+
+    monkeypatch.setattr(EncodedValues, "concat", classmethod(counting_concat))
+    path = tmp_path / "one.sqlite"
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.executescript("""
+            CREATE TABLE t (a TEXT, b TEXT);
+            INSERT INTO t VALUES ('timmy', 'ward');
+        """)
+    query = parse_sql("SELECT a FROM t WHERE a = 'zed'")
+    with closing(Database(path)) as db:
+        for level in (MatchLevel.DATABASE, MatchLevel.TABLE):
+            assert single_level_match(db, query, 1.0, CharacterFuzzy(), level)
+        assert merged == [2]
+        assert len(db._index) == 2 + 1
+
+
+def test_several_from_tables_of_an_unresolved_column_merge_per_call(
+        tmp_path):
+    """That Table-level scope is merged for the call, not kept, and its
+    matches agree with the brute-force search."""
+    path = tmp_path / "join.sqlite"
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.executescript("""
+            CREATE TABLE a (id INTEGER, name TEXT, odd TEXT);
+            CREATE TABLE b (id INTEGER, label TEXT);
+            CREATE TABLE c (x TEXT);
+            INSERT INTO a VALUES (1, 'timmy', 'tîmmy'), (2, 'ward', 'lee');
+            INSERT INTO b VALUES (1, 'timmi'), (2, 'wardle');
+            INSERT INTO c VALUES ('timothy');
+        """)
+    db = Database(path)
+    for literal in ("timmy", "timothy", "wardel", "tîmmy", "timmy" * 13):
+        sql = (f"SELECT a.name FROM a JOIN b ON a.id = b.id "
+               f"WHERE ghost = '{literal}'")
+        for backend in (CharacterFuzzy(), SentenceEncoder(None)):
+            for r in (0.65, 1.0):
+                feedback = multi_level_match(db, parse_sql(sql), r, backend)
+                assert list(feedback.replacements) == oracle_multi_level(
+                    db.schema, db.path, sql, r), (sql, r)
+    kept = {key for key in db._index if None in key}
+    assert kept == {(None, None, DEFAULT_SCAN_CAP)}
+    db.close()
+
+
+def test_values_scored_one_at_a_time_are_scored_once_per_call(
+        school_db, tmp_path, monkeypatch):
+    """The lane pass over a level's set may score an earlier level's
+    columns again, but the values scored one at a time are not: a literal
+    too long for a lane scores every value of the database once, and a
+    lane literal scores each value that is no lane once."""
+    calls = []
+
+    def counting_similarity(a, b):
+        calls.append(b)
+        return fuzzy_similarity(a, b)
+
+    monkeypatch.setattr(calibration, "fuzzy_similarity", counting_similarity)
+    literal = "q" * 65
+    query = parse_sql(f"SELECT course FROM Student WHERE given_name = '{literal}'")
+    assert multi_level_match(school_db, query, 1.0, CharacterFuzzy())
+    assert sorted(calls) == sorted(
+        value for table, column in level_columns(
+            MatchLevel.DATABASE, school_db.schema, None, [])
+        for value in column_values(school_db, table, column))
+
+    path = tmp_path / "odd.sqlite"
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.executescript("""
+            CREATE TABLE a (name TEXT, odd TEXT);
+            CREATE TABLE b (odd TEXT);
+            INSERT INTO a VALUES ('tîm', 'ti' || char(0) || 'm'), ('lee', 'x');
+            INSERT INTO b VALUES ('tîmmy');
+        """)
+        conn.execute("INSERT INTO b VALUES (?)", ("timmy" * 60,))
+    calls.clear()
+    with closing(Database(path)) as db:
+        query = parse_sql("SELECT name FROM a WHERE odd = 'zed'")
+        (_, match), = multi_level_match(db, query, 1.0,
+                                        CharacterFuzzy()).replacements
+    assert match.level == MatchLevel.COLUMN and match.below_threshold
+    assert sorted(calls) == sorted(["ti\0m", "tîm", "tîmmy", "timmy" * 60])
 
 
 _FRESH_DDL = """

@@ -24,7 +24,7 @@ from sketchsql.errors import (
     SchemaMismatchError,
     ScoreArityError,
 )
-from sketchsql.gateway import StubScript, clients_from_script
+from sketchsql.gateway import StubScript, clients_from_script, recording_calls
 from sketchsql.selection import SelectionConfig
 from sketchsql.sketches import (
     INSTRUCTION_SELECT,
@@ -262,6 +262,20 @@ def test_derive_training_records_labels_provider_candidates(tmp_path):
     assert [r.label for r in aligner_records] == [0, 1, 1, 1, 1, 1]
     assert [r.select_part for r in aligner_records[:2]] == \
         ["SELECT *", gold.select_part.content]
+
+
+def test_derive_training_records_asks_for_select_and_keywords_only(tmp_path):
+    """Aligner pairs are made from Select and Keywords candidates, so no
+    From request is sent."""
+    bundle, dataset = _bench_dataset(tmp_path)
+    with recording_calls() as calls:
+        _, aligner_records, _ = derive_training_records(
+            dataset, StubScript(build_gold_echo_script(bundle)))
+    assert len(aligner_records) == 5
+    assert sorted(request["input"] for request, _ in calls) == sorted(
+        build_task_input(INSTRUCTIONS[kind], question, schema)
+        for question, schema, _ in dataset
+        for kind in (PART_SELECT, PART_KEYWORDS))
 
 
 def test_derive_training_records_lets_programming_errors_through(
