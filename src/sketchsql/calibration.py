@@ -590,7 +590,7 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
         wanted = [key not in bests for key in keys]
         if any(wanted):
             batch = level_values(db, level, schema, resolved, tables, scan_cap)
-            sizes = (batch.bounds[1:] - batch.bounds[:-1]).tolist()
+            sizes = np.diff(batch.bounds).tolist()
             for key, new, size, best in zip(
                     keys, wanted, sizes,
                     best_match(batch, value0, backend, wanted)):

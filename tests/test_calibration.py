@@ -376,7 +376,6 @@ def test_concat_lays_lanes_out_as_one_column_would(columns):
     assert merged.active == whole.active
     for name in ("lanes", "lengths", "codes"):
         assert np.array_equal(getattr(merged, name), getattr(whole, name)), name
-    assert merged.codes.shape == whole.codes.shape
 
 
 def test_database_level_batch_matches_oracle(tmp_path):
@@ -655,20 +654,26 @@ def test_a_commit_encodes_only_the_columns_whose_values_changed(
     db.close()
 
 
+@pytest.fixture
+def merges(monkeypatch):
+    """The column count of each :meth:`EncodedValues.concat` call."""
+    counts = []
+    concat = EncodedValues.concat.__func__
+
+    def counting_concat(cls, columns):
+        counts.append(len(columns))
+        return concat(cls, columns)
+
+    monkeypatch.setattr(EncodedValues, "concat", classmethod(counting_concat))
+    return counts
+
+
 def test_kept_lane_sets_are_merged_once_per_content_version(
-        school_db_path, monkeypatch):
+        school_db_path, merges):
     """Student's set, Course's set and the database's are merged on first
     use, and again only after a commit that changes one of their columns'
     values.  A set is told by its column count."""
     scope = {3: "Course", 5: "Student", 8: "database"}
-    merged = []
-    concat = EncodedValues.concat.__func__
-
-    def counting_concat(cls, columns):
-        merged.append(scope[len(columns)])
-        return concat(cls, columns)
-
-    monkeypatch.setattr(EncodedValues, "concat", classmethod(counting_concat))
     db = Database(school_db_path)
     queries = [parse_sql("SELECT course FROM Student WHERE given_name = 'zed'"),
                parse_sql("SELECT id FROM Course WHERE teacher = 'zed'")]
@@ -676,10 +681,10 @@ def test_kept_lane_sets_are_merged_once_per_content_version(
     def match():
         """The sets that database-level matches of both queries merge; their
         feedback must be a new handle's."""
-        merged.clear()
+        merges.clear()
         feedback = [multi_level_match(db, query, 1.0, CharacterFuzzy())
                     for query in queries]
-        seen = sorted(merged)
+        seen = sorted(scope[count] for count in merges)
         with closing(Database(school_db_path)) as fresh:
             assert feedback == [multi_level_match(fresh, query, 1.0,
                                                   CharacterFuzzy())
@@ -705,15 +710,7 @@ def test_kept_lane_sets_are_merged_once_per_content_version(
     db.close()
 
 
-def test_a_one_table_database_keeps_one_merged_set(tmp_path, monkeypatch):
-    merged = []
-    concat = EncodedValues.concat.__func__
-
-    def counting_concat(cls, columns):
-        merged.append(len(columns))
-        return concat(cls, columns)
-
-    monkeypatch.setattr(EncodedValues, "concat", classmethod(counting_concat))
+def test_a_one_table_database_keeps_one_merged_set(tmp_path, merges):
     path = tmp_path / "one.sqlite"
     with closing(sqlite3.connect(path)) as conn, conn:
         conn.executescript("""
@@ -724,7 +721,7 @@ def test_a_one_table_database_keeps_one_merged_set(tmp_path, monkeypatch):
     with closing(Database(path)) as db:
         for level in (MatchLevel.DATABASE, MatchLevel.TABLE):
             assert single_level_match(db, query, 1.0, CharacterFuzzy(), level)
-        assert merged == [2]
+        assert merges == [2]
         assert len(db._index) == 2 + 1
 
 
