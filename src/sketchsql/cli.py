@@ -7,10 +7,12 @@ SQL), ``calibrate`` (deterministic predicate rewrite), ``evaluate``
 carries data, stderr carries diagnostics.  Exit codes: 0 success,
 1 error, 2 when ``translate`` exhausts every sketch.
 
-Values can come from a YAML config file (``--config``); flags override
-file values.  Endpoint tokens are read only from the environment
-(``SKETCH_TOKEN``, ``ALIGNER_TOKEN``, ``COMPLETER_TOKEN``,
-``ENCODER_TOKEN``), never from flags or files.
+Each command accepts only the settings it reads: as flags, or as keys of
+a YAML config file (``--config``) whose values the flags override.  Each
+setting is declared once, as a field of :class:`RunConfig`.  Endpoint
+tokens are read only from the environment (``SKETCH_TOKEN``,
+``ALIGNER_TOKEN``, ``COMPLETER_TOKEN``, ``ENCODER_TOKEN``), never from
+flags or files.
 """
 
 from __future__ import annotations
@@ -78,35 +80,90 @@ TOKEN_ENV = {
 }
 
 
+# The commands that read each group of settings.
+_PIPELINE = ("translate", "evaluate")
+_SKETCHING = ("translate", "evaluate", "derive-train")
+_MATCHING = ("translate", "calibrate", "evaluate")
+_DATASET = ("evaluate", "derive-train")
+
+
+def _setting(default, commands: tuple, flag: str | None = None, **options):
+    """A RunConfig field read by ``commands``.  Each of them gets the flag
+    ``flag`` (default: ``--`` and the field name, dashed) with the argparse
+    ``options``; its type and "(default X)" come from the field itself."""
+    return dataclasses.field(default=default, metadata={
+        "commands": commands, "flag": flag, "options": options})
+
+
 @dataclass
 class RunConfig:
-    """Every tunable of a run; each field doubles as a config-file key and
-    has a flag of the same name."""
+    """Every tunable of a run.  Each field is a config-file key and a flag,
+    accepted only by the commands that read it."""
 
-    sketch_url: str | None = None
-    aligner_url: str | None = None
-    completer_url: str | None = None
-    encoder_url: str | None = None
-    chat_adapter: bool = False
-    stub_script: str | None = None
-    k_select: int = DEFAULT_K_SELECT
-    k_from: int = DEFAULT_K_FROM
-    k_keywords: int = DEFAULT_K_KEYWORDS
-    patience: int = DEFAULT_PATIENCE
-    threshold: float = DEFAULT_SIMILARITY_THRESHOLD
-    backend: str = "fuzzy"
-    embeddings: str | None = None
-    scan_cap: int = DEFAULT_SCAN_CAP
-    statement_timeout: float | None = None
-    example_timeout: float = DEFAULT_EXAMPLE_TIMEOUT
-    dataset: str | None = None
-    format: str = "spider"
-    examples_file: str | None = None
-    workers: int = 1
-    limit: int | None = None
-    trace: str | None = None
-    output: str | None = None
-    record_latency: bool = True
+    sketch_url: str | None = _setting(None, _SKETCHING, metavar="URL",
+                                      help="sketch model endpoint")
+    aligner_url: str | None = _setting(None, _PIPELINE, metavar="URL",
+                                       help="aligner model endpoint")
+    completer_url: str | None = _setting(None, _PIPELINE, metavar="URL",
+                                         help="completion model endpoint")
+    encoder_url: str | None = _setting(
+        None, _MATCHING, metavar="URL",
+        help="sentence-encoder endpoint for the encoder backend")
+    chat_adapter: bool = _setting(
+        False, _PIPELINE, action="store_const", const=True,
+        help="talk to the completer via a chat-style API")
+    stub_script: str | None = _setting(
+        None, _MATCHING + ("derive-train",), metavar="PATH",
+        help="scripted stub responses instead of live endpoints")
+    k_select: int = _setting(DEFAULT_K_SELECT, _SKETCHING, metavar="N",
+                             help="SELECT-part hypotheses")
+    k_from: int = _setting(DEFAULT_K_FROM, _PIPELINE, metavar="N",
+                           help="FROM-part hypotheses")
+    k_keywords: int = _setting(DEFAULT_K_KEYWORDS, _SKETCHING, metavar="N",
+                               help="keyword hypotheses")
+    patience: int = _setting(DEFAULT_PATIENCE, _PIPELINE, metavar="N",
+                             help="error-feedback rewrites per sketch")
+    threshold: float = _setting(DEFAULT_SIMILARITY_THRESHOLD, _MATCHING,
+                                metavar="R", help="similarity threshold")
+    backend: str = _setting("fuzzy", _MATCHING, choices=BACKENDS,
+                            help="similarity backend")
+    embeddings: str | None = _setting(
+        None, _MATCHING, metavar="PATH",
+        help="word-vector file for the embedding backend")
+    scan_cap: int = _setting(DEFAULT_SCAN_CAP, _MATCHING, metavar="N",
+                             help="max distinct values scanned per column")
+    statement_timeout: float | None = _setting(
+        None, _PIPELINE, metavar="SECONDS",
+        help="per-statement execution timeout")
+    example_timeout: float = _setting(DEFAULT_EXAMPLE_TIMEOUT, ("evaluate",),
+                                      metavar="SECONDS",
+                                      help="per-example budget")
+    dataset: str | None = _setting(None, _DATASET, metavar="DIR",
+                                   help="benchmark root directory")
+    format: str = _setting("spider", _DATASET, choices=FORMATS,
+                           help="dataset layout")
+    examples_file: str | None = _setting(
+        None, _DATASET, metavar="NAME",
+        help="examples JSON inside the dataset root")
+    workers: int = _setting(1, ("evaluate",), metavar="N",
+                            help="parallel examples")
+    limit: int | None = _setting(None, _DATASET, metavar="N",
+                                 help="use only the first N examples")
+    trace: str | None = _setting(
+        None, _PIPELINE, metavar="PATH",
+        help="write the selection trace JSON, one per example for evaluate")
+    output: str | None = _setting(
+        None, _DATASET, metavar="PATH",
+        help="evaluate's report JSON file (default: stdout), or "
+             "derive-train's directory for the JSONL files (default: current)")
+    record_latency: bool = _setting(
+        True, ("evaluate",), flag="--no-latency", action="store_const",
+        const=False, help="omit wall-clock latencies for reproducible reports")
+
+
+def _settings_read_by(command: str) -> list:
+    """The fields of RunConfig that ``command`` reads, in declaration order."""
+    return [f for f in fields(RunConfig) if command in f.metadata["commands"]]
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -137,23 +194,33 @@ def _check_config_value(key: str, value) -> None:
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overridden by the config file, overridden by flags."""
+    """Defaults, overridden by the config file, overridden by flags.  The
+    file may set only the keys that ``args.command`` reads."""
     config = RunConfig()
-    path = getattr(args, "config", None)
-    if path:
+    if args.config:
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(args.config, encoding="utf-8") as handle:
                 data = yaml.safe_load(handle) or {}
         except yaml.YAMLError as exc:
             raise SketchSqlError(f"config file is not valid YAML: {exc}") from exc
         if not isinstance(data, dict):
             raise SketchSqlError("config file must be a mapping of keys to values")
+        for key in data:
+            # YAML reads an unquoted yes, no, null or number as a non-string.
+            if not isinstance(key, str):
+                raise SketchSqlError(f"config key {key!r} must be a string, "
+                                     f"got {type(key).__name__}")
         unknown = sorted(set(data) - set(_CONFIG_KEYS))
         if unknown:
             raise SketchSqlError(
                 f"unknown config key(s): {', '.join(unknown)}")
         for key, value in data.items():
             _check_config_value(key, value)
+        read = {f.name for f in _settings_read_by(args.command)}
+        for key, value in data.items():
+            if key not in read:
+                raise SketchSqlError(
+                    f"config key {key!r} is not read by {args.command}")
             setattr(config, key, value)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
@@ -218,16 +285,15 @@ def _from_run_config(cls, config: RunConfig, **objects):
     return cls(**copied, **objects)
 
 
-def _config_echo(config: RunConfig) -> dict:
-    """The run configuration as echoed into reports and traces.
+def _config_echo(config: RunConfig, command: str) -> dict:
+    """The settings ``command`` reads, as echoed into reports and traces.
 
     Artifact destinations are omitted: they do not affect the run, and
     keeping them would make otherwise-identical reports differ by their
     own file names.
     """
-    echo = dataclasses.asdict(config)
-    del echo["output"], echo["trace"]
-    return echo
+    return {f.name: getattr(config, f.name) for f in _settings_read_by(command)
+            if f.name not in ("output", "trace")}
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +350,7 @@ def cmd_translate(args: argparse.Namespace, config: RunConfig) -> int:
         args.question, db.schema, db, provider, aligner, selection,
         config.k_select, config.k_from, config.k_keywords)
     if config.trace:
-        _write_json({"config": _config_echo(config),
+        _write_json({"config": _config_echo(config, args.command),
                      "trace": dataclasses.asdict(trace)}, config.trace)
         log.info("trace written to %s", config.trace)
     if sql is not None:
@@ -335,14 +401,15 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
                                    provider=provider, aligner=aligner,
                                    trace=bool(config.trace))
     report = evaluate(eval_config, _load_bundle(config))
-    payload = {"config": _config_echo(config), **dataclasses.asdict(report)}
+    payload = {"config": _config_echo(config, args.command),
+               **dataclasses.asdict(report)}
     if config.output:
         _write_json(payload, config.output)
         log.info("report written to %s", config.output)
     else:
         _write_json(payload)
     if config.trace:
-        _write_json({"config": _config_echo(config),
+        _write_json({"config": _config_echo(config, args.command),
                      "traces": [r["trace"] for r in payload["per_example"]]},
                     config.trace)
         log.info("traces written to %s", config.trace)
@@ -375,70 +442,6 @@ def cmd_derive_train(args: argparse.Namespace, config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 # Argument parsing
 
-def _flag(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
-    # Sentinel None defaults let effective_config() tell "flag given" from
-    # "flag omitted", so config-file values survive unless overridden.
-    parser.add_argument(name, default=None, **kwargs)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    _flag(parser, "--config", metavar="PATH",
-          help="YAML config file; flags override its values")
-    parser.add_argument("--verbose", action="store_true",
-                        help="debug-level diagnostics on stderr")
-
-
-def _add_endpoints(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("model endpoints")
-    _flag(group, "--stub-script", metavar="PATH",
-          help="scripted stub responses instead of live endpoints")
-    _flag(group, "--sketch-url", metavar="URL")
-    _flag(group, "--aligner-url", metavar="URL")
-    _flag(group, "--completer-url", metavar="URL")
-    _flag(group, "--encoder-url", metavar="URL")
-    group.add_argument("--chat-adapter", action="store_const", const=True,
-                       default=None,
-                       help="talk to the completer via a chat-style API")
-
-
-def _add_pipeline(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("pipeline")
-    _flag(group, "--k-select", type=int, metavar="N",
-          help=f"SELECT-part hypotheses (default {DEFAULT_K_SELECT})")
-    _flag(group, "--k-from", type=int, metavar="N",
-          help=f"FROM-part hypotheses (default {DEFAULT_K_FROM})")
-    _flag(group, "--k-keywords", type=int, metavar="N",
-          help=f"keyword hypotheses (default {DEFAULT_K_KEYWORDS})")
-    _flag(group, "--patience", type=int, metavar="N",
-          help=f"error-feedback rewrites per sketch (default {DEFAULT_PATIENCE})")
-    _add_matching(parser)
-
-
-def _add_matching(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("value matching")
-    _flag(group, "--threshold", type=float, metavar="R",
-          help=f"similarity threshold (default {DEFAULT_SIMILARITY_THRESHOLD})")
-    _flag(group, "--backend", choices=BACKENDS,
-          help="similarity backend (default fuzzy)")
-    _flag(group, "--embeddings", metavar="PATH",
-          help="word-vector file for the embedding backend")
-    _flag(group, "--scan-cap", type=int, metavar="N",
-          help=f"max distinct values scanned per column (default {DEFAULT_SCAN_CAP})")
-    _flag(group, "--statement-timeout", type=float, metavar="SECONDS",
-          help="per-statement execution timeout")
-
-
-def _add_dataset(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("dataset")
-    _flag(group, "--dataset", metavar="DIR", help="benchmark root directory")
-    _flag(group, "--format", choices=FORMATS,
-          help="dataset layout (default spider)")
-    _flag(group, "--examples-file", metavar="NAME",
-          help="examples JSON inside the dataset root")
-    _flag(group, "--limit", type=int, metavar="N",
-          help="use only the first N examples")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sketchsql",
@@ -447,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serialize",
                        help="print a database schema in model-input form")
-    _add_common(p)
     p.add_argument("--db", metavar="SQLITE", help="database file to introspect")
     p.add_argument("--tables", metavar="JSON", help="schema collection file")
     p.add_argument("--db-id", metavar="ID",
@@ -457,51 +459,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_serialize)
 
     p = sub.add_parser("translate", help="translate one question to SQL")
-    _add_common(p)
     p.add_argument("--db", required=True, metavar="SQLITE")
     p.add_argument("--question", required=True)
-    _flag(p, "--trace", metavar="PATH", help="write the selection trace JSON")
-    _add_endpoints(p)
-    _add_pipeline(p)
     p.set_defaults(handler=cmd_translate)
 
     p = sub.add_parser("calibrate",
                        help="rewrite text predicates against database content")
-    _add_common(p)
     p.add_argument("--db", required=True, metavar="SQLITE")
     p.add_argument("--sql", required=True)
-    _add_endpoints(p)
-    _add_matching(p)
     p.set_defaults(handler=cmd_calibrate)
 
     p = sub.add_parser("evaluate",
                        help="run the pipeline over a benchmark and report "
                             "execution accuracy")
-    _add_common(p)
-    _add_dataset(p)
-    _flag(p, "--workers", type=int, metavar="N",
-          help="parallel examples (default 1)")
-    _flag(p, "--trace", metavar="PATH", help="write per-example trace JSON")
-    _flag(p, "--output", metavar="PATH",
-          help="report JSON file (default: stdout)")
-    _flag(p, "--example-timeout", type=float, metavar="SECONDS",
-          help=f"per-example budget (default {DEFAULT_EXAMPLE_TIMEOUT:g})")
-    p.add_argument("--no-latency", dest="record_latency",
-                   action="store_const", const=False, default=None,
-                   help="omit wall-clock latencies for reproducible reports")
-    _add_endpoints(p)
-    _add_pipeline(p)
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("derive-train",
                        help="extract sketch and aligner training records")
-    _add_common(p)
-    _add_dataset(p)
-    _flag(p, "--output", metavar="DIR",
-          help="directory for the JSONL files (default: current)")
-    _add_endpoints(p)
-    _add_pipeline(p)
     p.set_defaults(handler=cmd_derive_train)
+
+    for command, p in sub.choices.items():
+        p.add_argument("--config", metavar="PATH",
+                       help="YAML config file; flags override its values")
+        p.add_argument("--verbose", action="store_true",
+                       help="debug-level diagnostics on stderr")
+        for f in _settings_read_by(command):
+            options = dict(f.metadata["options"])
+            if "action" not in options:
+                options["type"] = _CONFIG_TYPES[f.name][0]
+                if f.default is not None:
+                    options["help"] += f" (default {f.default})"
+            # A None default lets effective_config() tell "flag given" from
+            # "flag omitted", so config-file values survive unless overridden.
+            flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, default=None, **options)
     return parser
 
 

@@ -1,6 +1,10 @@
+import argparse
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+import yaml
 
 from helpers import (
     SCHOOL_GOLD_SQL,
@@ -12,7 +16,13 @@ from helpers import (
 
 import sketchsql.cli as cli
 import sketchsql.sketches as sketches
-from sketchsql.benchmark import FORMATS, build_gold_echo_script, load_dataset
+from sketchsql.benchmark import (
+    FORMATS,
+    EvalReport,
+    build_gold_echo_script,
+    load_dataset,
+)
+from sketchsql.calibration import CalibrationFeedback
 from sketchsql.cli import (
     EXIT_ERROR,
     EXIT_EXHAUSTED,
@@ -24,7 +34,11 @@ from sketchsql.cli import (
     main,
 )
 from sketchsql.execution import Database
-from sketchsql.selection import completion_prompt
+from sketchsql.selection import (
+    STATUS_SELECTED,
+    SelectionTrace,
+    completion_prompt,
+)
 from sketchsql.sketches import INSTRUCTIONS, build_task_input, extract_sketch_from_sql
 
 SCHOOL_SERIALIZED = (
@@ -154,11 +168,14 @@ def test_missing_endpoint_names_its_flag(school_path, caplog):
         "--stub-script" in caplog.text
     caplog.clear()
     assert main(["calibrate", "--db", str(school_path),
-                 "--sql", SCHOOL_GOLD_SQL, "--backend", "encoder",
-                 "--sketch-url", "http://s"]) == EXIT_ERROR
+                 "--sql", SCHOOL_GOLD_SQL, "--backend", "encoder"]) == EXIT_ERROR
     assert "no encoder endpoint configured; pass --encoder-url or " \
         "--stub-script" in caplog.text
     assert "completer" not in caplog.text
+    with pytest.raises(SystemExit) as err:
+        main(["calibrate", "--db", str(school_path), "--sql", SCHOOL_GOLD_SQL,
+              "--backend", "encoder", "--sketch-url", "http://s"])
+    assert err.value.code == 2
 
 
 def test_translate_missing_db(tmp_path):
@@ -522,7 +539,7 @@ def test_config_values_of_the_right_type_load(tmp_path):
     cfg.write_text("patience: 2\nthreshold: 1\nstatement_timeout: null\n"
                    "limit: 5\nrecord_latency: false\nembeddings: vec.txt\n",
                    encoding="utf-8")
-    args = build_parser().parse_args(["serialize", "--config", str(cfg)])
+    args = build_parser().parse_args(["evaluate", "--config", str(cfg)])
     config = effective_config(args)
     assert (config.patience, config.threshold, config.statement_timeout,
             config.limit, config.record_latency, config.embeddings) == \
@@ -558,3 +575,204 @@ def test_tokens_come_from_environment(monkeypatch):
     assert clients["encoder"].config.auth_token == "tok-e"
     assert clients["encoder"].config.chat_adapter is False
     assert clients["sketch"] is None
+
+
+@pytest.mark.parametrize("text,message", [
+    ("yes: 1", "config key True must be a string, got bool"),
+    ("1: 2", "config key 1 must be a string, got int"),
+    ("null: x\nfoo: 1", "config key None must be a string, got NoneType"),
+])
+def test_a_config_key_that_is_not_a_string_is_named(tmp_path, caplog, text,
+                                                    message):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text + "\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_ERROR
+    assert message in caplog.text
+
+
+# --------------------------------------------------------------------------
+# The settings each command reads
+
+COMMANDS = ("serialize", "translate", "calibrate", "evaluate", "derive-train")
+SETTINGS = [f.name for f in dataclasses.fields(RunConfig)]
+
+# A value other than the default for each setting.  Paths are relative to
+# the directory the commands run in.
+OTHER_VALUES = {
+    "sketch_url": "http://sketch", "aligner_url": "http://aligner",
+    "completer_url": "http://completer", "encoder_url": "http://encoder",
+    "chat_adapter": True, "stub_script": "script.json", "k_select": 3,
+    "k_from": 3, "k_keywords": 3, "patience": 2, "threshold": 0.5,
+    "backend": "encoder", "embeddings": "vectors.txt", "scan_cap": 7,
+    "statement_timeout": 3.0, "example_timeout": 9.0, "dataset": "bench",
+    "format": "kaggledbqa", "examples_file": "dev.json", "workers": 2,
+    "limit": 2, "trace": "trace.json", "output": "out",
+    "record_latency": False,
+}
+
+
+def accepted_settings(command: str) -> dict:
+    """Each RunConfig field that ``command`` takes a flag for, mapped to
+    the flag."""
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return {action.dest: action.option_strings[0]
+            for action in commands.choices[command]._actions
+            if action.dest in SETTINGS}
+
+
+def setting_argv(key: str) -> list:
+    flag = "--" + key.replace("_", "-")
+    return {"chat_adapter": [flag], "record_latency": ["--no-latency"]}.get(
+        key, [flag, str(OTHER_VALUES[key])])
+
+
+def _plain(value):
+    """``value`` with dataclasses as dicts and any object that is not plain
+    data as its type name, so that two runs' calls compare equal when the
+    command passed on the same settings."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if value is None or isinstance(value, (str, int, float, Path)):
+        return value
+    return type(value).__name__
+
+
+@pytest.fixture
+def spied_run(tmp_path, monkeypatch):
+    """Run a command in a directory holding a school database, a dataset, a
+    stub script and a vector file, with the library entry points replaced
+    by recorders.  Each run gives back its exit code, the calls it made
+    (with what reached the clients and the backend) and the files it
+    wrote."""
+    make_school_db(tmp_path / "school.sqlite")
+    make_benchmark_dataset(tmp_path / "bench", 5)
+    (tmp_path / "script.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "vectors.txt").write_text("timmy 1.0 0.0\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    real_build_clients = cli.build_clients
+    real_build_backend = cli.build_backend
+
+    def build_clients(config):
+        clients = real_build_clients(config)
+        calls.append(("build_clients",
+                      {role: _plain(getattr(client, "config", client))
+                       for role, client in clients.items()}))
+        # Every role gets a client, so each command reaches its entry point.
+        return {role: object() if client is None else client
+                for role, client in clients.items()}
+
+    def build_backend(config, clients):
+        backend = real_build_backend(config, clients)
+        calls.append(("build_backend", _plain(backend)))
+        return backend
+
+    def translate_question(question, schema, db, provider, aligner,
+                           selection, *ks):
+        calls.append(("translate_question",
+                      _plain((question, provider, aligner, selection, ks))))
+        return None, SelectionTrace(question, status=STATUS_SELECTED)
+
+    def calibrate_deterministic(db, sql, selection):
+        calls.append(("calibrate_deterministic", _plain((sql, selection))))
+        return sql, CalibrationFeedback()
+
+    def spy_load_dataset(*args):
+        calls.append(("load_dataset", _plain(args)))
+        return load_dataset(*args)
+
+    def evaluate(config, bundle):
+        calls.append(("evaluate", _plain((config, len(bundle.examples)))))
+        return EvalReport(0, 0, 0.0, {}, 0, 0.0, [])
+
+    def derive_training_records(dataset, provider, k_select, k_keywords):
+        calls.append(("derive_training_records",
+                      _plain((len(dataset), provider, k_select, k_keywords))))
+        return [], [], []
+
+    for name, spy in [("build_clients", build_clients),
+                      ("build_backend", build_backend),
+                      ("translate_question", translate_question),
+                      ("calibrate_deterministic", calibrate_deterministic),
+                      ("load_dataset", spy_load_dataset),
+                      ("evaluate", evaluate),
+                      ("derive_training_records", derive_training_records)]:
+        monkeypatch.setattr(cli, name, spy)
+
+    def run(argv):
+        before = set(tmp_path.rglob("*"))
+        calls.clear()
+        code = main(argv)
+        written = sorted(set(tmp_path.rglob("*")) - before, reverse=True)
+        for path in written:  # deepest first
+            if path.is_dir():
+                path.rmdir()
+            else:
+                path.unlink()
+        return code, list(calls), [str(p.relative_to(tmp_path))
+                                   for p in written]
+    return run
+
+
+def _base_argv(command: str, key: str) -> list:
+    """The command with what it needs to reach its entry point and, when
+    it reads ``key``, the flags that make ``key`` matter."""
+    argv = [command, *{
+        "translate": ["--db", "school.sqlite", "--question", SCHOOL_QUESTION],
+        "calibrate": ["--db", "school.sqlite", "--sql", SCHOOL_GOLD_SQL],
+    }.get(command, [])]
+    if command in ("evaluate", "derive-train") and key != "dataset":
+        argv += ["--dataset", "bench"]
+    needs = {"embeddings": ["--backend", "embedding"],
+             "encoder_url": ["--backend", "encoder"],
+             "chat_adapter": ["--completer-url", "http://completer"]}
+    if command == "calibrate":
+        # calibrate builds clients only for the encoder backend.
+        needs["stub_script"] = ["--backend", "encoder"]
+    if key not in accepted_settings(command):
+        return argv
+    return argv + needs.get(key, [])
+
+
+@pytest.mark.parametrize("key", SETTINGS)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_takes_exactly_the_settings_it_reads(
+        spied_run, tmp_path, caplog, command, key):
+    argv = _base_argv(command, key)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({key: OTHER_VALUES[key]}), encoding="utf-8")
+    if key in accepted_settings(command):
+        unchanged = spied_run(argv)
+        changed = spied_run(argv + setting_argv(key))
+        assert changed != unchanged
+        assert spied_run(argv + ["--config", str(cfg)]) == changed
+        return
+    with pytest.raises(SystemExit) as err:
+        main(argv + setting_argv(key))
+    assert err.value.code == 2
+    assert main(argv + ["--config", str(cfg)]) == EXIT_ERROR
+    assert f"config key {key!r} is not read by {command}" in caplog.text
+
+
+def test_readme_lists_the_settings_each_command_takes():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "## Configuration", 1)[1].split("\n## ", 1)[0]
+    header, *rows = [line for line in section.splitlines()
+                     if line.startswith("| ")]
+    commands = [cell.strip() for cell in header.strip("|").split("|")][2:]
+    table = {}
+    for row in rows:
+        key, flag, *marks = [cell.strip()
+                             for cell in row.strip("|").split("|")]
+        for command, mark in zip(commands, marks, strict=True):
+            if mark:
+                table.setdefault(command, {})[key.strip("`")] = flag.strip("`")
+    assert sorted(commands) == sorted(set(COMMANDS) - {"serialize"})
+    assert accepted_settings("serialize") == {}
+    for command in commands:
+        assert table[command] == accepted_settings(command)
