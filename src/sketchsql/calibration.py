@@ -22,6 +22,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import EmptyValueError, EncoderUnavailableError, SchemaMismatchError
+from .execution import decode_text
 from .sql_analysis import (
     OP_LIKE,
     ParsedQuery,
@@ -451,11 +452,12 @@ def level_columns(level: MatchLevel, schema, resolved, tables: list) -> list:
 def column_values(db, table: str, column: str,
                   scan_cap: int = DEFAULT_SCAN_CAP) -> EncodedValues:
     """The text values of one column (``db.distinct_text_values``),
-    encoded, from ``db``'s value index, which scans the column again after
-    each content change and encodes it again only when its values did."""
+    decoded and encoded, from ``db``'s value index, which scans the column
+    again after each content change and decodes and encodes it again only
+    when its bytes changed."""
     return db.cached((table.lower(), column.lower(), scan_cap),
                      lambda: db.distinct_text_values(table, column, scan_cap),
-                     EncodedValues)
+                     lambda raw: EncodedValues(map(decode_text, raw)))
 
 
 def level_values(db, level: MatchLevel, schema, resolved, tables: list,

@@ -442,11 +442,23 @@ def cmd_derive_train(args: argparse.Namespace, config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 # Argument parsing
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which reports an argument the command does not
+    take with the command's own usage line, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sketchsql",
         description="Sketch-first text-to-SQL pipeline over live databases.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     p = sub.add_parser("serialize",
                        help="print a database schema in model-input form")

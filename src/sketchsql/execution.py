@@ -82,6 +82,13 @@ class ExecutionOutcome:
         return self.kind == ROWS
 
 
+def decode_text(data: bytes) -> str:
+    """A database's text as ``str``: UTF-8 with replacement.  Several
+    benchmark databases contain stray non-UTF-8 bytes, and a consistent
+    lossy decode keeps gold and predicted results comparable."""
+    return data.decode("utf-8", "replace")
+
+
 class Database:
     """Read-only handle on a SQLite database file.
 
@@ -98,10 +105,11 @@ class Database:
     Each entry is checked on its first use after a change and built
     again only when what it was built from changed (see :meth:`cached`).
     :meth:`close` closes every connection; the handle stays usable and
-    opens new ones when next needed.  Text is decoded as UTF-8 with
-    replacement: several benchmark databases contain stray non-UTF-8
-    bytes, and a consistent lossy decode keeps gold and predicted results
-    comparable.
+    opens new ones when next needed.  Statement results decode text with
+    :func:`decode_text`.  The held connection reads text as raw bytes, so
+    that a rescan is compared with the index entry's scan without
+    decoding, and calibration decodes a column's values with the same
+    rule only when they changed.
     """
 
     def __init__(self, path):
@@ -135,13 +143,15 @@ class Database:
     def connect(self) -> sqlite3.Connection:
         """A new read-only connection that any one thread at a time may use."""
         conn = connect_readonly(self.path, check_same_thread=False)
-        conn.text_factory = lambda data: data.decode("utf-8", "replace")
+        conn.text_factory = decode_text
         return conn
 
     def _reader(self) -> sqlite3.Connection:
-        """The held connection; call with ``_lock`` held."""
+        """The held connection, which reads text as bytes; call with
+        ``_lock`` held."""
         if self._held is None:
             self._held = self.connect()
+            self._held.text_factory = bytes
         return self._held
 
     def close(self) -> None:
@@ -233,12 +243,14 @@ class Database:
         An entry made before the last content change that :meth:`sync`
         saw is checked on its next use: ``scan()`` runs again, and
         ``encode`` runs again only when the scanned list differs from the
-        one the entry was encoded from.  So an entry is always the
-        encoding of a scan made since the last :meth:`sync`, and unchanged
-        columns keep theirs; ``encode`` must be a pure function of the
-        list.  A scan may itself read other entries: a merged lane set's
-        scan returns its columns' entries, which compare by identity, so
-        it is merged again only when one of them was encoded again.
+        one the entry keeps, which is what it was encoded from.  A
+        column's list is its raw bytes, so an unchanged column is compared
+        and not decoded.  So an entry is always the encoding of a scan made
+        since the last :meth:`sync`, and unchanged columns keep theirs;
+        ``encode`` must be a pure function of the list.  A scan may itself
+        read other entries: a merged lane set's scan returns its columns'
+        entries, which compare by identity, so it is merged again only
+        when one of them was encoded again.
         :meth:`close` empties the index.
         """
         with self._lock:
@@ -284,19 +296,25 @@ class Database:
             return ExecutionOutcome.error(str(exc))
         return ExecutionOutcome.from_result(ResultSet(column_count, rows))
 
-    def distinct_text_values(self, table: str, column: str, cap: int) -> list[str]:
-        """Distinct non-empty text-typed values of one column, sorted,
-        capped at ``cap``.  The runtime ``typeof`` filter (rather than the
-        declared column type) keeps the scan meaningful under SQLite's
-        flexible typing.  The scan reads to the end on the held
-        connection, so no read lock outlives it.  A column that stores a
-        value over ``MAX_VALUE_BYTES`` cannot be read, so it yields none."""
+    def distinct_text_values(self, table: str, column: str, cap: int) -> list[bytes]:
+        """Distinct non-empty text-typed values of one column, as raw
+        bytes in the column's sort order, capped at ``cap``; decode them
+        with :func:`decode_text`.  Filtering on the stored value's type
+        (rather than the declared column type) keeps the scan meaningful
+        under SQLite's flexible typing.  The filter keeps exactly what
+        ``typeof(col) = 'text' AND col <> ''`` keeps, without a function
+        call per row, and an index on the column serves it as a range:
+        SQLite sorts NULL and numbers before text and text before blobs,
+        no text sorts below ``''`` under BINARY, NOCASE or RTRIM (so
+        ``> ''`` is ``<> ''`` for text, trailing spaces under RTRIM
+        included), and no blob sorts below ``x''``.  The scan reads to the
+        end on the held connection, so no read lock outlives it.  A column
+        that stores a value over ``MAX_VALUE_BYTES`` cannot be read, so it
+        yields none."""
+        name = quote_identifier(column)
         query = (
-            f"SELECT DISTINCT {quote_identifier(column)} "
-            f"FROM {quote_identifier(table)} "
-            f"WHERE typeof({quote_identifier(column)}) = 'text' "
-            f"AND {quote_identifier(column)} <> '' "
-            f"ORDER BY 1 LIMIT ?"
+            f"SELECT DISTINCT {name} FROM {quote_identifier(table)} "
+            f"WHERE {name} > '' AND {name} < x'' ORDER BY 1 LIMIT ?"
         )
         try:
             with self._lock:

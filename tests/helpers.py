@@ -52,13 +52,21 @@ def similarity_oracle(a: str, b: str) -> float:
 # Multi-level matching oracle (exhaustive, no early shortcuts hidden)
 
 def scan_text_values(db_path, table: str, column: str,
-                     cap: int = 10_000) -> list[str]:
+                     cap: int = 10_000, text_factory=str) -> list[str]:
     with sqlite3.connect(f"file:{db_path}?mode=ro", uri=True) as conn:
+        conn.text_factory = text_factory
         rows = conn.execute(
             f'SELECT DISTINCT "{column}" FROM "{table}" '
             f'WHERE typeof("{column}") = \'text\' AND "{column}" <> \'\' '
             f"ORDER BY 1 LIMIT ?", (cap,)).fetchall()
     return [row[0] for row in rows]
+
+
+def scan_text_bytes(db_path, table: str, column: str,
+                    cap: int = 10_000) -> list[bytes]:
+    """:func:`scan_text_values` as raw bytes, which text that is not valid
+    UTF-8 needs."""
+    return scan_text_values(db_path, table, column, cap, text_factory=bytes)
 
 
 def _oracle_resolve(schema, parsed, column_text):

@@ -590,7 +590,7 @@ def test_held_connection_never_blocks_a_writer(school_db_path):
     db = Database(school_db_path)
     _match_of(db, "timmothy")
     assert db.distinct_text_values("Student", "given_name", 10) == \
-        ["timmy", "wardle"]
+        [b"timmy", b"wardle"]
     assert db.execute(
         "SELECT 1 FROM Student WHERE given_name = 'timmy'").is_rows
     with closing(sqlite3.connect(school_db_path, timeout=0)) as writer:
@@ -885,6 +885,39 @@ def test_kept_value_index_matches_a_new_handle_after_each_write(journal_mode,
                 writer.commit()
                 assert _every_feedback(kept) == _every_feedback(new), write
             db.close()
+
+
+def test_undecodable_text_matches_as_replaced_and_stays_fresh(tmp_path):
+    """A TEXT cell that is not valid UTF-8 is matched as its lossy decode
+    and a blob of the same bytes is no candidate.  After commits that
+    change only bytes that do not decode, a handle that keeps its value
+    index matches as a new handle does."""
+    path = tmp_path / "undecodable.sqlite"
+    query = parse_sql("SELECT id FROM t WHERE name = 'caf'")
+
+    def feedback(handle):
+        return ([(m.column, m.value, repr(m.score), m.level, m.below_threshold)
+                 for _, m in multi_level_match(handle, query, 0.65,
+                                               CharacterFuzzy()).replacements],
+                list(column_values(handle, "t", "name")))
+
+    with closing(sqlite3.connect(path)) as writer:
+        writer.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
+        writer.execute("INSERT INTO t (name) VALUES "
+                       "(CAST(x'636166e9' AS TEXT)), (x'636166')")
+        writer.commit()
+        db = Database(path)
+        assert feedback(db) == (
+            [("name", "caf\ufffd", "0.6666666666666667", MatchLevel.COLUMN,
+              False)], ["caf\ufffd"])
+        for write in ("UPDATE t SET name = CAST(x'636166ea' AS TEXT) "
+                      "WHERE id = 1",
+                      "INSERT INTO t (name) VALUES (CAST(x'636166eb' AS TEXT))"):
+            writer.execute(write)
+            writer.commit()
+            with closing(Database(path)) as fresh:
+                assert feedback(db) == feedback(fresh), write
+        db.close()
 
 # --------------------------------------------------------------------------
 # Multi-level matching

@@ -191,6 +191,16 @@ def test_usage_error_exits_two():
     assert err.value.code == 2
 
 
+def test_unread_flag_is_reported_with_the_command_usage(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["derive-train", "--k-from", "7"])
+    assert err.value.code == 2
+    usage, *_, message = capsys.readouterr().err.strip().splitlines()
+    assert usage.startswith("usage: sketchsql derive-train ")
+    assert message == ("sketchsql derive-train: error: "
+                       "unrecognized arguments: --k-from 7")
+
+
 # --------------------------------------------------------------------------
 # calibrate
 

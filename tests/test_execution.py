@@ -1,14 +1,16 @@
 import os
 import sqlite3
 import sys
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import is_closed, record_connections
+from helpers import (is_closed, record_connections, scan_text_bytes,
+                     scan_text_values)
 
 import sketchsql.execution as execution
 from sketchsql.errors import DatabaseAccessError
@@ -17,6 +19,7 @@ from sketchsql.execution import (
     Database,
     ExecutionOutcome,
     ResultSet,
+    decode_text,
     quote_identifier,
     results_equal,
 )
@@ -254,11 +257,63 @@ def test_distinct_text_values_sorted_and_filtered(db):
     # runtime typeof filter: row 6 stores integer 42 in the no-affinity
     # label column and must not surface
     values = db.distinct_text_values("item", "label", 100)
-    assert values == ["ink", "pen"]
+    assert values == [b"ink", b"pen"]
 
 
 def test_distinct_text_values_cap(db):
-    assert db.distinct_text_values("item", "label", 1) == ["ink"]
+    assert db.distinct_text_values("item", "label", 1) == [b"ink"]
+
+
+class _Undecodable(bytes):
+    """Bytes stored as a TEXT value, as ``CAST(? AS TEXT)`` does."""
+
+
+_CELLS = st.one_of(
+    st.none(),
+    st.sampled_from(["", " ", "  ", "\0", "a\0b", "a ", "A", "1", "1.5",
+                     " 2", "-0", "1e3", "0x10", "10"]),
+    st.text("aAbB 1.\0é", max_size=4),
+    st.integers(-3, 12),
+    st.sampled_from([0.0, -1.5, 1.5, 1e300]),
+    st.binary(max_size=3),
+    st.binary(max_size=4).map(_Undecodable),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(_CELLS, max_size=12),
+       affinity=st.sampled_from(["TEXT", "NUMERIC", "INTEGER", "REAL", ""]),
+       collation=st.sampled_from(["BINARY", "NOCASE", "RTRIM"]),
+       indexed=st.booleans(), analyzed=st.booleans(),
+       cap=st.sampled_from([1, 2, 3, 100]))
+def test_distinct_text_values_match_the_typeof_scan(cells, affinity, collation,
+                                                    indexed, analyzed, cap):
+    """The range filter keeps what the ``typeof`` filter keeps, in the same
+    order, for every affinity, collation and storage class, with and
+    without an index on the column."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scan.sqlite")
+        with closing(sqlite3.connect(path)) as conn:
+            conn.execute(f"CREATE TABLE t (val {affinity} COLLATE {collation})")
+            for cell in cells:
+                if type(cell) is _Undecodable:
+                    conn.execute("INSERT INTO t VALUES (CAST(? AS TEXT))",
+                                 (bytes(cell),))
+                else:
+                    conn.execute("INSERT INTO t VALUES (?)", (cell,))
+            if indexed:
+                conn.execute("CREATE INDEX t_val ON t (val)")
+            if analyzed:
+                conn.execute("ANALYZE")
+            conn.commit()
+        with closing(Database(path)) as db:
+            scanned = db.distinct_text_values("t", "val", cap)
+        assert scanned == scan_text_bytes(path, "t", "val", cap)
+        try:
+            expected = scan_text_values(path, "t", "val", cap)
+        except sqlite3.OperationalError:  # text that is not valid UTF-8
+            return
+        assert [decode_text(value) for value in scanned] == expected
 
 
 def test_distinct_text_values_bad_table(db):

@@ -239,7 +239,7 @@ def test_schema_from_sqlite_path_with_url_characters(tmp_path):
     db = Database(path)
     assert db.schema == schema
     assert db.distinct_text_values("Student", "given_name", 10) == \
-        ["timmy", "wardle"]
+        [b"timmy", b"wardle"]
     db.close()
 
 
