@@ -259,8 +259,9 @@ class WordEmbedding:
     @classmethod
     def load(cls, path) -> "WordEmbedding":
         """Word vectors from a text file, a token then D numbers per line.
-        Malformed lines are skipped with one warning; a file with no usable
-        line is a :class:`ValueError`."""
+        Malformed lines, a NaN or infinite number among them, are skipped
+        with one warning; a file with no usable line is a
+        :class:`ValueError`."""
         dimension = None
         entries: dict[str, np.ndarray] = {}
         skipped = 0
@@ -278,6 +279,10 @@ class WordEmbedding:
                 try:
                     vector = np.array([float(x) for x in numbers], dtype=np.float64)
                 except ValueError:
+                    vector = None
+                # A non-finite vector makes every cosine with its word NaN,
+                # which the clamp in ``score`` would read as a perfect match.
+                if vector is None or not np.isfinite(vector).all():
                     skipped += 1
                     continue
                 entries[token.lower()] = vector
@@ -335,8 +340,11 @@ class SentenceEncoder:
             return fuzzy_similarity(a, b)
         va, vb = (np.asarray(v, dtype=np.float64) for v in encoded)
         na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-        if na == 0.0 or nb == 0.0:
-            log.warning("sentence encoder returned a zero vector; scoring 0.0")
+        # A norm is NaN or infinite when a component is; such a cosine would
+        # be NaN, which the clamp below reads as a perfect match.
+        if not (0.0 < na < np.inf and 0.0 < nb < np.inf):
+            log.warning("sentence encoder returned a zero or non-finite "
+                        "vector; scoring 0.0")
             return 0.0
         return float(max(0.0, min(1.0, np.dot(va / na, vb / nb))))
 

@@ -103,8 +103,8 @@ def extract_keywords(parsed: ParsedQuery) -> list[str]:
     appearance order.  Join variants count as JOIN; negations of LIKE,
     BETWEEN, and EXISTS count as the positive keyword; NOT IN is its own
     keyword."""
-    words = [tok.upper for tok in tokenize(parsed.original_text)
-             if tok.upper is not None]
+    words = [tok.key for tok in tokenize(parsed.original_text)
+             if tok.kind == "ident"]
     return _scan_keywords(words, strict=False)
 
 

@@ -12,6 +12,12 @@ double-quoted tokens are both read as string literals (gold queries quote
 values either way and SQLite accepts both), while backticks quote
 identifiers.
 
+Each token carries one key, and the parser tests the next token by that
+key alone: a word's key is its upper-cased text, an operator's its text,
+and any other token's its kind.  A keyword of two words (GROUP BY, LEFT
+OUTER JOIN) is taken one word at a time, so a pair cut short is reported
+as the missing word at the token where it should be.
+
 The parse tree is immutable.  Rendering is canonical (uppercase keywords,
 single spaces, ``AS`` before aliases) and ``parse -> render -> parse`` is a
 fixpoint; it writes the sketch text.
@@ -31,6 +37,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import PredicateNotFoundError, SqlParseError
 
@@ -88,13 +95,13 @@ _SQLITE_KEYWORDS = frozenset("""
 _TIME_WORDS = frozenset({"CURRENT_DATE", "CURRENT_TIME", "CURRENT_TIMESTAMP"})
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # "ident" | "qident" | "number" | "string" | "op" | "end"
     text: str
     pos: int
-    end: int                   # the offset just past the token
-    upper: str | None = None   # the upper-cased text of an "ident"
+    end: int    # the offset just past the token
+    key: str    # what the parser matches: an ident's upper-cased text, an
+                # op's text, else the kind (lower case, so never a word's)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -109,12 +116,14 @@ def tokenize(text: str) -> list[Token]:
             if ch == "`":
                 raise SqlParseError("unterminated quoted identifier", pos)
             raise SqlParseError(f"unexpected character {ch!r}", pos)
-        if m.lastgroup is not None:
-            spelling = m.group(m.lastgroup)
-            upper = spelling.upper() if m.lastgroup == "ident" else None
-            tokens.append(Token(m.lastgroup, spelling, pos, m.end(), upper))
+        kind = m.lastgroup
+        if kind is not None:
+            spelling = m.group(kind)
+            key = (spelling.upper() if kind == "ident"
+                   else spelling if kind == "op" else kind)
+            tokens.append(Token(kind, spelling, pos, m.end(), key))
         pos = m.end()
-    tokens.append(Token("end", "", n, n))
+    tokens.append(Token("end", "", n, n, "end"))
     return tokens
 
 
@@ -283,7 +292,6 @@ _BINARY_PREC = {"OR": 1, "AND": 2, "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.i = 0
 
@@ -298,152 +306,132 @@ class _Parser:
             self.i += 1
         return tok
 
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise SqlParseError(message, tok.pos)
+    def error(self, message: str):
+        raise SqlParseError(message, self.peek().pos)
 
-    def at_keyword(self, *words: str) -> bool:
-        # Only a matched word, never the final "end", is looked past.
-        for offset, word in enumerate(words):
-            if self.tokens[self.i + offset].upper != word:
-                return False
-        return True
+    def at(self, *keys: str) -> bool:
+        return self.tokens[self.i].key in keys
 
-    def take_keyword(self, *words: str) -> bool:
-        if self.at_keyword(*words):
-            self.i += len(words)
-            return True
-        return False
+    def take(self, *keys: str) -> str | None:
+        """Consume the next token and return its key if it is one of
+        ``keys``; no caller names "end", so the end is never passed."""
+        key = self.tokens[self.i].key
+        if key in keys:
+            self.i += 1
+            return key
+        return None
 
-    def expect_keyword(self, word: str) -> None:
-        if not self.take_keyword(word):
-            self.error(f"expected {word}")
+    def expect(self, key: str) -> None:
+        if self.take(key) is None:
+            self.error(f"expected {key}" if key.isalpha()
+                       else f"expected {key!r}")
 
     def at_name(self) -> bool:
         """True at a quoted identifier or a word that is not reserved."""
         tok = self.peek()
         return tok.kind == "qident" or (
-            tok.kind == "ident" and tok.upper not in RESERVED_WORDS)
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
-
-    def take_op(self, *ops: str) -> str | None:
-        if self.at_op(*ops):
-            return self.advance().text
-        return None
-
-    def expect_op(self, op: str) -> None:
-        if not self.take_op(op):
-            self.error(f"expected {op!r}")
+            tok.kind == "ident" and tok.key not in RESERVED_WORDS)
 
     # -- grammar
 
     def parse_statement(self):
-        if not self.at_keyword("SELECT"):
+        if not self.at("SELECT"):
             self.error("only SELECT statements are supported")
         root = self.parse_query()
-        self.take_op(";")
-        if self.peek().kind != "end":
+        self.take(";")
+        if not self.at("end"):
             self.error("unexpected trailing input")
         return root
 
     def parse_query(self):
         node = self.parse_select_core()
         while True:
-            if self.take_keyword("UNION", "ALL"):
-                op = "UNION ALL"
-            elif self.take_keyword("UNION"):
-                op = "UNION"
-            elif self.take_keyword("INTERSECT"):
-                op = "INTERSECT"
-            elif self.take_keyword("EXCEPT"):
-                op = "EXCEPT"
-            else:
+            op = self.take("UNION", "INTERSECT", "EXCEPT")
+            if op is None:
                 return node
+            if op == "UNION" and self.take("ALL"):
+                op = "UNION ALL"
             node = SetOp(op, node, self.parse_select_core())
 
     def parse_select_core(self) -> Select:
-        self.expect_keyword("SELECT")
-        distinct = bool(self.take_keyword("DISTINCT"))
-        if not distinct:
-            self.take_keyword("ALL")
+        self.expect("SELECT")
+        distinct = self.take("DISTINCT", "ALL") == "DISTINCT"
         items = [self.parse_select_item()]
-        while self.take_op(","):
+        while self.take(","):
             items.append(self.parse_select_item())
 
         source, joins = None, []
-        if self.take_keyword("FROM"):
+        if self.take("FROM"):
             source = self.parse_table_source()
             while True:
-                if self.take_op(","):
+                if self.take(","):
                     joins.append(Join(",", self.parse_table_source()))
                     continue
                 kind = self.parse_join_kind()
                 if kind is None:
                     break
                 table = self.parse_table_source()
-                on = self.parse_expr() if self.take_keyword("ON") else None
+                on = self.parse_expr() if self.take("ON") else None
                 joins.append(Join(kind, table, on))
 
-        where = self.parse_expr() if self.take_keyword("WHERE") else None
+        where = self.parse_expr() if self.take("WHERE") else None
         group_by = []
-        if self.take_keyword("GROUP", "BY"):
+        if self.take("GROUP"):
+            self.expect("BY")
             group_by.append(self.parse_expr())
-            while self.take_op(","):
+            while self.take(","):
                 group_by.append(self.parse_expr())
-        having = self.parse_expr() if self.take_keyword("HAVING") else None
+        having = self.parse_expr() if self.take("HAVING") else None
         order_by = []
-        if self.take_keyword("ORDER", "BY"):
+        if self.take("ORDER"):
+            self.expect("BY")
             order_by.append(self.parse_order_item())
-            while self.take_op(","):
+            while self.take(","):
                 order_by.append(self.parse_order_item())
         limit = offset = None
-        if self.take_keyword("LIMIT"):
+        if self.take("LIMIT"):
             limit = self.parse_expr(5)
-            if self.take_keyword("OFFSET"):
+            if self.take("OFFSET"):
                 offset = self.parse_expr(5)
-            elif self.take_op(","):
+            elif self.take(","):
                 # SQLite's `LIMIT <offset>, <count>` shorthand.
                 offset, limit = limit, self.parse_expr(5)
         return Select(distinct, tuple(items), source, tuple(joins), where,
                       tuple(group_by), having, tuple(order_by), limit, offset)
 
     def parse_join_kind(self) -> str | None:
-        if self.take_keyword("JOIN") or self.take_keyword("INNER", "JOIN"):
-            return "JOIN"
-        if (self.take_keyword("LEFT", "OUTER", "JOIN")
-                or self.take_keyword("LEFT", "JOIN")):
-            return "LEFT JOIN"
-        if self.take_keyword("CROSS", "JOIN"):
-            return "CROSS JOIN"
-        if self.at_keyword("RIGHT") or self.at_keyword("FULL"):
+        """``[INNER|CROSS] JOIN`` or ``LEFT [OUTER] JOIN``, as "JOIN",
+        "CROSS JOIN" or "LEFT JOIN"; None at any other token."""
+        if self.at("RIGHT", "FULL"):
             self.error("only inner, left, and cross joins are supported")
-        return None
+        word = self.take("JOIN", "INNER", "CROSS", "LEFT")
+        if word is None or word == "JOIN":
+            return word
+        if word == "LEFT":
+            self.take("OUTER")
+        self.expect("JOIN")
+        return "JOIN" if word == "INNER" else f"{word} JOIN"
 
     def parse_select_item(self) -> SelectItem:
-        if self.at_op("*"):
-            self.advance()
+        if self.take("*"):
             return SelectItem(ColumnRef(None, "*"))
         expr = self.parse_expr()
         alias = self.parse_alias()
         return SelectItem(expr, alias)
 
     def parse_table_source(self):
-        if self.at_op("("):
-            self.advance()
-            if not self.at_keyword("SELECT"):
+        if self.take("("):
+            if not self.at("SELECT"):
                 self.error("expected a subquery after '('")
             query = self.parse_query()
-            self.expect_op(")")
+            self.expect(")")
             return SubqueryTable(query, self.parse_alias())
         if self.at_name():
             return TableRef(self.advance().text, self.parse_alias())
         self.error("expected a table name")
 
     def parse_alias(self) -> str | None:
-        if self.take_keyword("AS"):
+        if self.take("AS"):
             tok = self.peek()
             if tok.kind not in ("ident", "qident"):
                 self.error("expected an alias after AS")
@@ -453,11 +441,7 @@ class _Parser:
 
     def parse_order_item(self) -> OrderItem:
         expr = self.parse_expr()
-        if self.take_keyword("ASC"):
-            return OrderItem(expr, "ASC")
-        if self.take_keyword("DESC"):
-            return OrderItem(expr, "DESC")
-        return OrderItem(expr)
+        return OrderItem(expr, self.take("ASC", "DESC"))
 
     # -- expressions, lowest precedence first
 
@@ -467,9 +451,8 @@ class _Parser:
         and predicates) and 8 (unary signs) have rules of their own."""
         node = self.parse_operand(level + 1)
         while True:
-            tok = self.peek()
-            op = tok.upper or tok.text
-            if tok.kind not in ("ident", "op") or _BINARY_PREC.get(op) != level:
+            op = self.peek().key
+            if _BINARY_PREC.get(op) != level:
                 return node
             self.advance()
             node = Binary(op, node, self.parse_operand(level + 1))
@@ -484,92 +467,87 @@ class _Parser:
     def parse_not(self):
         # `NOT IN/LIKE/BETWEEN/EXISTS` belongs to the predicate, so only
         # treat NOT as a prefix when it does not open one of those forms.
-        if self.at_keyword("NOT") and not self.at_keyword("NOT", "IN") \
-                and not self.at_keyword("NOT", "LIKE") \
-                and not self.at_keyword("NOT", "BETWEEN"):
+        if self.at("NOT") and self.tokens[self.i + 1].key not in (
+                "IN", "LIKE", "BETWEEN"):
             self.advance()
             return Unary("NOT", self.parse_not())
         return self.parse_predicate()
 
     def parse_predicate(self):
         node = self.parse_expr(5)
-        op = self.take_op("=", "==", "!=", "<>", "<", "<=", ">", ">=")
+        op = self.take("=", "==", "!=", "<>", "<", "<=", ">", ">=")
         if op:
             return Binary("=" if op == "==" else op, node, self.parse_expr(5))
-        if self.take_keyword("IS"):
-            negated = self.take_keyword("NOT")
-            self.expect_keyword("NULL")
+        if self.take("IS"):
+            negated = self.take("NOT") is not None
+            self.expect("NULL")
             return IsNull(node, negated)
-        negated = self.take_keyword("NOT")
-        if self.take_keyword("IN"):
-            self.expect_op("(")
-            if self.at_keyword("SELECT"):
+        negated = self.take("NOT") is not None
+        if self.take("IN"):
+            self.expect("(")
+            if self.at("SELECT"):
                 query = self.parse_query()
-                self.expect_op(")")
+                self.expect(")")
                 return InSelect(node, query, negated)
             items = [self.parse_expr(5)]
-            while self.take_op(","):
+            while self.take(","):
                 items.append(self.parse_expr(5))
-            self.expect_op(")")
+            self.expect(")")
             return InList(node, tuple(items), negated)
-        if self.take_keyword("LIKE"):
+        if self.take("LIKE"):
             return Like(node, self.parse_expr(5), negated)
-        if self.take_keyword("BETWEEN"):
+        if self.take("BETWEEN"):
             low = self.parse_expr(5)
-            self.expect_keyword("AND")
+            self.expect("AND")
             return Between(node, low, self.parse_expr(5), negated)
         if negated:
             self.error("expected IN, LIKE, or BETWEEN after NOT")
         return node
 
     def parse_unary(self):
-        op = self.take_op("-", "+")
+        op = self.take("-", "+")
         if op:
             return Unary(op, self.parse_unary())
         return self.parse_primary()
 
     def parse_primary(self):
         tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
+        if self.take("number"):
             return Literal(tok.text, "number")
-        if tok.kind == "string":
-            self.advance()
+        if self.take("string"):
             return Literal(tok.text, "string", (tok.pos, tok.end))
-        if self.at_keyword("NULL"):
-            return Literal(self.advance().text, "null")
-        if tok.upper in _TIME_WORDS:
-            return Literal(self.advance().text, "time")
-        if self.at_keyword("EXISTS"):
-            self.advance()
-            self.expect_op("(")
-            if not self.at_keyword("SELECT"):
+        if self.take("NULL"):
+            return Literal(tok.text, "null")
+        if self.take(*_TIME_WORDS):
+            return Literal(tok.text, "time")
+        if self.take("EXISTS"):
+            self.expect("(")
+            if not self.at("SELECT"):
                 self.error("expected a subquery after EXISTS")
             query = self.parse_query()
-            self.expect_op(")")
+            self.expect(")")
             return Exists(query)
-        if self.at_keyword("CASE"):
+        if self.at("CASE"):
             self.error("CASE expressions are not supported in this dialect")
-        if self.at_op("("):
-            self.advance()
-            if self.at_keyword("SELECT"):
+        if self.take("("):
+            if self.at("SELECT"):
                 query = self.parse_query()
-                self.expect_op(")")
+                self.expect(")")
                 return ScalarSubquery(query)
             node = self.parse_expr()
-            self.expect_op(")")
+            self.expect(")")
             return node
         if self.at_name() or (tok.kind == "ident"
-                              and self.tokens[self.i + 1].text == "("):
+                              and self.tokens[self.i + 1].key == "("):
             self.advance()
-            if self.at_op("(") and tok.kind == "ident":
+            if tok.kind == "ident" and self.at("("):
                 return self.parse_call(tok.text)
-            if self.take_op("."):
+            if self.take("."):
                 inner = self.peek()
                 if inner.kind in ("ident", "qident"):
                     self.advance()
                     return ColumnRef(tok.text, inner.text, (tok.pos, inner.end))
-                if self.at_op("*"):
+                if self.at("*"):
                     star = self.advance()
                     return ColumnRef(tok.text, "*", (tok.pos, star.end))
                 self.error("expected a column name after '.'")
@@ -577,18 +555,17 @@ class _Parser:
         self.error("expected an expression")
 
     def parse_call(self, name: str) -> FuncCall:
-        self.expect_op("(")
-        distinct = bool(self.take_keyword("DISTINCT"))
-        if self.at_op("*"):
-            self.advance()
-            self.expect_op(")")
+        self.expect("(")
+        distinct = self.take("DISTINCT") is not None
+        if self.take("*"):
+            self.expect(")")
             return FuncCall(name, (ColumnRef(None, "*"),), distinct)
-        if self.take_op(")"):
+        if self.take(")"):
             return FuncCall(name, (), distinct)
         args = [self.parse_expr()]
-        while self.take_op(","):
+        while self.take(","):
             args.append(self.parse_expr())
-        self.expect_op(")")
+        self.expect(")")
         return FuncCall(name, tuple(args), distinct)
 
 

@@ -125,6 +125,19 @@ def test_embedding_table_no_usable_entries(tmp_path):
         WordEmbedding.load(path)
 
 
+def test_embedding_load_skips_non_finite_vectors(tmp_path, caplog):
+    path = tmp_path / "vectors.txt"
+    path.write_text("apple 1.0 0.0\npear nan 1.0\nplum inf 0.0\n",
+                    encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        table = WordEmbedding.load(path)
+    assert set(table.entries) == {"apple"}
+    assert sum("skipped 2 malformed" in r.message
+               for r in caplog.records) == 1
+    for word in ("pear", "plum"):
+        assert table.score("apple", word) == fuzzy_similarity("apple", word)
+
+
 def test_embedding_similarity_cosine(table):
     assert table.score("king", "queen") == pytest.approx(0.8)
     assert table.score("king", "apple") == pytest.approx(0.0)
@@ -163,6 +176,17 @@ def test_sentence_similarity_cosine():
 def test_sentence_similarity_zero_vector():
     encoder = encoder_for({"a": [0.0, 0.0], "b": [1.0, 0.0]})
     assert SentenceEncoder(encoder).score("a", "b") == 0.0
+
+
+def test_sentence_similarity_non_finite_vector(caplog):
+    encoder = encoder_for({"a": [float("nan"), 1.0], "b": [1.0, 1.0],
+                           "c": [float("inf"), 0.0]})
+    backend = SentenceEncoder(encoder)
+    with caplog.at_level(logging.WARNING):
+        assert backend.score("a", "b") == 0.0
+        assert backend.score("b", "c") == 0.0
+    assert sum("non-finite vector" in r.message
+               for r in caplog.records) == 2
 
 
 def test_sentence_backend_falls_back_once(caplog):

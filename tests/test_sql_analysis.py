@@ -202,12 +202,31 @@ def test_normalizations(raw, canonical):
     ("SELECT a FROM t WHERE a = 1 42", ""),
     ("SELECT a FROM t WHERE", ""),
     ("", ""),
+    # Only a real "(" makes a reserved word a function name.
+    ("SELECT left `(` FROM t", "expected an expression"),
 ])
 def test_rejections(sql, fragment):
     with pytest.raises(SqlParseError) as err:
         parse_sql(sql)
     assert fragment.lower() in str(err.value).lower()
     assert "position" in str(err.value)
+
+
+@pytest.mark.parametrize("sql,word,rest", [
+    ("SELECT a FROM t GROUP a", "BY", "a"),
+    ("SELECT a FROM t ORDER a", "BY", "a"),
+    ("SELECT a FROM t ORDER", "BY", ""),
+    ("SELECT a FROM t WHERE b IN (SELECT c FROM u GROUP c)", "BY", "c)"),
+    ("SELECT a FROM t INNER u", "JOIN", "u"),
+    ("SELECT a FROM t CROSS u", "JOIN", "u"),
+    ("SELECT a FROM t LEFT u", "JOIN", "u"),
+    ("SELECT a FROM t LEFT OUTER u", "JOIN", "u"),
+])
+def test_keyword_pair_cut_short_names_the_missing_word(sql, word, rest):
+    # The error points at the token after the pair's first word(s).
+    with pytest.raises(SqlParseError, match=f"expected {word} ") as err:
+        parse_sql(sql)
+    assert err.value.position == len(sql) - len(rest)
 
 
 def test_parse_error_reports_position():
