@@ -298,8 +298,15 @@ class WordEmbedding:
                    if tok in self.entries]
         if not vectors:
             return None
-        mean = np.mean(vectors, axis=0)
-        norm = np.linalg.norm(mean)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.mean(vectors, axis=0)
+            norm = np.linalg.norm(mean)
+        if not np.isfinite(norm):
+            # Finite but huge vectors overflow the sum or the norm; scaled
+            # by their largest magnitude they keep their direction.
+            scaled = np.array(vectors) / np.abs(vectors).max()
+            mean = np.mean(scaled, axis=0)
+            norm = np.linalg.norm(mean)
         if norm == 0.0:
             return None
         return mean / norm

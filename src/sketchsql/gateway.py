@@ -12,27 +12,32 @@ those records.  The completer is always sent temperature 0.0, top_p 1.0,
 frequency_penalty 0.0.
 
 Two clients serve every role, with one method each: ``generate``,
-``score``, ``complete`` and ``encode``.  :class:`HttpClient` talks to one
-service URL and serves whichever role it is given, so a run makes one per
-URL.  It retries transient failures with exponential backoff, bounds its
-own in-flight requests, attaches a bearer token when one is configured,
-and hands back the role's field as the server sent it.  For offline runs
-and tests, :class:`StubScript` answers every role from deterministic
-scripted responses keyed by request fingerprint.
+``score``, ``complete`` and ``encode``.  :class:`HttpClient` serves any
+role for one service URL over at most ``max_in_flight`` kept
+standard-library connections.  It retries transient failures with
+exponential backoff, sends a bearer token when one is configured, reads
+the proxy variables once, follows no redirect, and hands back the role's
+field as sent.  For offline runs and tests, :class:`StubScript` answers
+every role from deterministic scripted responses keyed by fingerprint.
 """
 
 from __future__ import annotations
 
+import base64
 import contextvars
 import json
 import logging
 import math
+import os
+import queue
+import ssl
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-import requests
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from urllib.parse import unquote, urlsplit
+from urllib.request import proxy_bypass
 
 from .errors import (
     CompleterUnavailableError,
@@ -65,6 +70,10 @@ class EndpointConfig:
     chat_adapter: bool = False
 
     def __post_init__(self):
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint URL {self.base_url!r} is not an "
+                             f"http:// or https:// URL with a host")
         if self.timeout <= 0:
             raise ValueError("endpoint timeout must be positive")
         if self.max_in_flight < 1:
@@ -98,8 +107,40 @@ class HttpClient:
 
     def __init__(self, config: EndpointConfig):
         self.config = config
-        self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
-        self._session = requests.Session()
+        self._headers = {"Content-Type": "application/json"}
+        if config.auth_token:
+            self._headers["Authorization"] = f"Bearer {config.auth_token}"
+        url = urlsplit(config.base_url)
+        https = url.scheme == "https"
+        address, tunnel = (url.hostname, url.port), None
+        self._prefix = url.path.rstrip("/")
+        # As getproxies() reads it, without its two scans of the environment.
+        name, cgi = f"{url.scheme}_proxy", "REQUEST_METHOD" in os.environ
+        proxy = os.environ.get(name, None if cgi and url.scheme == "http"
+                               else os.environ.get(name.upper()))
+        if proxy and not proxy_bypass(url.netloc.rpartition("@")[2]):
+            proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            address, auth = (proxy.hostname, proxy.port), {}
+            if proxy.username is not None:
+                user = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+                auth["Proxy-Authorization"] = \
+                    "Basic " + base64.b64encode(user.encode()).decode()
+            if https:
+                tunnel = (url.hostname, url.port, auth)
+            else:
+                self._prefix = f"http://{url.netloc}{self._prefix}"
+                self._headers.update(auth)
+        # Idle connections with the pid that last used each.  Taking one waits
+        # while max_in_flight are in use.  One that is closed, as a response
+        # that will close leaves it, opens again on its next request.
+        connection = HTTPSConnection if https else HTTPConnection
+        tls = {"context": ssl.create_default_context()} if https else {}
+        self._idle = queue.LifoQueue()
+        for _ in range(config.max_in_flight):
+            conn = connection(*address, timeout=config.timeout, **tls)
+            if tunnel is not None:
+                conn.set_tunnel(*tunnel)
+            self._idle.put((conn, os.getpid()))
 
     def generate(self, task_input: str, k: int):
         return self._post("/generate", {"input": task_input,
@@ -133,22 +174,17 @@ class HttpClient:
         transport failures and 5xx answers."""
         role, unavailable_error = _SERVICES[path]
         url = self.config.base_url.rstrip("/") + path
-        headers = {}
-        if self.config.auth_token:
-            headers["Authorization"] = f"Bearer {self.config.auth_token}"
+        body = json.dumps(payload).encode()
         delay = self.config.backoff
         for attempt in range(1, self.config.retries + 2):
             try:
-                with self._semaphore:
-                    response = self._session.post(
-                        url, json=payload, headers=headers,
-                        timeout=self.config.timeout)
-            except requests.RequestException as exc:
+                status, data = self._round_trip(self._prefix + path, body)
+            except (OSError, HTTPException) as exc:
                 last_error = exc
             else:
-                if response.status_code < 500:
+                if status < 500:
                     break
-                last_error = requests.HTTPError(f"HTTP {response.status_code}")
+                last_error = HTTPException(f"HTTP {status}")
             log.debug("%s request attempt %d failed: %s", role, attempt,
                       last_error)
             if attempt <= self.config.retries:
@@ -159,12 +195,12 @@ class HttpClient:
                 f"{role} endpoint {url} unavailable after "
                 f"{self.config.retries + 1} attempts: {last_error}"
             ) from last_error
-        if response.status_code >= 400:
-            # Client errors will not improve on retry.
+        if status >= 300:
+            # A 4xx will not improve on retry; redirects are not followed.
             raise unavailable_error(f"{role} endpoint {url} rejected the "
-                                    f"request: HTTP {response.status_code}")
+                                    f"request: HTTP {status}")
         try:
-            data = response.json()
+            data = json.loads(data)
         except ValueError as exc:
             raise ProtocolError(
                 f"{role} endpoint {url} returned non-JSON body") from exc
@@ -173,6 +209,30 @@ class HttpClient:
                 f"{role} endpoint {url} returned {type(data).__name__}, "
                 f"expected an object")
         return data
+
+    def _round_trip(self, target: str, body: bytes) -> tuple[int, bytes]:
+        """The status and whole body of one POST on an idle connection.  If
+        a kept one fails before any status line, the server closed it while
+        idle, and the request goes out again at once on a new connection."""
+        conn, pid = self._idle.get()
+        if pid != os.getpid():
+            conn.close()  # a forked child never writes to its parent's socket
+        try:
+            for kept in (conn.sock is not None, False):
+                try:
+                    conn.request("POST", target, body, self._headers)
+                    response = conn.getresponse()
+                    break
+                except (ConnectionResetError, BrokenPipeError):
+                    if not kept:  # RemoteDisconnected is one of these
+                        raise
+                    conn.close()
+            return response.status, response.read()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            self._idle.put((conn, os.getpid()))
 
 
 # Per-role names that callers, the perfbench workloads among them, import.

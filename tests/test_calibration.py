@@ -5,6 +5,7 @@ import sqlite3
 import string
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
@@ -136,6 +137,19 @@ def test_embedding_load_skips_non_finite_vectors(tmp_path, caplog):
                for r in caplog.records) == 1
     for word in ("pear", "plum"):
         assert table.score("apple", word) == fuzzy_similarity("apple", word)
+
+
+def test_embedding_huge_vectors_keep_their_cosine(tmp_path):
+    """Finite vectors whose sum or norm overflows float64 still score their
+    cosine, without a numpy overflow warning."""
+    path = tmp_path / "vectors.txt"
+    path.write_text("apple 1.0 0.0\norange 0.0 1.0\nbig 1e308 0.0\n",
+                    encoding="utf-8")
+    table = WordEmbedding.load(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert table.score("big big", "orange") == 0.0
+        assert table.score("big", "apple") == 1.0
 
 
 def test_embedding_similarity_cosine(table):

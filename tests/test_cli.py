@@ -178,6 +178,17 @@ def test_missing_endpoint_names_its_flag(school_path, caplog):
     assert err.value.code == 2
 
 
+def test_endpoint_url_without_a_scheme_exits_one(school_path, caplog):
+    """A URL no HTTP client can reach is refused before any request, so
+    no retry schedule is slept through."""
+    url = "http://127.0.0.1:9"
+    assert main(["translate", "--db", str(school_path), "--question", "Q?",
+                 "--sketch-url", url, "--aligner-url", url,
+                 "--completer-url", "localhost:8000"]) == EXIT_ERROR
+    assert "endpoint URL 'localhost:8000' is not an http:// or https:// " \
+        "URL with a host" in caplog.text
+
+
 def test_translate_missing_db(tmp_path):
     script = write_script(tmp_path, {"score": {"*": [0.9]}})
     assert main(["translate", "--db", str(tmp_path / "none.sqlite"),

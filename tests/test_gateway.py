@@ -1,7 +1,11 @@
+import base64
 import json
+import os
 import re
+import signal
 import threading
 import time
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -39,28 +43,52 @@ from sketchsql.sql_analysis import parse_sql
 
 
 class StubServer:
-    """Local HTTP server with scripted responses and request capture."""
+    """Local HTTP server with scripted responses and request capture.
 
-    def __init__(self):
+    ``protocol`` "HTTP/1.1" keeps connections open between requests;
+    ``close_kept`` then closes each one after its reply all the same, as a
+    server that drops idle connections does.  A CONNECT request, as an
+    https client sends a proxy, is recorded and refused with 403."""
+
+    def __init__(self, protocol="HTTP/1.0", close_kept=False):
         self.requests = []
         self.responses = []  # queue of (status, body); body dict -> JSON
         self.default = (200, {})
         self.delay = 0.0
+        self.connections = 0
         self._active = 0
         self.high_water = 0
         self._lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = protocol
+
+            def setup(self):
+                super().setup()
+                with outer._lock:
+                    outer.connections += 1
+
+            def _record(self, body):
+                outer.requests.append({
+                    "path": self.path,
+                    "auth": self.headers.get("Authorization"),
+                    "proxy_auth": self.headers.get("Proxy-Authorization"),
+                    "payload": body,
+                })
+
+            def do_CONNECT(self):
+                with outer._lock:
+                    self._record(None)
+                self.send_response(403)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length)) if length else None
                 with outer._lock:
-                    outer.requests.append({
-                        "path": self.path,
-                        "auth": self.headers.get("Authorization"),
-                        "payload": body,
-                    })
+                    self._record(body)
                     outer._active += 1
                     outer.high_water = max(outer.high_water, outer._active)
                     status, reply = (outer.responses.pop(0)
@@ -75,12 +103,15 @@ class StubServer:
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
+                if close_kept:
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.base_url = f"http://127.0.0.1:{self._httpd.server_address[1]}"
+        self.address = f"127.0.0.1:{self._httpd.server_address[1]}"
+        self.base_url = f"http://{self.address}"
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         daemon=True)
         self._thread.start()
@@ -93,6 +124,15 @@ class StubServer:
 @pytest.fixture
 def server():
     srv = StubServer()
+    yield srv
+    srv.stop()
+
+
+@pytest.fixture
+def kept_server():
+    """A server that keeps connections open, answering every role."""
+    srv = StubServer("HTTP/1.1")
+    srv.default = (200, {"hypotheses": ["a"]})
     yield srv
     srv.stop()
 
@@ -256,6 +296,161 @@ def test_in_flight_requests_bounded(server):
         t.join()
     assert len(server.requests) == 6
     assert server.high_water <= 2
+
+
+# --------------------------------------------------------------------------
+# Kept connections, proxies and redirects
+
+def test_sequential_calls_share_one_connection(kept_server):
+    client = HttpClient(EndpointConfig(kept_server.base_url + "/v1/"))
+    for _ in range(20):
+        assert client.generate("inp", 1) == ["a"]
+    assert kept_server.connections == 1
+    assert [r["path"] for r in kept_server.requests] == ["/v1/generate"] * 20
+
+
+def test_threads_open_at_most_max_in_flight_connections(kept_server):
+    kept_server.delay = 0.02
+    client = HttpClient(fast_config(kept_server, max_in_flight=2))
+    answers = []
+
+    def calls():
+        for _ in range(5):
+            answers.append(client.generate("inp", 1))
+
+    threads = [threading.Thread(target=calls) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert answers == [["a"]] * 20
+    assert kept_server.connections <= 2
+    assert kept_server.high_water <= 2
+
+
+def test_connection_closed_while_idle_is_replaced_without_a_retry(monkeypatch):
+    """Each kept connection is closed by the server after its reply; the
+    next call notices before any status line and sends again at once."""
+    srv = StubServer("HTTP/1.1", close_kept=True)
+    srv.default = (200, {"hypotheses": ["a"]})
+    sleeps = []
+    monkeypatch.setattr("sketchsql.gateway.time.sleep", sleeps.append)
+    try:
+        client = HttpClient(EndpointConfig(srv.base_url, retries=2))
+        for _ in range(5):
+            assert client.generate("inp", 1) == ["a"]
+    finally:
+        srv.stop()
+    assert len(srv.requests) == 5
+    assert srv.connections == 5
+    assert sleeps == []
+
+
+def _clear_proxy_variables(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+def test_http_proxy_gets_the_absolute_form(server, monkeypatch):
+    _clear_proxy_variables(monkeypatch)
+    server.default = (200, {"hypotheses": ["a"]})
+    monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{server.address}")
+    # Nothing listens on port 9, so a request sent direct fails.
+    proxied = HttpClient(EndpointConfig("http://127.0.0.1:9/v1/", retries=0))
+    # The variables were read when the client was made.
+    monkeypatch.setenv("no_proxy", "*")
+    assert proxied.generate("inp", 1) == ["a"]
+    (req,) = server.requests
+    assert req["path"] == "http://127.0.0.1:9/v1/generate"
+    assert req["proxy_auth"] == \
+        "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+
+def test_no_proxy_bypasses_the_proxy(server, monkeypatch):
+    _clear_proxy_variables(monkeypatch)
+    server.default = (200, {"hypotheses": ["a"]})
+    monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")  # nothing listens
+    monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+    client = HttpClient(fast_config(server, retries=0))
+    assert client.generate("inp", 1) == ["a"]
+    assert server.requests[0]["path"] == "/generate"
+    assert server.requests[0]["proxy_auth"] is None
+
+
+@pytest.mark.parametrize("env", [
+    {"HTTP_PROXY": "proxy"},
+    {"http_proxy": "", "HTTP_PROXY": "proxy"},
+    {"http_proxy": "proxy", "HTTP_PROXY": "http://127.0.0.1:9"},
+    {"REQUEST_METHOD": "GET", "HTTP_PROXY": "proxy"},
+    {"REQUEST_METHOD": "GET", "http_proxy": "proxy"},
+    {"https_proxy": "proxy"},
+])
+def test_proxy_variables_are_read_as_getproxies_reads_them(server,
+                                                           monkeypatch, env):
+    """The client proxies a request exactly when the standard library's
+    reading of the variables names a proxy for its scheme."""
+    _clear_proxy_variables(monkeypatch)
+    monkeypatch.delenv("REQUEST_METHOD", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, server.address if value == "proxy" else value)
+    server.default = (200, {"hypotheses": ["a"]})
+    client = HttpClient(EndpointConfig("http://127.0.0.1:9/v1", retries=0))
+    if urllib.request.getproxies().get("http") == server.address:
+        assert client.generate("inp", 1) == ["a"]
+        assert server.requests[0]["path"] == "http://127.0.0.1:9/v1/generate"
+    else:
+        with pytest.raises(ProviderUnavailableError):  # sent direct
+            client.generate("inp", 1)
+        assert server.requests == []
+
+
+def test_https_proxy_gets_a_connect_tunnel(server, monkeypatch):
+    _clear_proxy_variables(monkeypatch)
+    monkeypatch.setenv("https_proxy", f"http://user:pw@{server.address}")
+    client = HttpClient(EndpointConfig("https://127.0.0.1:9/v1", retries=0))
+    with pytest.raises(ProviderUnavailableError,
+                       match="Tunnel connection failed: 403"):
+        client.generate("inp", 1)
+    (req,) = server.requests
+    assert req["path"] == "127.0.0.1:9"
+    assert req["proxy_auth"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+
+def test_redirect_is_an_error_naming_the_status(server):
+    server.responses.append((307, {}))
+    client = SketchProviderClient(fast_config(server, retries=3))
+    with pytest.raises(ProviderUnavailableError,
+                       match="rejected the request: HTTP 307$"):
+        client.generate("inp", 1)
+    assert len(server.requests) == 1
+
+
+def test_forked_child_opens_its_own_connection(kept_server):
+    client = HttpClient(fast_config(kept_server))
+    assert client.generate("inp", 1) == ["a"]  # a kept connection
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        code = 1
+        try:
+            signal.alarm(10)  # a child whose request never ends dies here
+            code = 0 if client.generate("inp", 1) == ["a"] else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert client.generate("inp", 1) == ["a"]  # the parent's is still kept
+    assert kept_server.connections == 2
+    assert len(kept_server.requests) == 3
+
+
+@pytest.mark.parametrize("url", ["localhost:8000", "127.0.0.1:8000",
+                                 "ftp://host/v1", "http://", "http:///v1",
+                                 "/v1", ""])
+def test_endpoint_url_must_be_http_with_a_host(url):
+    with pytest.raises(ValueError, match=re.escape(f"endpoint URL {url!r}")):
+        EndpointConfig(url)
 
 
 def test_endpoint_config_validation():

@@ -2,7 +2,10 @@
 section imports, and each of them resolves."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sketchsql
@@ -25,3 +28,15 @@ def test_readme_library_use_lists_the_root_exports():
     assert sorted(names) == sorted(sketchsql.__all__)
     for name in names:
         assert getattr(sketchsql, name) is not None
+
+
+def test_cli_import_leaves_out_third_party_http_libraries():
+    """The HTTP client is the standard library's, so importing the console
+    script loads neither ``requests`` nor ``urllib3``."""
+    src = str(Path(sketchsql.__file__).resolve().parents[1])
+    probe = ("import sys, sketchsql.cli; "
+             "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout == "[]\n"
