@@ -97,6 +97,12 @@ class EncodedValues(Sequence):
     The values fall into segments, one per column: ``values[bounds[s]:
     bounds[s + 1]]`` is segment ``s``.  The constructor makes one segment;
     :meth:`concat` lays several columns out as one lane set.
+
+    ``hashes`` is the exact lookup: ``hashes[i]`` is the hash of
+    ``values[i]``'s normal form.  Under :class:`CharacterFuzzy` only
+    equal normal forms score 1.0, so :func:`exact_matches` finds the
+    values that score 1.0 against a literal by comparing hashes, with no
+    lane pass; at 8 bytes a value, it holds no copy of the normal forms.
     """
 
     def __init__(self, values):
@@ -123,6 +129,7 @@ class EncodedValues(Sequence):
         # for tie-breaks.
         self.rank = np.empty(n, dtype=np.intp)
         self.rank[sorted(range(n), key=self.values.__getitem__)] = np.arange(n)
+        self.hashes = np.fromiter(map(hash, normal), np.int64, n)
 
     @classmethod
     def concat(cls, columns: list) -> "EncodedValues":
@@ -155,6 +162,7 @@ class EncodedValues(Sequence):
             at += count
         merged.active = _active_lanes(merged.lengths, width)
         merged.rank = np.concatenate([c.rank for c in columns])
+        merged.hashes = np.concatenate([c.hashes for c in columns])
         return merged
 
     def __len__(self) -> int:
@@ -247,6 +255,11 @@ class CharacterFuzzy:
         return scores
 
 
+# Below this norm the squares that np.linalg.norm sums are subnormal or
+# zero, so the norm loses precision or vanishes.
+_TINY_NORM = np.sqrt(np.finfo(np.float64).tiny)
+
+
 class WordEmbedding:
     """Cosine similarity of averaged word vectors (``entries`` maps each
     lowercase word to its vector), clamped to [0,1].  A pair where either
@@ -301,9 +314,10 @@ class WordEmbedding:
         with np.errstate(over="ignore", invalid="ignore"):
             mean = np.mean(vectors, axis=0)
             norm = np.linalg.norm(mean)
-        if not np.isfinite(norm):
-            # Finite but huge vectors overflow the sum or the norm; scaled
-            # by their largest magnitude they keep their direction.
+        if not np.isfinite(norm) or (norm < _TINY_NORM and mean.any()):
+            # Finite but huge vectors overflow the sum or the norm, and
+            # tiny ones underflow the norm; scaled by their largest
+            # magnitude they keep their direction.
             scaled = np.array(vectors) / np.abs(vectors).max()
             mean = np.mean(scaled, axis=0)
             norm = np.linalg.norm(mean)
@@ -537,6 +551,23 @@ def best_match(candidates: EncodedValues, value0: str, backend,
     return out
 
 
+def exact_matches(candidates: EncodedValues, normal: str) -> dict:
+    """Each segment's smallest value whose normal form is ``normal``, by
+    segment, for the segments that hold one: under :class:`CharacterFuzzy`
+    the :func:`best_match` results that score 1.0 against a literal of
+    that normal form, which only equal normal forms do."""
+    where = np.flatnonzero(candidates.hashes == hash(normal))
+    segments = np.searchsorted(candidates.bounds, where, "right") - 1
+    found: dict[int, str] = {}
+    for s, i in zip(segments.tolist(), where.tolist()):
+        value = candidates[i]
+        # Equal hashes may come from other normal forms.
+        if value.strip().lower() == normal and (s not in found
+                                                or value < found[s]):
+            found[s] = value
+    return found
+
+
 def _match_predicate(predicate: Predicate, resolved, r: float, levels,
                      column_bests) -> MatchResult | None:
     value0 = _match_value(predicate)
@@ -585,6 +616,14 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
     value in each column is found once per call: a lane pass may score a
     column that an earlier level scored, and keeps that level's result,
     but values scored one at a time are scored once.
+
+    Under :class:`CharacterFuzzy` a score of 1.0 means equal normal forms
+    (``strip().lower()``), and no score is higher.  So before a pass, the
+    literal's normal form is looked up in the exact lookup of the level's
+    lane set (see :class:`EncodedValues`); if any column of the level
+    holds it, the level is won at 1.0 for every threshold, and it is
+    settled from the lookup alone.  The semantic backends always score
+    the pass.
     """
     if not 0 < r <= 1:
         raise ValueError(f"similarity threshold must be in (0, 1], got {r}")
@@ -595,12 +634,15 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
     schema = db.schema
     tables, aliases = table_scope(query)
     bests: dict = {}
+    fuzzy = isinstance(backend, CharacterFuzzy)
 
     def column_bests(value0: str, level: MatchLevel, resolved) -> list:
         """``(column, value count, best_match)`` of each column searched at
         ``level``.  The columns this call has not scored yet are scored in
         one pass over the level's lane set; the others keep their first
-        result."""
+        result.  Under :class:`CharacterFuzzy`, when some column holds the
+        literal's normal form, the exact lookups settle the level with no
+        pass: those columns give ``(1.0, value)``, the rest None."""
         columns = level_columns(level, schema, resolved, tables)
         keys = [(value0, table.lower(), column.lower())
                 for table, column in columns]
@@ -608,6 +650,13 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
         if any(wanted):
             batch = level_values(db, level, schema, resolved, tables, scan_cap)
             sizes = np.diff(batch.bounds).tolist()
+            exact = fuzzy and exact_matches(batch, value0.strip().lower())
+            if exact:
+                # Every column, hit or not, so that column names rank in
+                # the order the lane pass would see them.
+                return [(column, size, (1.0, exact[s]) if s in exact else None)
+                        for s, ((_, column), size)
+                        in enumerate(zip(columns, sizes))]
             for key, new, size, best in zip(
                     keys, wanted, sizes,
                     best_match(batch, value0, backend, wanted)):

@@ -24,6 +24,7 @@ import logging
 import os
 import sys
 import typing
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -256,6 +257,18 @@ def build_clients(config: RunConfig) -> dict:
             for role, url in urls.items()}
 
 
+@contextmanager
+def _opened_clients(config: RunConfig):
+    """:func:`build_clients`, closing the HTTP clients when the block ends."""
+    clients = build_clients(config)
+    try:
+        yield clients
+    finally:
+        for client in clients.values():
+            if isinstance(client, HttpClient):
+                client.close()
+
+
 def _require(clients: dict, *roles: str):
     for role in roles:
         if clients.get(role) is None:
@@ -339,16 +352,16 @@ def _write_json(payload, path=None) -> None:
 
 
 def cmd_translate(args: argparse.Namespace, config: RunConfig) -> int:
-    clients = build_clients(config)
-    provider, aligner, completer = _require(clients, "sketch", "aligner",
-                                            "completer")
-    db = Database(args.db)
-    backend = build_backend(config, clients)
-    selection = _from_run_config(SelectionConfig, config,
-                                 completer=completer, backend=backend)
-    sql, trace = translate_question(
-        args.question, db.schema, db, provider, aligner, selection,
-        config.k_select, config.k_from, config.k_keywords)
+    with _opened_clients(config) as clients:
+        provider, aligner, completer = _require(clients, "sketch", "aligner",
+                                                "completer")
+        db = Database(args.db)
+        backend = build_backend(config, clients)
+        selection = _from_run_config(SelectionConfig, config,
+                                     completer=completer, backend=backend)
+        sql, trace = translate_question(
+            args.question, db.schema, db, provider, aligner, selection,
+            config.k_select, config.k_from, config.k_keywords)
     if config.trace:
         _write_json({"config": _config_echo(config, args.command),
                      "trace": dataclasses.asdict(trace)}, config.trace)
@@ -366,12 +379,13 @@ def cmd_translate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace, config: RunConfig) -> int:
-    clients = build_clients(config) if config.backend == "encoder" else {}
-    backend = build_backend(config, clients)
-    db = Database(args.db)
-    selection = _from_run_config(SelectionConfig, config, completer=None,
-                                 backend=backend)
-    rewritten, feedback = calibrate_deterministic(db, args.sql, selection)
+    with (_opened_clients(config) if config.backend == "encoder"
+          else nullcontext({})) as clients:
+        backend = build_backend(config, clients)
+        db = Database(args.db)
+        selection = _from_run_config(SelectionConfig, config, completer=None,
+                                     backend=backend)
+        rewritten, feedback = calibrate_deterministic(db, args.sql, selection)
     for predicate, match in feedback.replacements:
         log.info("predicate %s %s %r -> %s = %r (score %.3f, %s level%s)",
                  predicate.column, predicate.operator, predicate.value,
@@ -391,16 +405,16 @@ def _load_bundle(config: RunConfig):
 
 
 def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
-    clients = build_clients(config)
-    provider, aligner, completer = _require(clients, "sketch", "aligner",
-                                            "completer")
-    selection = _from_run_config(SelectionConfig, config,
-                                 completer=completer,
-                                 backend=build_backend(config, clients))
-    eval_config = _from_run_config(EvalConfig, config, selection=selection,
-                                   provider=provider, aligner=aligner,
-                                   trace=bool(config.trace))
-    report = evaluate(eval_config, _load_bundle(config))
+    with _opened_clients(config) as clients:
+        provider, aligner, completer = _require(clients, "sketch", "aligner",
+                                                "completer")
+        selection = _from_run_config(SelectionConfig, config,
+                                     completer=completer,
+                                     backend=build_backend(config, clients))
+        eval_config = _from_run_config(EvalConfig, config, selection=selection,
+                                       provider=provider, aligner=aligner,
+                                       trace=bool(config.trace))
+        report = evaluate(eval_config, _load_bundle(config))
     payload = {"config": _config_echo(config, args.command),
                **dataclasses.asdict(report)}
     if config.output:
@@ -421,9 +435,9 @@ def cmd_derive_train(args: argparse.Namespace, config: RunConfig) -> int:
     bundle = _load_bundle(config)
     dataset = [(ex.question, bundle.schemas[ex.db_id], ex.gold_sql)
                for ex in bundle.examples]
-    records, aligner_records, diagnostics = derive_training_records(
-        dataset, build_clients(config)["sketch"],
-        config.k_select, config.k_keywords)
+    with _opened_clients(config) as clients:
+        records, aligner_records, diagnostics = derive_training_records(
+            dataset, clients["sketch"], config.k_select, config.k_keywords)
     for line in diagnostics:
         log.warning("%s", line)
 

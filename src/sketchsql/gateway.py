@@ -14,11 +14,12 @@ frequency_penalty 0.0.
 Two clients serve every role, with one method each: ``generate``,
 ``score``, ``complete`` and ``encode``.  :class:`HttpClient` serves any
 role for one service URL over at most ``max_in_flight`` kept
-standard-library connections.  It retries transient failures with
-exponential backoff, sends a bearer token when one is configured, reads
-the proxy variables once, follows no redirect, and hands back the role's
-field as sent.  For offline runs and tests, :class:`StubScript` answers
-every role from deterministic scripted responses keyed by fingerprint.
+standard-library connections, which ``close`` (or leaving a ``with``
+block) closes.  It retries transient failures with exponential backoff,
+sends a bearer token when one is configured, reads the proxy variables
+once, follows no redirect, and hands back the role's field as sent.  For
+offline runs and tests, :class:`StubScript` answers every role from
+deterministic scripted responses keyed by fingerprint.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import json
 import logging
 import math
 import os
-import queue
 import ssl
 import threading
 import time
@@ -130,17 +130,36 @@ class HttpClient:
             else:
                 self._prefix = f"http://{url.netloc}{self._prefix}"
                 self._headers.update(auth)
-        # Idle connections with the pid that last used each.  Taking one waits
-        # while max_in_flight are in use.  One that is closed, as a response
-        # that will close leaves it, opens again on its next request.
+        # Idle connections with the pid that last used each, and a generation
+        # that close() moves on, so that a connection in use during close()
+        # is closed when put back.  Taking one waits while max_in_flight are
+        # in use.  One that is closed, as a response that will close or
+        # close() leaves it, opens again on its next request.
         connection = HTTPSConnection if https else HTTPConnection
         tls = {"context": ssl.create_default_context()} if https else {}
-        self._idle = queue.LifoQueue()
+        self._lock = threading.Condition()
+        self._idle = []
+        self._generation = 0
         for _ in range(config.max_in_flight):
             conn = connection(*address, timeout=config.timeout, **tls)
             if tunnel is not None:
                 conn.set_tunnel(*tunnel)
-            self._idle.put((conn, os.getpid()))
+            self._idle.append((conn, os.getpid()))
+
+    def close(self) -> None:
+        """Close the kept connections: the idle ones now, and each one in
+        use when it is put back.  The client stays usable and opens
+        connections again when next needed."""
+        with self._lock:
+            self._generation += 1
+            for conn, _ in self._idle:
+                conn.close()
+
+    def __enter__(self) -> "HttpClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def generate(self, task_input: str, k: int):
         return self._post("/generate", {"input": task_input,
@@ -214,7 +233,10 @@ class HttpClient:
         """The status and whole body of one POST on an idle connection.  If
         a kept one fails before any status line, the server closed it while
         idle, and the request goes out again at once on a new connection."""
-        conn, pid = self._idle.get()
+        with self._lock:
+            self._lock.wait_for(lambda: self._idle)
+            conn, pid = self._idle.pop()
+            generation = self._generation
         if pid != os.getpid():
             conn.close()  # a forked child never writes to its parent's socket
         try:
@@ -232,7 +254,11 @@ class HttpClient:
             conn.close()
             raise
         finally:
-            self._idle.put((conn, os.getpid()))
+            with self._lock:
+                if generation != self._generation:
+                    conn.close()
+                self._idle.append((conn, os.getpid()))
+                self._lock.notify()
 
 
 # Per-role names that callers, the perfbench workloads among them, import.

@@ -7,7 +7,8 @@ import sys
 import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ def test_embedding_similarity_oov_falls_back_to_fuzzy(table):
     assert table.score("wards", "ward") == 0.75
     assert table.score("king", "kings") == \
         fuzzy_similarity("king", "kings")
+
+
+def test_embedding_tiny_vectors_keep_their_cosine(tmp_path):
+    """Vectors whose norm underflows float64, to zero or to a subnormal,
+    score the cosine of their direction; ordinary ones score as before."""
+    path = tmp_path / "vectors.txt"
+    path.write_text("apple 1.0 0.0\ntiny 1e-200 0.0\nsmall 1e-160 1e-160\n"
+                    "half 1.0 1.0\nzero 0.0 0.0\n", encoding="utf-8")
+    table = WordEmbedding.load(path)
+    assert table.score("tiny", "apple") == 1.0
+    assert table.score("small", "apple") == table.score("half", "apple")
+    half = np.array([1.0, 1.0])
+    assert table.score("half", "apple") == float(
+        np.dot(half / np.linalg.norm(half), [1.0, 0.0]))
+    # A zero average still falls back to fuzzy matching.
+    assert table.score("zero", "apple") == fuzzy_similarity("zero", "apple")
 
 
 # --------------------------------------------------------------------------
@@ -447,6 +464,108 @@ def test_database_level_batch_matches_oracle(tmp_path):
                                     CharacterFuzzy()).replacements
     assert match == MatchResult("name", "timmya", 0.8, MatchLevel.DATABASE)
     db.close()
+
+
+# --------------------------------------------------------------------------
+# Exact hits settle a level without a lane pass
+
+def _counted_best_match(monkeypatch) -> list:
+    """Patch :func:`best_match` to record the segment count of each call."""
+    calls = []
+    real = calibration.best_match
+
+    def counting(candidates, *args, **kwargs):
+        calls.append(len(candidates.bounds) - 1)
+        return real(candidates, *args, **kwargs)
+
+    monkeypatch.setattr(calibration, "best_match", counting)
+    return calls
+
+
+def test_exact_hits_keep_every_column_of_the_level(tmp_path, monkeypatch):
+    """Table level over the FROM tables of an unresolved column: a.name has
+    no hit and comes first, so ``name`` ranks before ``other`` although
+    b.other holds the literal too.  Returning only the hits would pick
+    b.other; every column of the level is kept, and b.name wins with its
+    smallest value of the literal's normal form."""
+    path = tmp_path / "shared.sqlite"
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.executescript("""
+            CREATE TABLE a (name TEXT);
+            CREATE TABLE b (other TEXT, name TEXT);
+            INSERT INTO a VALUES ('zz');
+            INSERT INTO b VALUES ('xx', 'xx'), ('Xx', ' XX'), (NULL, 'xy');
+        """)
+    calls = _counted_best_match(monkeypatch)
+    sql = "SELECT * FROM a, b WHERE ghost = 'XX '"
+    with closing(Database(path)) as db:
+        (_, match), = multi_level_match(db, parse_sql(sql), 0.65,
+                                        CharacterFuzzy()).replacements
+        assert match == MatchResult("name", " XX", 1.0, MatchLevel.TABLE)
+        assert calls == []  # settled by the exact lookup
+        assert [m for _, m in oracle_multi_level(db.schema, path, sql, 0.65)] \
+            == [match]
+        # A semantic backend scores the level's lane set as before.
+        (_, semantic), = multi_level_match(db, parse_sql(sql), 0.65,
+                                           SentenceEncoder(None)).replacements
+        assert semantic == match and calls == [3]
+
+
+_EXACT_WORDS = ["timmy", "ward", "lee", "tîmmy", "ab" * 40, "x" * 300]
+_EXACT_VARIANTS = st.builds(
+    lambda word, case, lead, trail: lead + case(word) + trail,
+    st.sampled_from(_EXACT_WORDS),
+    st.sampled_from([str, str.upper, str.title]),
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", "  "]))
+_EXACT_VALUES = st.one_of(
+    _EXACT_VARIANTS,
+    st.sampled_from(["  ", "timy", "wards", "ti\0mmy", "ab" * 39]))
+_EXACT_COLUMNS = st.dictionaries(st.sampled_from(["name", "city", "code"]),
+                                 st.lists(_EXACT_VALUES, max_size=4),
+                                 min_size=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables=st.lists(_EXACT_COLUMNS, min_size=2, max_size=2),
+       literal=st.one_of(_EXACT_VARIANTS, st.sampled_from(["timy", "zed"])),
+       column=st.sampled_from(["name", "city", "code", "ghost"]),
+       both=st.booleans(), r=st.sampled_from([0.65, 1.0]),
+       cap=st.sampled_from([2, DEFAULT_SCAN_CAP]), collide=st.booleans())
+# t0.name has no hit and ranks ``name`` before t1's ``city``.
+@example(tables=[{"name": ["Ward"]}, {"city": ["lee"], "name": ["LEE"]}],
+         literal="lee", column="ghost", both=True, r=0.65,
+         cap=DEFAULT_SCAN_CAP, collide=False)
+def test_exact_hits_match_the_oracle(tables, literal, column, both, r, cap,
+                                     collide):
+    """Feedback equals the brute-force oracle's, score repr included, over
+    case and whitespace variants, one column name in both tables (often
+    with equal values), blank, non-ASCII, over-63 and over-255 values,
+    unresolved columns, both scan caps and r = 1.0.  With ``collide``,
+    every normal form's hash is one of three, so that most values share
+    the literal's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exact.sqlite")
+        with closing(sqlite3.connect(path)) as conn, conn:
+            for t, columns in enumerate(tables):
+                conn.execute(f"CREATE TABLE t{t} ({', '.join(columns)})")
+                for c, values in columns.items():
+                    conn.executemany(f"INSERT INTO t{t} ({c}) VALUES (?)",
+                                     [(v,) for v in values])
+        sql = (f"SELECT * FROM t0{', t1' if both else ''} "
+               f"WHERE {column} = '{literal}'")
+        hashes = (mock.patch.object(calibration, "hash", create=True,
+                                    new=lambda text: len(text) % 3)
+                  if collide else nullcontext())
+        with closing(Database(path)) as db:
+            with hashes:
+                found = multi_level_match(db, parse_sql(sql), r,
+                                          CharacterFuzzy(), scan_cap=cap)
+            expected = oracle_multi_level(db.schema, path, sql, r, cap)
+    assert [(m.column, m.value, repr(m.score), m.level, m.below_threshold)
+            for _, m in found.replacements] == \
+        [(m.column, m.value, repr(m.score), m.level, m.below_threshold)
+         for _, m in expected]
 
 
 def test_value_index_holds_one_entry_per_scanned_column(tmp_path):

@@ -16,6 +16,7 @@ from sketchsql.calibration import (
     SentenceEncoder,
     multi_level_match,
 )
+import sketchsql.cli as cli
 from sketchsql.cli import main
 from sketchsql.errors import (
     CompleterUnavailableError,
@@ -47,7 +48,8 @@ class StubServer:
 
     ``protocol`` "HTTP/1.1" keeps connections open between requests;
     ``close_kept`` then closes each one after its reply all the same, as a
-    server that drops idle connections does.  A CONNECT request, as an
+    server that drops idle connections does.  ``closed`` counts the
+    connections that have ended.  A CONNECT request, as an
     https client sends a proxy, is recorded and refused with 403."""
 
     def __init__(self, protocol="HTTP/1.0", close_kept=False):
@@ -56,6 +58,7 @@ class StubServer:
         self.default = (200, {})
         self.delay = 0.0
         self.connections = 0
+        self.closed = 0
         self._active = 0
         self.high_water = 0
         self._lock = threading.Lock()
@@ -68,6 +71,11 @@ class StubServer:
                 super().setup()
                 with outer._lock:
                     outer.connections += 1
+
+            def finish(self):
+                super().finish()
+                with outer._lock:
+                    outer.closed += 1
 
             def _record(self, body):
                 outer.requests.append({
@@ -302,28 +310,28 @@ def test_in_flight_requests_bounded(server):
 # Kept connections, proxies and redirects
 
 def test_sequential_calls_share_one_connection(kept_server):
-    client = HttpClient(EndpointConfig(kept_server.base_url + "/v1/"))
-    for _ in range(20):
-        assert client.generate("inp", 1) == ["a"]
+    with HttpClient(EndpointConfig(kept_server.base_url + "/v1/")) as client:
+        for _ in range(20):
+            assert client.generate("inp", 1) == ["a"]
     assert kept_server.connections == 1
     assert [r["path"] for r in kept_server.requests] == ["/v1/generate"] * 20
 
 
 def test_threads_open_at_most_max_in_flight_connections(kept_server):
     kept_server.delay = 0.02
-    client = HttpClient(fast_config(kept_server, max_in_flight=2))
     answers = []
+    with HttpClient(fast_config(kept_server, max_in_flight=2)) as client:
 
-    def calls():
-        for _ in range(5):
-            answers.append(client.generate("inp", 1))
+        def calls():
+            for _ in range(5):
+                answers.append(client.generate("inp", 1))
 
-    threads = [threading.Thread(target=calls) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
-        assert not t.is_alive()
+        threads = [threading.Thread(target=calls) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
     assert answers == [["a"]] * 20
     assert kept_server.connections <= 2
     assert kept_server.high_water <= 2
@@ -337,9 +345,9 @@ def test_connection_closed_while_idle_is_replaced_without_a_retry(monkeypatch):
     sleeps = []
     monkeypatch.setattr("sketchsql.gateway.time.sleep", sleeps.append)
     try:
-        client = HttpClient(EndpointConfig(srv.base_url, retries=2))
-        for _ in range(5):
-            assert client.generate("inp", 1) == ["a"]
+        with HttpClient(EndpointConfig(srv.base_url, retries=2)) as client:
+            for _ in range(5):
+                assert client.generate("inp", 1) == ["a"]
     finally:
         srv.stop()
     assert len(srv.requests) == 5
@@ -428,21 +436,84 @@ def test_redirect_is_an_error_naming_the_status(server):
 
 
 def test_forked_child_opens_its_own_connection(kept_server):
-    client = HttpClient(fast_config(kept_server))
-    assert client.generate("inp", 1) == ["a"]  # a kept connection
-    pid = os.fork()
-    if pid == 0:  # pragma: no cover - runs in the child
-        code = 1
-        try:
-            signal.alarm(10)  # a child whose request never ends dies here
-            code = 0 if client.generate("inp", 1) == ["a"] else 1
-        finally:
-            os._exit(code)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    assert client.generate("inp", 1) == ["a"]  # the parent's is still kept
+    with HttpClient(fast_config(kept_server)) as client:
+        assert client.generate("inp", 1) == ["a"]  # a kept connection
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                signal.alarm(10)  # a child whose request never ends dies here
+                code = 0 if client.generate("inp", 1) == ["a"] else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert client.generate("inp", 1) == ["a"]  # the parent's is still kept
     assert kept_server.connections == 2
     assert len(kept_server.requests) == 3
+
+
+def _wait_for(condition, timeout=10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_close_closes_the_kept_connections(kept_server):
+    """The server sees every kept connection end at close(); the client
+    stays usable and opens a new one."""
+    kept_server.delay = 0.3  # so that the two calls overlap
+    client = HttpClient(fast_config(kept_server, max_in_flight=2))
+    threads = [threading.Thread(target=client.generate, args=("inp", 1))
+               for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert kept_server.connections == 2 and kept_server.closed == 0
+    client.close()
+    assert _wait_for(lambda: kept_server.closed == 2)
+    with client:
+        assert client.generate("inp", 1) == ["a"]
+        assert kept_server.connections == 3
+    assert _wait_for(lambda: kept_server.closed == 3)
+
+
+def test_a_connection_in_use_during_close_is_closed_when_put_back(kept_server):
+    kept_server.delay = 0.3
+    client = HttpClient(fast_config(kept_server))
+    call = threading.Thread(target=client.generate, args=("inp", 1))
+    call.start()
+    assert _wait_for(lambda: kept_server.requests)
+    client.close()
+    assert kept_server.closed == 0  # its reply is still on the way
+    call.join(timeout=10)
+    assert not call.is_alive()
+    assert _wait_for(lambda: kept_server.closed == 1)
+
+
+def test_commands_close_the_clients_they_build(kept_server, tmp_path,
+                                              monkeypatch):
+    """``calibrate`` with the encoder backend builds an HTTP client; its
+    kept connection ends with the command.  The test holds the client, so
+    that only close(), not garbage collection, can end it."""
+    built = []
+    real_build_clients = cli.build_clients
+    monkeypatch.setattr(cli, "build_clients",
+                        lambda config: built.append(real_build_clients(config))
+                        or built[-1])
+    kept_server.default = (200, {"vectors": [[1.0, 0.0], [1.0, 0.0]]})
+    db = make_school_db(tmp_path / "school.sqlite")
+    assert main(["calibrate", "--db", str(db), "--sql", SCHOOL_GOLD_SQL,
+                 "--backend", "encoder",
+                 "--encoder-url", kept_server.base_url]) == 0
+    assert isinstance(built[0]["encoder"], HttpClient)
+    assert kept_server.connections == 1
+    assert _wait_for(lambda: kept_server.closed == 1)
 
 
 @pytest.mark.parametrize("url", ["localhost:8000", "127.0.0.1:8000",
