@@ -2,15 +2,15 @@
 
 The harness loads a benchmark directory (schema file, per-database SQLite
 files, examples JSON), runs the full sketch -> completion -> calibration
--> selection pipeline per example, executes the gold SQL (and the
-predicted SQL, unless selection holds its outcome), and scores execution
-accuracy.  Per-example failures never abort a run; they are recorded with
-a status.  Token accounting counts whitespace tokens of every prompt and
-response, which preserves relative cost ordering without tying the
-harness to any tokenizer.  The calls counted are the ones the
-``gateway`` request helpers record inside a ``recording_calls`` block
-around each example, including the sketch-part requests made on other
-threads.
+-> selection pipeline per example, executes the gold SQL and the
+predicted SQL (each unless selection already ran it), and scores
+execution accuracy.  Per-example failures never abort a run; they are
+recorded with a status.  Token accounting counts whitespace tokens of
+every prompt and response, which preserves relative cost ordering
+without tying the harness to any tokenizer.  The calls counted are the
+ones the ``gateway`` request helpers record inside a ``recording_calls``
+block around each example, including the sketch-part requests made on
+other threads.
 """
 
 from __future__ import annotations
@@ -261,6 +261,17 @@ def _gold_order_sensitive(gold_sql: str) -> bool:
 
 def _evaluate_one(example: BenchmarkExample, schema: DatabaseSchema,
                   db: Database, config: EvalConfig) -> ExampleResult:
+    """Translate one example and score it against its gold SQL.
+
+    The statement that selection ran last (``SelectionTrace.last_run``)
+    is not run again: its outcome stands for the gold SQL when it is the
+    gold text, and for the prediction when it is the predicted text,
+    unless that outcome is an Error.  Everything else runs here, under
+    the selection's statement timeout.  When one run stands for both, the
+    example is correct with no rows compared, so a statement that is not
+    deterministic (``random()``, the current time) is scored by what it
+    returned once.
+    """
     started = time.monotonic()
     predicted = trace = None
     trace_dict = None
@@ -290,7 +301,10 @@ def _evaluate_one(example: BenchmarkExample, schema: DatabaseSchema,
                            error=error, trace=trace_dict)
 
     timeout = config.selection.statement_timeout
-    gold_outcome = db.execute(example.gold_sql, timeout)
+    ran_sql, ran_outcome = (trace and trace.last_run) or (None, None)
+    gold_outcome = ran_outcome
+    if ran_sql != example.gold_sql or ran_outcome.is_error:
+        gold_outcome = db.execute(example.gold_sql, timeout)
     result.gold_outcome = gold_outcome.kind
     if gold_outcome.is_error:
         log.warning("gold SQL failed on %s: %s", example.db_id,
@@ -298,11 +312,14 @@ def _evaluate_one(example: BenchmarkExample, schema: DatabaseSchema,
         return result
     if predicted is None or status == STATUS_TIMEOUT:
         return result
-    ran_sql, predicted_outcome = trace.last_run or (None, None)
-    if ran_sql != predicted or predicted_outcome.is_error:
+    predicted_outcome = ran_outcome
+    if ran_sql != predicted or ran_outcome.is_error:
         predicted_outcome = db.execute(predicted, timeout)
     result.predicted_outcome = predicted_outcome.kind
     if predicted_outcome.is_error:
+        return result
+    if predicted_outcome is gold_outcome:
+        result.correct = True  # the gold text itself, from its one run
         return result
     left, right = predicted_outcome.result, gold_outcome.result
     # Row order can matter only between equal shapes of two rows or more.

@@ -355,13 +355,13 @@ def cmd_translate(args: argparse.Namespace, config: RunConfig) -> int:
     with _opened_clients(config) as clients:
         provider, aligner, completer = _require(clients, "sketch", "aligner",
                                                 "completer")
-        db = Database(args.db)
-        backend = build_backend(config, clients)
-        selection = _from_run_config(SelectionConfig, config,
-                                     completer=completer, backend=backend)
-        sql, trace = translate_question(
-            args.question, db.schema, db, provider, aligner, selection,
-            config.k_select, config.k_from, config.k_keywords)
+        with Database(args.db) as db:
+            backend = build_backend(config, clients)
+            selection = _from_run_config(SelectionConfig, config,
+                                         completer=completer, backend=backend)
+            sql, trace = translate_question(
+                args.question, db.schema, db, provider, aligner, selection,
+                config.k_select, config.k_from, config.k_keywords)
     if config.trace:
         _write_json({"config": _config_echo(config, args.command),
                      "trace": dataclasses.asdict(trace)}, config.trace)
@@ -382,10 +382,11 @@ def cmd_calibrate(args: argparse.Namespace, config: RunConfig) -> int:
     with (_opened_clients(config) if config.backend == "encoder"
           else nullcontext({})) as clients:
         backend = build_backend(config, clients)
-        db = Database(args.db)
-        selection = _from_run_config(SelectionConfig, config, completer=None,
-                                     backend=backend)
-        rewritten, feedback = calibrate_deterministic(db, args.sql, selection)
+        with Database(args.db) as db:
+            selection = _from_run_config(SelectionConfig, config,
+                                         completer=None, backend=backend)
+            rewritten, feedback = calibrate_deterministic(db, args.sql,
+                                                          selection)
     for predicate, match in feedback.replacements:
         log.info("predicate %s %s %r -> %s = %r (score %.3f, %s level%s)",
                  predicate.column, predicate.operator, predicate.value,

@@ -154,10 +154,17 @@ class Database:
             self._held.text_factory = bytes
         return self._held
 
+    def __enter__(self) -> "Database":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def close(self) -> None:
         """Close the held connection and the pooled statement connections,
         and empty the value index.  The handle stays usable and opens
-        connections again when next needed."""
+        connections again when next needed.  A ``with`` block on the
+        handle calls this when it ends."""
         with self._lock:
             if self._held is not None:
                 self._held.close()

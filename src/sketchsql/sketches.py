@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from .errors import (EmptyCandidateError, SchemaMismatchError,
@@ -377,6 +377,17 @@ _new_part_pool()
 os.register_at_fork(after_in_child=_new_part_pool)
 
 
+def _settled(fn, *args) -> Future:
+    """A finished future that holds what ``fn(*args)`` returned or raised,
+    as a pool thread's future would."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except BaseException as exc:
+        future.set_exception(exc)
+    return future
+
+
 def _request_parts(provider, question: str, schema: DatabaseSchema,
                    requests: tuple) -> list:
     """The candidates of each ``(kind, k)`` part request in ``requests``,
@@ -387,7 +398,12 @@ def _request_parts(provider, question: str, schema: DatabaseSchema,
     Duplicates keep their best-ranked occurrence.
 
     The requests are in flight together: the first in the calling thread,
-    the others on the part pool.  Every one has finished when this returns
+    the others on the part pool.  When its own request has returned or
+    raised, the calling thread makes each later one that no pool thread
+    has started itself, in order, and waits only for those a pool thread
+    did start.  So requests that block, as ones over HTTP do, still
+    overlap on the pool, and ones that return at once are mostly made
+    without a thread hand-off.  Every one has finished when this returns
     or raises; when several fail, the first failure in ``requests`` order
     is raised.
     """
@@ -412,11 +428,11 @@ def _request_parts(provider, question: str, schema: DatabaseSchema,
     # Copies of the caller's context carry its gateway.recording_calls list.
     later = [_part_pool.submit(contextvars.copy_context().run, ask, kind, k)
              for kind, k in rest]
-    try:
-        first = ask(kind, k)
-    finally:
-        wait(later)
-    return [first, *(future.result() for future in later)]
+    futures = [_settled(ask, kind, k)]
+    for future, (kind, k) in zip(later, rest):
+        futures.append(_settled(ask, kind, k) if future.cancel() else future)
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def request_candidate_sets(provider, question: str, schema: DatabaseSchema,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import threading
@@ -286,6 +287,19 @@ def test_gold_order_is_parsed_only_when_it_can_matter(
         (correct, parses)
 
 
+@pytest.mark.parametrize("gold,predicted,correct,parses", [
+    # the prediction's own run stands for the gold: no parse, no compare
+    ("SELECT given_name FROM Student ORDER BY id",
+     "SELECT given_name FROM Student ORDER BY id", True, 0),
+    # a statement that is not deterministic is scored from its one run
+    ("SELECT abs(random())", "SELECT abs(random())", True, 0),
+])
+def test_gold_identical_prediction_is_scored_from_its_one_run(
+        tmp_path, monkeypatch, gold, predicted, correct, parses):
+    assert _order_case(tmp_path, gold, predicted, monkeypatch) == \
+        (correct, parses)
+
+
 @pytest.mark.parametrize("predicted,correct", [
     ("SELECT given_name FROM Student ORDER BY id", True),
     ("SELECT given_name FROM Student ORDER BY id DESC", False),
@@ -316,11 +330,12 @@ class CountingDatabase(Database):
         return super().execute(sql, timeout)
 
 
-def _run_counted(root, completion, rewrite=None, patience=1):
+def _run_counted(root, completion, rewrite=None, patience=1, gold=None):
     """Evaluate the "Which course does timmy take?" example of the
     benchmark dataset at ``root``, with the stub completing its sketch
-    as ``completion`` and answering any other prompt with ``rewrite``;
-    return the example, its result and the statements run."""
+    as ``completion`` and answering any other prompt with ``rewrite``,
+    and with ``gold`` as its gold SQL when given; return the example, its
+    result and the statements run."""
     bundle = load_dataset(root)
     example = bundle.examples[2]
     schema = bundle.schemas["school"]
@@ -328,6 +343,8 @@ def _run_counted(root, completion, rewrite=None, patience=1):
     prompt = completion_prompt(example.question, schema,
                                extract_sketch_from_sql(example.gold_sql,
                                                        schema))
+    if gold is not None:
+        example = dataclasses.replace(example, gold_sql=gold)
     script["complete"] = {prompt: [completion]}
     if rewrite is not None:
         script["complete"]["*"] = [rewrite]
@@ -345,12 +362,13 @@ def _run_counted(root, completion, rewrite=None, patience=1):
     return example, result, db.statements
 
 
-def test_identity_calibration_runs_check_and_gold_only(dataset_root):
-    # "timmy" is in the database, so calibration proposes no change.
+def test_gold_identical_prediction_runs_once(dataset_root):
+    # "timmy" is in the database, so calibration proposes no change, and
+    # the check's run scores the prediction and stands for the gold SQL.
     example, result, statements = _run_counted(dataset_root,
                                                SCHOOL_TIMMY_SQL)
     assert example.gold_sql == SCHOOL_TIMMY_SQL
-    assert statements == [SCHOOL_TIMMY_SQL, SCHOOL_TIMMY_SQL]
+    assert statements == [SCHOOL_TIMMY_SQL]
     assert (result.status, result.predicted_outcome, result.correct) == \
         ("Selected", "rows", True)
 
@@ -359,7 +377,7 @@ def test_changed_calibration_runs_its_rewrite_once(dataset_root):
     typo = SCHOOL_TIMMY_SQL.replace("timmy", "timmie")
     _, result, statements = _run_counted(dataset_root, typo,
                                          rewrite=SCHOOL_TIMMY_SQL)
-    assert statements == [typo, SCHOOL_TIMMY_SQL, SCHOOL_TIMMY_SQL]
+    assert statements == [typo, SCHOOL_TIMMY_SQL]
     assert result.predicted_sql == SCHOOL_TIMMY_SQL
     assert (result.predicted_outcome, result.correct) == ("rows", True)
 
@@ -371,6 +389,28 @@ def test_prediction_that_only_errored_is_executed_again(dataset_root):
     assert (result.status, result.predicted_sql) == ("Exhausted", bad)
     assert statements == [bad, example.gold_sql, bad]
     assert (result.predicted_outcome, result.correct) == ("error", False)
+
+
+def test_gold_equal_to_a_last_run_that_errored_is_executed_again(
+        dataset_root):
+    bad = "SELECT ghost FROM Student"
+    _, result, statements = _run_counted(dataset_root, bad, patience=0,
+                                         gold=bad)
+    assert statements == [bad, bad]
+    assert (result.gold_outcome, result.predicted_outcome,
+            result.correct) == ("error", None, False)
+
+
+def test_gold_differing_in_whitespace_is_executed_and_compared(
+        dataset_root, monkeypatch):
+    spaced = SCHOOL_TIMMY_SQL.replace(" WHERE", "  WHERE")
+    compared = []
+    monkeypatch.setattr(benchmark, "results_equal",
+                        lambda *args: compared.append(args) or True)
+    _, result, statements = _run_counted(dataset_root, SCHOOL_TIMMY_SQL,
+                                         gold=spaced)
+    assert statements == [SCHOOL_TIMMY_SQL, spaced]
+    assert len(compared) == 1 and result.correct
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from helpers import (
     SCHOOL_GOLD_SQL,
     SCHOOL_QUESTION,
     SCHOOL_RECORD,
+    is_closed,
     make_benchmark_dataset,
     make_school_db,
+    record_connections,
 )
 
 import sketchsql.cli as cli
@@ -277,6 +279,29 @@ def bench(tmp_path):
     bundle = load_dataset(root)
     script = write_script(tmp_path, build_gold_echo_script(bundle))
     return root, script
+
+
+def test_every_connection_is_closed_when_a_command_ends(
+        bench, school_path, tmp_path, monkeypatch):
+    root, eval_script = bench
+    script = write_script(tmp_path, golden_script(school_path),
+                          name="translate.json")
+    opened = record_connections(monkeypatch)
+    typo = SCHOOL_GOLD_SQL.replace("timmy", "timmothy")
+    runs = [
+        (["evaluate", "--dataset", str(root), "--stub-script",
+          str(eval_script), "--no-latency"], EXIT_OK),
+        (["translate", "--db", str(school_path), "--question",
+          SCHOOL_QUESTION, "--stub-script", str(script)], EXIT_OK),
+        (["calibrate", "--db", str(school_path), "--sql", typo], EXIT_OK),
+        (["calibrate", "--db", str(school_path), "--sql",
+          "SELECT FROM WHERE"], EXIT_ERROR),
+    ]
+    for argv, code in runs:
+        count = len(opened)
+        assert main(argv) == code
+        assert len(opened) > count or code == EXIT_ERROR, argv[0]
+        assert all(is_closed(conn) for conn in opened), argv[0]
 
 
 def test_evaluate_end_to_end(bench, tmp_path, capsys):

@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import pytest
@@ -466,6 +467,99 @@ def test_no_part_request_outlives_a_failure(school_schema, failing):
     with pytest.raises(ProviderUnavailableError):
         request_candidate_sets(provider, "Q?", school_schema)
     assert finished == [PART_KEYWORDS]
+
+
+@pytest.fixture
+def busy_part_pool(monkeypatch):
+    """A part pool whose only worker is kept busy, so that no part request
+    submitted to it starts there."""
+    release = threading.Event()
+    pool = ThreadPoolExecutor(max_workers=1)
+    pool.submit(release.wait, 5)
+    monkeypatch.setattr(sketches_module, "_part_pool", pool)
+    yield pool
+    release.set()
+    pool.shutdown()
+
+
+def test_unstarted_part_requests_run_on_the_calling_thread(school_schema,
+                                                           busy_part_pool):
+    ran = []
+
+    def on_thread(kind):
+        def call():
+            ran.append((kind, threading.current_thread()))
+            return answer(kind)()
+        return call
+
+    provider = PartProvider("Q?", school_schema,
+                            {kind: on_thread(kind) for kind in PART_KINDS})
+    with recording_calls() as calls:
+        sets = request_candidate_sets(provider, "Q?", school_schema)
+    caller = threading.current_thread()
+    assert ran == [(kind, caller) for kind in PART_KINDS]
+    inputs = _task_inputs("Q?", school_schema)
+    assert calls == [({"input": inputs[kind]}, GOOD_ANSWERS[kind])
+                     for kind in PART_KINDS]
+    assert sets.from_candidates == (part(PART_FROM, "FROM t1"),)
+
+
+def test_a_started_part_request_is_waited_for_and_not_run_again(
+        school_schema):
+    from_started = threading.Event()
+    ran = []
+
+    def select():
+        assert from_started.wait(timeout=5)  # From is on a pool thread
+        ran.append((PART_SELECT, threading.current_thread()))
+        return answer(PART_SELECT)()
+
+    def slow_from():
+        from_started.set()
+        time.sleep(0.2)  # still running when the caller looks at it
+        ran.append((PART_FROM, threading.current_thread()))
+        return answer(PART_FROM)()
+
+    def keywords():
+        ran.append((PART_KEYWORDS, threading.current_thread()))
+        return answer(PART_KEYWORDS)()
+
+    provider = PartProvider("Q?", school_schema,
+                            {PART_SELECT: select, PART_FROM: slow_from,
+                             PART_KEYWORDS: keywords})
+    sets = request_candidate_sets(provider, "Q?", school_schema)
+    threads = dict(ran)
+    assert sorted(kind for kind, _ in ran) == sorted(PART_KINDS)
+    assert threads[PART_SELECT] is threading.current_thread()
+    assert threads[PART_FROM] is not threading.current_thread()
+    assert sets.from_candidates == (part(PART_FROM, "FROM t1"),)
+
+
+@pytest.mark.parametrize("failing,raised", [
+    ((PART_FROM, PART_KEYWORDS), PART_FROM),
+    ((PART_SELECT, PART_FROM, PART_KEYWORDS), PART_SELECT),
+    ((PART_SELECT, PART_KEYWORDS), PART_SELECT),
+    ((PART_KEYWORDS,), PART_KEYWORDS),
+])
+def test_caller_run_failures_raise_the_first_after_all_finish(
+        school_schema, busy_part_pool, failing, raised):
+    finished = []
+
+    def run(kind):
+        def call():
+            finished.append(kind)
+            if kind in failing:
+                raise failure(kind)
+            return answer(kind)()
+        return call
+
+    provider = PartProvider("Q?", school_schema,
+                            {kind: run(kind) for kind in PART_KINDS})
+    error, message = FAILURES[raised]
+    with pytest.raises(Exception) as caught:
+        request_candidate_sets(provider, "Q?", school_schema)
+    assert type(caught.value) is error and str(caught.value) == message
+    assert finished == list(PART_KINDS)
 
 
 def test_part_requests_work_in_a_forked_child(school_schema):
