@@ -82,7 +82,7 @@ def _read_examples(path: Path) -> list[BenchmarkExample]:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise DatasetIntegrityError(f"cannot read examples file {path}: {exc}") from exc
     if not isinstance(raw, list):
         raise DatasetIntegrityError(f"examples file {path} must be a JSON array")

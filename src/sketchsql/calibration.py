@@ -278,27 +278,33 @@ class WordEmbedding:
         dimension = None
         entries: dict[str, np.ndarray] = {}
         skipped = 0
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                parts = line.split()
-                if not parts:
-                    continue
-                token, numbers = parts[0], parts[1:]
-                if dimension is None and numbers:
-                    dimension = len(numbers)
-                if len(numbers) != dimension:
-                    skipped += 1
-                    continue
-                try:
-                    vector = np.array([float(x) for x in numbers], dtype=np.float64)
-                except ValueError:
-                    vector = None
-                # A non-finite vector makes every cosine with its word NaN,
-                # which the clamp in ``score`` would read as a perfect match.
-                if vector is None or not np.isfinite(vector).all():
-                    skipped += 1
-                    continue
-                entries[token.lower()] = vector
+        try:
+            with open(path, encoding="utf-8") as handle:
+                for line in handle:
+                    parts = line.split()
+                    if not parts:
+                        continue
+                    token, numbers = parts[0], parts[1:]
+                    if dimension is None and numbers:
+                        dimension = len(numbers)
+                    if len(numbers) != dimension:
+                        skipped += 1
+                        continue
+                    try:
+                        vector = np.array([float(x) for x in numbers],
+                                          dtype=np.float64)
+                    except ValueError:
+                        vector = None
+                    # A non-finite vector makes every cosine with its word
+                    # NaN, which the clamp in ``score`` would read as a
+                    # perfect match.
+                    if vector is None or not np.isfinite(vector).all():
+                        skipped += 1
+                        continue
+                    entries[token.lower()] = vector
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"word-vector file {path} is not UTF-8 text: {exc}") from exc
         if skipped:
             log.warning("skipped %d malformed line(s) in word-vector file %s",
                         skipped, path)

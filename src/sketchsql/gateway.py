@@ -305,8 +305,9 @@ class StubScript:
                 data = json.load(handle)
         except OSError as exc:
             raise StubScriptError(f"cannot read stub script: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise StubScriptError(f"stub script is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise StubScriptError(
+                f"stub script {path} is not valid JSON: {exc}") from exc
         return cls(data)
 
     def take(self, role: str, fingerprint: str):

@@ -434,8 +434,9 @@ def load_schema_file(path: str | os.PathLike) -> dict[str, DatabaseSchema]:
             records = json.load(fh)
     except OSError as exc:
         raise SchemaLoadError(f"cannot read schema file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaLoadError(f"schema file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise SchemaLoadError(
+            f"schema file {path} is not valid JSON: {exc}") from exc
     if not isinstance(records, list):
         raise SchemaLoadError("schema file must contain a JSON array of records")
     schemas = {}

@@ -24,7 +24,7 @@ from sketchsql.benchmark import (
     build_gold_echo_script,
     load_dataset,
 )
-from sketchsql.calibration import CalibrationFeedback
+from sketchsql.calibration import CalibrationFeedback, WordEmbedding
 from sketchsql.cli import (
     EXIT_ERROR,
     EXIT_EXHAUSTED,
@@ -35,7 +35,10 @@ from sketchsql.cli import (
     effective_config,
     main,
 )
+from sketchsql.errors import SketchSqlError
 from sketchsql.execution import Database
+from sketchsql.gateway import StubScript
+from sketchsql.schema import load_schema_file
 from sketchsql.selection import (
     STATUS_SELECTED,
     SelectionTrace,
@@ -238,9 +241,16 @@ def test_calibrate_leaves_good_values(school_path, capsys):
     assert capsys.readouterr().out == SCHOOL_GOLD_SQL + "\n"
 
 
-def test_calibrate_unparseable_sql(school_path):
+@pytest.mark.parametrize("sql,message", [
+    ("SELECT FROM WHERE", "expected an expression (at position 7)"),
+    # GROUP with no BY is read one word at a time, so the error names the
+    # word that is missing.
+    ("SELECT a FROM t GROUP a", "expected BY (at position 22)"),
+])
+def test_calibrate_unparseable_sql(school_path, caplog, sql, message):
     assert main(["calibrate", "--db", str(school_path),
-                 "--sql", "SELECT FROM WHERE"]) == EXIT_ERROR
+                 "--sql", sql]) == EXIT_ERROR
+    assert message in caplog.text
 
 
 def test_calibrate_query_nested_too_deeply(school_path, caplog, capsys):
@@ -368,15 +378,39 @@ def test_evaluate_requires_dataset(bench):
     assert main(["evaluate", "--stub-script", str(script)]) == EXIT_ERROR
 
 
-def test_evaluate_rejects_a_non_string_db_id(bench, caplog):
+@pytest.mark.parametrize("malformed,message", [
+    (lambda example: {**example, "db_id": 5},
+     "field 'db_id' must be a string, not int"),
+    (lambda example: list(example.values()),
+     "must be a JSON object, not list"),
+], ids=["non-string-db_id", "list-record"])
+def test_evaluate_rejects_a_malformed_example(bench, caplog, malformed,
+                                             message):
     root, script = bench
     examples = json.loads((root / "dev.json").read_text(encoding="utf-8"))
-    examples[1]["db_id"] = 5
+    examples[1] = malformed(examples[1])
     (root / "dev.json").write_text(json.dumps(examples), encoding="utf-8")
     assert main(["evaluate", "--dataset", str(root),
                  "--stub-script", str(script)]) == EXIT_ERROR
     assert "example 1 in" in caplog.text
-    assert "field 'db_id' must be a string, not int" in caplog.text
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize("name,read", [
+    ("dev.json", lambda path: load_dataset(path.parent)),
+    ("tables.json", load_schema_file),
+    ("script.json", StubScript.load),
+    ("vectors.txt", WordEmbedding.load),
+], ids=["examples", "tables", "stub-script", "word-vectors"])
+def test_an_input_file_that_is_not_utf8_is_named(tmp_path, name, read):
+    """The command exits 1 with the error's message, which must say which
+    file could not be read."""
+    path = tmp_path / name
+    path.write_bytes(b"\xff[]\n")
+    with pytest.raises((SketchSqlError, ValueError)) as err:
+        read(path)
+    assert str(path) in str(err.value)
+    assert "can't decode byte 0xff in position 0" in str(err.value)
 
 
 def test_evaluate_missing_dataset_dir(bench, tmp_path):

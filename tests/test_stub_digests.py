@@ -1,14 +1,14 @@
 """The stubbed seed-0 evaluation gives the same report and trace, byte for
 byte, as when ``stub_eval_digests.json`` was written.
 
-The test generates perfbench's seed-0 data, runs ``sketchsql evaluate``
-with its stub script at one and two workers, and compares SHA-256 digests
-of the report and the trace with the committed ones.  Each digest is taken
-over canonical JSON (sorted keys, no spaces) without the ``config`` echo,
-which holds the run's paths and its worker count.  The committed file also
-holds a short digest of each example's record and one digest per record
-field over all examples, so that a mismatch names the first example and
-the fields that changed.
+The test takes perfbench's seed-0 data from ``conftest.py``, runs
+``sketchsql evaluate`` with its stub script at one and two workers, and
+compares SHA-256 digests of the report and the trace with the committed
+ones.  Each digest is taken over canonical JSON (sorted keys, no spaces)
+without the ``config`` echo, which holds the run's paths and its worker
+count.  The committed file also holds a short digest of each example's
+record and one digest per record field over all examples, so that a
+mismatch names the first example and the fields that changed.
 """
 
 import hashlib
@@ -22,7 +22,6 @@ import pytest
 
 import sketchsql
 
-REPO = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("stub_eval_digests.json")
 
 
@@ -61,15 +60,6 @@ def _mismatch(want: dict, got: dict, report: dict) -> str:
                  f"({example['db_id']}: {example['question']!r})")
     return (f"{where}; fields that differ: {', '.join(changed) or 'none'}; "
             f"new digests: report {got['report']}, trace {got['trace']}")
-
-
-@pytest.fixture(scope="module")
-def seed0(tmp_path_factory):
-    out = tmp_path_factory.mktemp("seed0")
-    subprocess.run([sys.executable, str(REPO / "perfbench" / "gen.py"),
-                    "--seed", "0", "--out", str(out)],
-                   check=True, capture_output=True)
-    return out
 
 
 @pytest.mark.parametrize("workers", [1, 2])
