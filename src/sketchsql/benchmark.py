@@ -106,6 +106,10 @@ def _read_examples(path: Path) -> list[BenchmarkExample]:
                 raise DatasetIntegrityError(
                     f"example {i} in {path}: field {key!r} must be a string, "
                     f"not {type(value).__name__}")
+        if db_id in ("", ".", "..") or "/" in db_id or "\\" in db_id:
+            raise DatasetIntegrityError(
+                f"example {i} in {path}: field 'db_id' must be a plain name, "
+                f"got {db_id!r}")
         out.append(BenchmarkExample(question, db_id, sql))
     return out
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import re
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, repeat
@@ -27,6 +28,7 @@ from .sql_analysis import (
     OP_LIKE,
     ParsedQuery,
     Predicate,
+    double_quoted_strings,
     extract_predicates,
     merge_like_pattern,
     split_like_pattern,
@@ -411,9 +413,11 @@ class MatchResult:
 @dataclass(frozen=True)
 class CalibrationFeedback:
     """Replacement suggestions: one (predicate, match) pair per predicate
-    that produced any candidate values."""
+    that produced any candidate values.  A rewrite reads the query's
+    double-quoted ``quoted_columns`` as columns, as matching did."""
 
     replacements: tuple = ()
+    quoted_columns: frozenset = frozenset()
 
     def __bool__(self) -> bool:
         return bool(self.replacements)
@@ -633,7 +637,17 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
     """
     if not 0 < r <= 1:
         raise ValueError(f"similarity threshold must be in (0, 1], got {r}")
-    predicates = [p for p in extract_predicates(query) if _match_value(p).strip()]
+    # A double-quoted string that names a column in scope is that column.
+    quoted = set()
+    if '"' in query.original_text:
+        db.sync()
+        tables, aliases = table_scope(query)
+        for name in double_quoted_strings(query):
+            with suppress(SchemaMismatchError):
+                db.schema.resolve_column(None, name, tables, aliases)
+                quoted.add(name)
+    predicates = [p for p in extract_predicates(query, quoted)
+                  if _match_value(p).strip()]
     if not predicates:
         return CalibrationFeedback()
     db.sync()
@@ -682,7 +696,7 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
         result = _match_predicate(predicate, resolved, r, levels, column_bests)
         if result is not None:
             replacements.append((predicate, result))
-    return CalibrationFeedback(tuple(replacements))
+    return CalibrationFeedback(tuple(replacements), frozenset(quoted))
 
 
 def single_level_match(db, query: ParsedQuery, r: float, backend,

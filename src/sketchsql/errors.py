@@ -51,10 +51,6 @@ class EmptyCandidateError(SketchSqlError):
     """A candidate list that must be non-empty is empty."""
 
 
-class ScoreArityError(SketchSqlError):
-    """A score list does not line up one-to-one with its pair list."""
-
-
 class EncoderUnavailableError(SketchSqlError):
     """The sentence-encoder endpoint failed or returned garbage."""
 

@@ -207,15 +207,16 @@ def execution_check(sql: str, db: Database, patience: int, completer,
         current = _clean_sql(request_completion(completer, prompt))
 
 
-def _deterministic_rewrite(parsed: ParsedQuery, pairs: list) -> str:
-    """Splice each match into the query's text.  A match in the
-    predicate's own column keeps the query's (possibly qualified) spelling
-    of it; a match in another column uses the bare matched name."""
+def _deterministic_rewrite(parsed: ParsedQuery,
+                           feedback: CalibrationFeedback) -> str:
+    """Splice each change of ``feedback`` into the query's text.  A match
+    in the predicate's own column keeps the query's (possibly qualified)
+    spelling of it; a match in another column uses the bare matched name."""
     changes = []
-    for pred, match in pairs:
+    for pred, match in feedback.changes():
         column = pred.ref if in_own_column(pred, match) else ColumnRef(None, match.column)
         changes.append((pred, column, replacement_value(pred, match)))
-    return rewrite_predicates(parsed, changes)
+    return rewrite_predicates(parsed, changes, feedback.quoted_columns)
 
 
 def apply_calibration(completer, sql: str, parsed: ParsedQuery | None,
@@ -238,7 +239,7 @@ def apply_calibration(completer, sql: str, parsed: ParsedQuery | None,
     except SqlParseError:
         log.warning("calibration rewrite does not parse; applying "
                     "deterministic replacement instead")
-        return _deterministic_rewrite(parsed, pairs)
+        return _deterministic_rewrite(parsed, feedback)
     return rewritten
 
 
@@ -268,10 +269,9 @@ def calibrate_deterministic(db: Database, sql: str,
     parsed = parse_sql(sql)
     feedback = multi_level_match(db, parsed, config.threshold,
                                  config.backend, config.scan_cap)
-    pairs = feedback.changes()
-    if not pairs:
+    if not feedback.changes():
         return sql, feedback
-    return _deterministic_rewrite(parsed, pairs), feedback
+    return _deterministic_rewrite(parsed, feedback), feedback
 
 
 def select_query(question: str, schema: DatabaseSchema, db: Database,

@@ -3,11 +3,13 @@
 A sketch is the (SELECT attributes, FROM tables, clause keywords) skeleton
 of a query, written in indexed form against the serialized schema
 (``SELECT t0.c2`` / ``FROM t0, t1`` / ``SELECT FROM WHERE ORDER BY
-LIMIT``).  This module builds the instruction-prefixed inputs that the
-sketch provider consumes, manages the top-k candidate lists per part,
-scores (SELECT, Keywords) pairs with the aligner, assembles the ranked
-sketch list, and derives the training records for both the provider and
-the aligner from gold SQL.
+LIMIT``).  :func:`build_sketches` is the whole live stage: it asks the
+sketch provider for top-k Select, From and Keywords candidates with
+instruction-prefixed inputs, has the aligner pick the best (Select,
+Keywords) pair, and makes one sketch of that pair per From candidate.
+The gateway checks every provider and aligner answer.  This module also
+extracts the gold sketch of a query and derives the training records for
+both the provider and the aligner from gold SQL.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ import contextvars
 import dataclasses
 import json
 import logging
-import math
 import os
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
-from .errors import (EmptyCandidateError, SchemaMismatchError,
-                     ScoreArityError, SketchSqlError)
+from .errors import EmptyCandidateError, SchemaMismatchError, SketchSqlError
 from .gateway import request_alignment_scores, request_candidates
 from .schema import DatabaseSchema, serialize_schema
 from .sql_analysis import (
@@ -137,20 +137,6 @@ class SketchPart:
 
 
 @dataclass(frozen=True)
-class CandidateSets:
-    select_candidates: tuple
-    from_candidates: tuple
-    keyword_candidates: tuple
-
-
-@dataclass(frozen=True)
-class AlignedPair:
-    select_part: SketchPart
-    keywords_part: SketchPart
-    score: float
-
-
-@dataclass(frozen=True)
 class SqlSketch:
     select_part: SketchPart
     from_part: SketchPart
@@ -197,15 +183,8 @@ def combine_candidates(selects: list, keywords: list) -> list:
     pairs removed keeping the best-ranked occurrence."""
     if not selects or not keywords:
         raise EmptyCandidateError("cannot combine empty candidate lists")
-    pairs = []
-    seen = set()
-    for select in selects:
-        for keyword in keywords:
-            key = (select.content, keyword.content)
-            if key not in seen:
-                seen.add(key)
-                pairs.append((select, keyword))
-    return pairs
+    # Equal parts are equal pairs: the dict keeps each pair's first place.
+    return list(dict.fromkeys((s, k) for s in selects for k in keywords))
 
 
 def build_aligner_input(question: str, pair) -> str:
@@ -215,29 +194,6 @@ def build_aligner_input(question: str, pair) -> str:
     select, keywords = pair
     return (f"[CLS] user question: {question}. "
             f"our solution: {select.content}, {keywords.content} [SEP]")
-
-
-def rank_pairs(pairs: list, scores: list) -> AlignedPair:
-    """The best-scoring pair; ties go to the earlier (better-ranked) pair."""
-    if len(pairs) != len(scores):
-        raise ScoreArityError(
-            f"{len(scores)} score(s) for {len(pairs)} pair(s)")
-    if not pairs:
-        raise EmptyCandidateError("cannot rank an empty pair list")
-    if not all(math.isfinite(s) for s in scores):
-        raise ValueError("alignment scores must be finite")
-    best_index = max(range(len(scores)), key=lambda i: (scores[i], -i))
-    select, keywords = pairs[best_index]
-    return AlignedPair(select, keywords, float(scores[best_index]))
-
-
-def assemble_sketches(best: AlignedPair, from_candidates: list) -> list[SqlSketch]:
-    """One sketch per FROM candidate, sharing the winning pair, ranked by
-    FROM candidate order."""
-    if not from_candidates:
-        raise EmptyCandidateError("no FROM candidates to assemble sketches from")
-    return [SqlSketch(best.select_part, from_part, best.keywords_part, rank)
-            for rank, from_part in enumerate(from_candidates)]
 
 
 # --------------------------------------------------------------------------
@@ -324,7 +280,7 @@ def derive_training_records(dataset, provider=None,
                 provider, question, schema,
                 ((PART_SELECT, k_select), (PART_KEYWORDS, k_keywords)))
             try:
-                pairs = combine_candidates(list(selects), list(keywords))
+                pairs = combine_candidates(selects, keywords)
             except EmptyCandidateError as exc:
                 log.warning("no candidate pairs for %r: %s", question, exc)
                 pairs = []
@@ -435,29 +391,29 @@ def _request_parts(provider, question: str, schema: DatabaseSchema,
     return [future.result() for future in futures]
 
 
-def request_candidate_sets(provider, question: str, schema: DatabaseSchema,
-                           k_select: int = DEFAULT_K_SELECT,
-                           k_from: int = DEFAULT_K_FROM,
-                           k_keywords: int = DEFAULT_K_KEYWORDS) -> CandidateSets:
-    """Ask the sketch provider for all three candidate lists, in flight
-    together (see :func:`_request_parts`); when several requests fail, the
-    first failure in Select, From, Keywords order is raised."""
-    return CandidateSets(*_request_parts(
-        provider, question, schema,
-        ((PART_SELECT, k_select), (PART_FROM, k_from),
-         (PART_KEYWORDS, k_keywords))))
-
-
 def build_sketches(provider, aligner, question: str, schema: DatabaseSchema,
                    k_select: int = DEFAULT_K_SELECT,
                    k_from: int = DEFAULT_K_FROM,
                    k_keywords: int = DEFAULT_K_KEYWORDS) -> list[SqlSketch]:
-    """Full sketch-generation pass: candidates, aligner ranking, assembly."""
-    sets = request_candidate_sets(provider, question, schema,
-                                  k_select, k_from, k_keywords)
-    pairs = combine_candidates(list(sets.select_candidates),
-                               list(sets.keyword_candidates))
-    inputs = [build_aligner_input(question, pair) for pair in pairs]
-    scores = request_alignment_scores(aligner, inputs)
-    best = rank_pairs(pairs, scores)
-    return assemble_sketches(best, list(sets.from_candidates))
+    """The ranked sketches of ``question``.
+
+    The Select, From and Keywords candidates are requested together (see
+    :func:`_request_parts`).  One aligner call scores every pair of
+    :func:`combine_candidates`; the best pair wins, the earlier on a tie.
+    Each From candidate, in order, makes one sketch of that pair, ranked
+    by its position.  No Select or Keywords candidate raises
+    :class:`EmptyCandidateError` before the aligner call, no From
+    candidate after it.
+    """
+    selects, froms, keywords = _request_parts(
+        provider, question, schema,
+        ((PART_SELECT, k_select), (PART_FROM, k_from),
+         (PART_KEYWORDS, k_keywords)))
+    pairs = combine_candidates(selects, keywords)
+    scores = request_alignment_scores(
+        aligner, [build_aligner_input(question, pair) for pair in pairs])
+    select, keywords = pairs[scores.index(max(scores))]
+    if not froms:
+        raise EmptyCandidateError("no FROM candidates to assemble sketches from")
+    return [SqlSketch(select, from_part, keywords, rank)
+            for rank, from_part in enumerate(froms)]

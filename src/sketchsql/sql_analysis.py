@@ -10,7 +10,8 @@ vendor extensions are rejected.
 Two lexical conventions follow the benchmarks' SQLite usage: single- and
 double-quoted tokens are both read as string literals (gold queries quote
 values either way and SQLite accepts both), while backticks quote
-identifiers.
+identifiers.  The parser knows no schema: predicate extraction and
+rewriting read as a column the double-quoted strings their caller names.
 
 Each token carries one key, and the parser tests the next token by that
 key alone: a word's key is its upper-cased text, an operator's its text,
@@ -776,53 +777,80 @@ def _is_string(node) -> bool:
     return isinstance(node, Literal) and node.kind == "string"
 
 
-def _column_and_literal(node) -> tuple:
-    """The two operands of an ``=`` or LIKE site, column first.  An ``=``
-    takes its column from the left when the left is a column."""
-    if type(node) is Like:
-        return node.expr, node.pattern
-    if isinstance(node.left, ColumnRef):
-        return node.left, node.right
-    return node.right, node.left
+def _as_column(node, quoted_columns):
+    """``node`` as a column: itself, or a double-quoted string whose text
+    is in ``quoted_columns``; None when it is neither."""
+    if _is_string(node) and node.text[0] == '"' \
+            and node.string_value in quoted_columns:
+        return ColumnRef(None, node.string_value, node.span)
+    return node if isinstance(node, ColumnRef) else None
 
 
-def _site_predicates(node) -> tuple:
+def _column_and_literal(node, quoted_columns) -> tuple:
+    """The column and the string literal of an ``=`` or LIKE site, or
+    ``(None, None)``: a LIKE's left operand or either operand of an ``=``,
+    against a string that names no column."""
+    sides = [(node.expr, node.pattern)] if type(node) is Like else \
+        [(node.left, node.right), (node.right, node.left)]
+    for side, other in sides:
+        column = _as_column(side, quoted_columns)
+        if column is not None:
+            if _is_string(other) and _as_column(other, quoted_columns) is None:
+                return column, other
+            break
+    return None, None
+
+
+def _site_predicates(node, quoted_columns) -> tuple:
     """The predicates ``node`` reports when it sits inside a condition."""
     kind = type(node)
     if (kind is Binary and node.op == "=") or kind is Like:
-        column, literal = _column_and_literal(node)
-        if isinstance(column, ColumnRef) and _is_string(literal):
+        column, literal = _column_and_literal(node, quoted_columns)
+        if column is not None:
             operator = OP_LIKE if kind is Like else OP_EQ
             return (Predicate(column, operator, literal.string_value),)
-    elif kind is InList and isinstance(node.expr, ColumnRef):
-        return tuple(Predicate(node.expr, OP_IN_ELEMENT, item.string_value)
-                     for item in node.items if _is_string(item))
+    elif kind is InList:
+        column = _as_column(node.expr, quoted_columns)
+        if column is not None:
+            return tuple(Predicate(column, OP_IN_ELEMENT, item.string_value)
+                         for item in node.items if _is_string(item))
     return ()
 
 
-def extract_predicates(query: ParsedQuery) -> list[Predicate]:
+def double_quoted_strings(query: ParsedQuery) -> set[str]:
+    """The text of every double-quoted string in ``query``."""
+    return {node.string_value for node, _ in _walk(query.root)
+            if _is_string(node) and node.text[0] == '"'}
+
+
+def extract_predicates(query: ParsedQuery,
+                       quoted_columns=frozenset()) -> list[Predicate]:
     """Collect text-literal predicates in left-to-right query order.
 
     Covers ``col = 'v'`` (either orientation), ``col LIKE 'v'``, and each
     string element of ``col IN (...)``, from WHERE and HAVING clauses at
     every query depth, including under NOT and in subqueries anywhere in
-    the query.  :func:`rewrite_predicates` can rewrite every one of them.
+    the query.  A double-quoted string whose text is in ``quoted_columns``
+    names that column, and a site where both operands or neither name a
+    column has none.  :func:`rewrite_predicates` can rewrite every one.
     """
     return [pred for node, in_condition in _walk(query.root)
-            if in_condition for pred in _site_predicates(node)]
+            if in_condition for pred in _site_predicates(node, quoted_columns)]
 
 
-def rewrite_predicates(query: ParsedQuery, changes) -> str:
+def rewrite_predicates(query: ParsedQuery, changes,
+                       quoted_columns=frozenset()) -> str:
     """The query's text with each ``(predicate, column, value)`` change
     applied.  One walk finds the sites; then only the changed literal and
     column tokens are spliced into ``query.original_text``, and every
     other character, comments included, is kept.
 
-    Each change takes the first predicate of :func:`extract_predicates`
-    equal to its own in column reference, operator and value that no
-    earlier change took, and that site alone gets ``column`` and the
-    string ``value``, written single-quoted; a column other than the
-    site's own is written as the renderer spells it.  An IN list takes a
+    Each change takes the first predicate of :func:`extract_predicates`,
+    given the same ``quoted_columns``, equal to its own in column
+    reference, operator and value that no earlier change took, and that
+    site alone gets ``column`` and the string ``value``, written
+    single-quoted; a column other than the site's own is written as the
+    renderer spells it.  An IN list takes a
     new column only when every string element changes to that one column,
     and it has no other element; otherwise it keeps its column, only the
     changes in that column apply, and each change it skips is logged.
@@ -837,7 +865,7 @@ def rewrite_predicates(query: ParsedQuery, changes) -> str:
     for node, in_condition in _walk(query.root):
         if not in_condition:
             continue
-        for index, p in enumerate(_site_predicates(node)):
+        for index, p in enumerate(_site_predicates(node, quoted_columns)):
             queue = wanted.get((p.ref, p.operator, p.value))
             if queue:
                 sites.setdefault(id(node), (node, {}))[1][index] = queue.pop(0)
@@ -848,26 +876,26 @@ def rewrite_predicates(query: ParsedQuery, changes) -> str:
                 "not found in query")
     text = query.original_text
     edits = [edit for node, site in sites.values()
-             for edit in _site_edits(node, site)]
+             for edit in _site_edits(node, site, quoted_columns)]
     for (start, end), new_text in sorted(edits, reverse=True):
         text = text[:start] + new_text + text[end:]
     return text
 
 
-def _site_edits(node, changes: dict) -> list:
+def _site_edits(node, changes: dict, quoted_columns) -> list:
     """The ``(span, new_text)`` edits that apply ``changes`` to ``node``, a
     predicate site: the index of one of its predicates -> the (column,
     value) that predicate takes."""
     if type(node) is not InList:
         (column, value), = changes.values()
-        ref, literal = _column_and_literal(node)
+        ref, literal = _column_and_literal(node, quoted_columns)
         return _column_edit(ref, column) + [(literal.span,
                                              Literal.string(value).text)]
     columns = {column for column, _ in changes.values()}
-    expr = node.expr
+    ref = expr = _as_column(node.expr, quoted_columns)
     if len(changes) == len(node.items) and len(columns) == 1:
         expr = columns.pop()
-    edits = _column_edit(node.expr, expr)
+    edits = _column_edit(ref, expr)
     strings = [item for item in node.items if _is_string(item)]
     for index, (column, value) in changes.items():
         if column == expr:

@@ -378,12 +378,20 @@ def test_evaluate_requires_dataset(bench):
     assert main(["evaluate", "--stub-script", str(script)]) == EXIT_ERROR
 
 
+def _with_db_id(db_id):
+    return (lambda example: {**example, "db_id": db_id},
+            f"field 'db_id' must be a plain name, got {db_id!r}")
+
+
 @pytest.mark.parametrize("malformed,message", [
     (lambda example: {**example, "db_id": 5},
      "field 'db_id' must be a string, not int"),
     (lambda example: list(example.values()),
      "must be a JSON object, not list"),
-], ids=["non-string-db_id", "list-record"])
+    *(_with_db_id(db_id) for db_id in ("", ".", "..", "../school", "a/b",
+                                       "a\\b")),
+], ids=["non-string-db_id", "list-record", "empty-db_id", "dot-db_id",
+        "dotdot-db_id", "parent-db_id", "slash-db_id", "backslash-db_id"])
 def test_evaluate_rejects_a_malformed_example(bench, caplog, malformed,
                                              message):
     root, script = bench

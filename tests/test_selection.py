@@ -250,6 +250,21 @@ _CITIES = """CREATE TABLE t (city TEXT, state TEXT);
      "SELECT id FROM t WHERE t.`x.y` = 'alpha'", ((1,),)),
     (_DOTTED, "SELECT id FROM t WHERE `x.y` = 'alpah'",
      "SELECT id FROM t WHERE `x.y` = 'alpha'", ((1,),)),
+    # Double-quoted, a name in scope is the column, on either side; a
+    # name in no column's scope stays a string, and a site whose operands
+    # both name columns has no predicate.
+    (_DOTTED, """SELECT id FROM t WHERE "x.y" = 'alpah'""",
+     """SELECT id FROM t WHERE "x.y" = 'alpha'""", ((1,),)),
+    (_DOTTED, 'SELECT id FROM t WHERE \'alpah\' = "x.y"',
+     'SELECT id FROM t WHERE \'alpha\' = "x.y"', ((1,),)),
+    (_DOTTED, """SELECT id FROM t WHERE "X.Y" LIKE '%alpah%'""",
+     """SELECT id FROM t WHERE "X.Y" LIKE '%alpha%'""", ((1,),)),
+    (_DOTTED, """SELECT id FROM t WHERE "x.y" IN ('alpah')""",
+     """SELECT id FROM t WHERE "x.y" IN ('alpha')""", ((1,),)),
+    (_DOTTED, """SELECT id FROM t WHERE "abc" = 'abd'""",
+     """SELECT id FROM t WHERE "abc" = 'abd'""", ()),
+    (_DOTTED, 'SELECT id FROM t WHERE id = "x.y"',
+     'SELECT id FROM t WHERE id = "x.y"', ()),
     # A column named by a keyword.
     (_KEYWORD, "SELECT id FROM t WHERE `order` = 'alpah'",
      "SELECT id FROM t WHERE `order` = 'alpha'", ((1,),)),
@@ -276,7 +291,10 @@ _CITIES = """CREATE TABLE t (city TEXT, state TEXT);
      "SELECT city FROM t WHERE city IN ('LAX', 'NY')", (("LAX",),)),
     (_CITIES, "SELECT city FROM t WHERE city IN ('NY', 'LAX')",
      "SELECT city FROM t WHERE city IN ('NY', 'LAX')", (("LAX",),)),
-], ids=["dotted-exact", "dotted-qualified", "dotted-bare", "keyword",
+], ids=["dotted-exact", "dotted-qualified", "dotted-bare",
+        "double-quoted-left", "double-quoted-right", "double-quoted-like",
+        "double-quoted-in", "double-quoted-no-column",
+        "double-quoted-both-columns", "keyword",
         "current-date-value", "current-date-column", "comment",
         "lower-case", "double-equals-double-quoted", "in-list-ny-la", "in-list-la-ny", "in-list-ny-lax"])
 def test_calibrate_deterministic_rewrite_runs(tmp_path, script, sql,

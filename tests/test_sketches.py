@@ -23,21 +23,22 @@ from sketchsql.errors import (
     ProtocolError,
     ProviderUnavailableError,
     SchemaMismatchError,
-    ScoreArityError,
 )
 from sketchsql.gateway import StubScript, clients_from_script, recording_calls
 from sketchsql.selection import SelectionConfig
 from sketchsql.sketches import (
+    DEFAULT_K_FROM,
+    DEFAULT_K_KEYWORDS,
+    DEFAULT_K_SELECT,
     INSTRUCTION_SELECT,
     INSTRUCTIONS,
     PART_FROM,
     PART_KEYWORDS,
     PART_KINDS,
     PART_SELECT,
-    AlignedPair,
     AlignerRecord,
     SketchPart,
-    assemble_sketches,
+    _request_parts,
     build_aligner_input,
     build_sketches,
     build_task_input,
@@ -46,8 +47,6 @@ from sketchsql.sketches import (
     derive_training_records,
     extract_keywords,
     extract_sketch_from_sql,
-    rank_pairs,
-    request_candidate_sets,
     sanitize_keywords,
     write_records_jsonl,
 )
@@ -135,32 +134,6 @@ def test_build_aligner_input_golden():
     assert build_aligner_input("Who teaches math?", pair) == (
         "[CLS] user question: Who teaches math?. "
         "our solution: SELECT t1.c3, SELECT FROM WHERE [SEP]")
-
-
-def test_rank_pairs():
-    s = part(PART_SELECT, "SELECT *")
-    pairs = [(s, part(PART_KEYWORDS, kw))
-             for kw in ("SELECT", "SELECT FROM", "SELECT WHERE")]
-    best = rank_pairs(pairs, [0.2, 0.9, 0.9])
-    assert best == AlignedPair(pairs[1][0], pairs[1][1], 0.9)  # tie -> earlier
-    with pytest.raises(ScoreArityError):
-        rank_pairs(pairs, [0.2])
-    with pytest.raises(EmptyCandidateError):
-        rank_pairs([], [])
-    with pytest.raises(ValueError):
-        rank_pairs(pairs, [0.1, float("nan"), 0.3])
-
-
-def test_assemble_sketches_ranks():
-    best = AlignedPair(part(PART_SELECT, "SELECT *"),
-                       part(PART_KEYWORDS, "SELECT FROM"), 0.9)
-    froms = [part(PART_FROM, "FROM t0"), part(PART_FROM, "FROM t0, t1")]
-    sketches = assemble_sketches(best, froms)
-    assert [(s.rank, s.from_part.content) for s in sketches] == \
-        [(0, "FROM t0"), (1, "FROM t0, t1")]
-    assert all(s.select_part is best.select_part for s in sketches)
-    with pytest.raises(EmptyCandidateError):
-        assemble_sketches(best, [])
 
 
 # --------------------------------------------------------------------------
@@ -323,12 +296,16 @@ def test_write_records_jsonl_roundtrip(tmp_path, school_schema):
 # --------------------------------------------------------------------------
 # Live candidate generation through stubs
 
+THREE_PARTS = ((PART_SELECT, DEFAULT_K_SELECT), (PART_FROM, DEFAULT_K_FROM),
+               (PART_KEYWORDS, DEFAULT_K_KEYWORDS))
+
+
 def _task_inputs(question, schema):
     return {kind: build_task_input(INSTRUCTIONS[kind], question, schema)
             for kind in (PART_SELECT, PART_FROM, PART_KEYWORDS)}
 
 
-def test_request_candidate_sets_sanitizes(school_schema):
+def test_request_parts_sanitizes(school_schema):
     inputs = _task_inputs("Q?", school_schema)
     script = StubScript({"generate": {
         inputs[PART_SELECT]: [["SELECT t1.c3", "SELECT t1.c3", "  ",
@@ -337,12 +314,13 @@ def test_request_candidate_sets_sanitizes(school_schema):
         inputs[PART_KEYWORDS]: [["select from where", "blah",
                                  "SELECT FROM WHERE"]],
     }})
-    sets = request_candidate_sets(script, "Q?", school_schema)
-    assert [p.content for p in sets.select_candidates] == \
+    selects, froms, keywords = _request_parts(script, "Q?", school_schema,
+                                              THREE_PARTS)
+    assert [p.content for p in selects] == \
         ["SELECT t1.c3", "SELECT *"]
-    assert [p.content for p in sets.from_candidates] == \
+    assert [p.content for p in froms] == \
         ["FROM t1", "FROM t1, t0"]
-    assert [p.content for p in sets.keyword_candidates] == \
+    assert [p.content for p in keywords] == \
         ["SELECT FROM WHERE"]
 
 
@@ -368,6 +346,83 @@ def test_build_sketches_end_to_end(school_schema):
     assert [s.from_part.content for s in sketches] == \
         ["FROM t1", "FROM t1, t0"]
     assert [s.rank for s in sketches] == [0, 1]
+
+
+def _sketch_script(question, schema, froms, scores):
+    """A script whose Select and Keywords candidates make four pairs, in
+    order: (SELECT *, SELECT FROM), (SELECT *, SELECT WHERE), (SELECT
+    t1.c3, SELECT FROM) and (SELECT t1.c3, SELECT WHERE).  The aligner
+    answers each pair's score from ``scores``."""
+    inputs = _task_inputs(question, schema)
+    pairs = [(select, kw) for select in ("SELECT *", "SELECT t1.c3")
+             for kw in ("SELECT FROM", "SELECT WHERE")]
+    return StubScript({
+        "generate": {
+            inputs[PART_SELECT]: [["SELECT *", "SELECT t1.c3"]],
+            inputs[PART_FROM]: [froms],
+            inputs[PART_KEYWORDS]: [["SELECT FROM", "SELECT WHERE"]],
+        },
+        "score": {build_aligner_input(question, (part(PART_SELECT, select),
+                                                 part(PART_KEYWORDS, kw))):
+                  [score] for (select, kw), score in zip(pairs, scores)},
+    })
+
+
+def test_build_sketches_gives_a_tie_to_the_earlier_pair(school_schema):
+    script = _sketch_script("Q?", school_schema, ["FROM t1"], [0.2, 0.9, 0.9, 0.1])
+    sketch, = build_sketches(script, script, "Q?", school_schema)
+    assert (sketch.select_part, sketch.keywords_part) == \
+        (part(PART_SELECT, "SELECT *"), part(PART_KEYWORDS, "SELECT WHERE"))
+
+
+def test_build_sketches_makes_one_sketch_per_from_candidate(school_schema):
+    froms = ["FROM t1, t0", "FROM t0"]
+    script = _sketch_script("Q?", school_schema, froms, [0.1, 0.2, 0.7, 0.3])
+    sketches = build_sketches(script, script, "Q?", school_schema)
+    assert [(s.rank, s.from_part.content) for s in sketches] == \
+        list(enumerate(froms))
+    select, keywords = part(PART_SELECT, "SELECT t1.c3"), \
+        part(PART_KEYWORDS, "SELECT FROM")
+    assert all(s.select_part == select and s.keywords_part == keywords
+               for s in sketches)
+
+
+def test_build_sketches_without_from_fails_after_the_aligner(school_schema):
+    """The example still records its three part requests and its one
+    aligner call, so its tokens count them."""
+    script = _sketch_script("Q?", school_schema, ["  ", ""], [0.5] * 4)
+    with recording_calls() as calls:
+        with pytest.raises(EmptyCandidateError, match="no FROM candidates"):
+            build_sketches(script, script, "Q?", school_schema)
+    assert sorted(next(iter(request)) for request, _ in calls) == \
+        ["input", "input", "input", "sequences"]
+    assert calls[-1][0] == {"sequences": [
+        build_aligner_input("Q?", pair) for pair in combine_candidates(
+            [part(PART_SELECT, "SELECT *"), part(PART_SELECT, "SELECT t1.c3")],
+            [part(PART_KEYWORDS, "SELECT FROM"),
+             part(PART_KEYWORDS, "SELECT WHERE")])]}
+
+
+class FixedAligner:
+    """An aligner that answers every request with ``scores``."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score(self, sequences):
+        return list(self.scores)
+
+
+@pytest.mark.parametrize("scores,message", [
+    ([0.2, 0.9], "2 score"),
+    ([0.1, float("nan"), 0.3, 0.4], "nan"),
+    ([0.1, 1.5, 0.3, 0.4], "1.5"),
+])
+def test_build_sketches_raises_a_malformed_aligner_answer(school_schema,
+                                                          scores, message):
+    script = _sketch_script("Q?", school_schema, ["FROM t1"], [0.5] * 4)
+    with pytest.raises(ProtocolError, match=message):
+        build_sketches(script, FixedAligner(scores), "Q?", school_schema)
 
 
 # --------------------------------------------------------------------------
@@ -405,10 +460,11 @@ def test_part_requests_are_in_flight_together(school_schema):
 
     provider = PartProvider("Q?", school_schema,
                             {kind: meet(kind) for kind in PART_KINDS})
-    sets = request_candidate_sets(provider, "Q?", school_schema)
-    assert sets.select_candidates == (part(PART_SELECT, "SELECT t1.c3"),)
-    assert sets.from_candidates == (part(PART_FROM, "FROM t1"),)
-    assert sets.keyword_candidates == \
+    selects, froms, keywords = _request_parts(provider, "Q?", school_schema,
+                                              THREE_PARTS)
+    assert selects == (part(PART_SELECT, "SELECT t1.c3"),)
+    assert froms == (part(PART_FROM, "FROM t1"),)
+    assert keywords == \
         (part(PART_KEYWORDS, "SELECT FROM WHERE"),)
 
 
@@ -445,7 +501,7 @@ def test_first_failure_in_part_order_is_raised(school_schema, failing, raised):
     provider = PartProvider("Q?", school_schema, answers)
     error, message = FAILURES[raised]
     with pytest.raises(Exception) as caught:
-        request_candidate_sets(provider, "Q?", school_schema)
+        _request_parts(provider, "Q?", school_schema, THREE_PARTS)
     assert type(caught.value) is error and str(caught.value) == message
 
 
@@ -465,7 +521,7 @@ def test_no_part_request_outlives_a_failure(school_schema, failing):
                PART_KEYWORDS: slow_keywords, failing: fail}
     provider = PartProvider("Q?", school_schema, answers)
     with pytest.raises(ProviderUnavailableError):
-        request_candidate_sets(provider, "Q?", school_schema)
+        _request_parts(provider, "Q?", school_schema, THREE_PARTS)
     assert finished == [PART_KEYWORDS]
 
 
@@ -495,13 +551,14 @@ def test_unstarted_part_requests_run_on_the_calling_thread(school_schema,
     provider = PartProvider("Q?", school_schema,
                             {kind: on_thread(kind) for kind in PART_KINDS})
     with recording_calls() as calls:
-        sets = request_candidate_sets(provider, "Q?", school_schema)
+        _, froms, _ = _request_parts(provider, "Q?", school_schema,
+                                     THREE_PARTS)
     caller = threading.current_thread()
     assert ran == [(kind, caller) for kind in PART_KINDS]
     inputs = _task_inputs("Q?", school_schema)
     assert calls == [({"input": inputs[kind]}, GOOD_ANSWERS[kind])
                      for kind in PART_KINDS]
-    assert sets.from_candidates == (part(PART_FROM, "FROM t1"),)
+    assert froms == (part(PART_FROM, "FROM t1"),)
 
 
 def test_a_started_part_request_is_waited_for_and_not_run_again(
@@ -527,12 +584,13 @@ def test_a_started_part_request_is_waited_for_and_not_run_again(
     provider = PartProvider("Q?", school_schema,
                             {PART_SELECT: select, PART_FROM: slow_from,
                              PART_KEYWORDS: keywords})
-    sets = request_candidate_sets(provider, "Q?", school_schema)
+    _, froms, _ = _request_parts(provider, "Q?", school_schema,
+                                 THREE_PARTS)
     threads = dict(ran)
     assert sorted(kind for kind, _ in ran) == sorted(PART_KINDS)
     assert threads[PART_SELECT] is threading.current_thread()
     assert threads[PART_FROM] is not threading.current_thread()
-    assert sets.from_candidates == (part(PART_FROM, "FROM t1"),)
+    assert froms == (part(PART_FROM, "FROM t1"),)
 
 
 @pytest.mark.parametrize("failing,raised", [
@@ -557,7 +615,7 @@ def test_caller_run_failures_raise_the_first_after_all_finish(
                             {kind: run(kind) for kind in PART_KINDS})
     error, message = FAILURES[raised]
     with pytest.raises(Exception) as caught:
-        request_candidate_sets(provider, "Q?", school_schema)
+        _request_parts(provider, "Q?", school_schema, THREE_PARTS)
     assert type(caught.value) is error and str(caught.value) == message
     assert finished == list(PART_KINDS)
 
@@ -565,14 +623,15 @@ def test_caller_run_failures_raise_the_first_after_all_finish(
 def test_part_requests_work_in_a_forked_child(school_schema):
     provider = PartProvider("Q?", school_schema,
                             {kind: answer(kind) for kind in PART_KINDS})
-    request_candidate_sets(provider, "Q?", school_schema)  # pool in use
+    _request_parts(provider, "Q?", school_schema, THREE_PARTS)  # pool in use
     pid = os.fork()
     if pid == 0:  # pragma: no cover - runs in the child
         code = 1
         try:
             signal.alarm(10)  # a child whose requests never run dies here
-            sets = request_candidate_sets(provider, "Q?", school_schema)
-            code = 0 if sets.from_candidates else 1
+            _, froms, _ = _request_parts(provider, "Q?", school_schema,
+                                         THREE_PARTS)
+            code = 0 if froms else 1
         finally:
             os._exit(code)
     _, status = os.waitpid(pid, 0)

@@ -331,6 +331,25 @@ def test_double_quoted_strings_are_literals():
     assert parse_sql(sql).root == parse_sql('SELECT a FROM t WHERE b = "te""xt"').root
 
 
+def test_a_double_quoted_column_is_read_where_named():
+    query = parse_sql("""SELECT a FROM t WHERE "x.y" = 'v' AND b = "x.y" """
+                      """AND "q" = 'w' AND 'u' LIKE "x.y" AND "x.y" IN ('i')""")
+    assert canon(extract_predicates(query)) == [("b", "=", "x.y")]
+    assert canon(extract_predicates(query, {"x.y"})) == \
+        [("`x.y`", "=", "v"), ("`x.y`", "IN-element", "i")]
+
+
+def test_rewrite_finds_the_site_extraction_found_with_quoted_columns():
+    query = parse_sql("""SELECT a FROM t WHERE b = "c" OR b = 'c'""")
+    pred, = extract_predicates(query, {"c"})
+    out = rewrite_predicates(query, [(pred, pred.ref, "d")], {"c"})
+    assert out == """SELECT a FROM t WHERE b = "c" OR b = 'd'"""
+    quoted = parse_sql("""SELECT a FROM t WHERE "c" = 'x'""")
+    pred, = extract_predicates(quoted, {"c"})
+    out = rewrite_predicates(quoted, [(pred, ColumnRef(None, "b"), "y")], {"c"})
+    assert out == "SELECT a FROM t WHERE b = 'y'"
+
+
 def test_extract_document_order():
     preds = extract_predicates(parse_sql(
         "SELECT a FROM t WHERE z = 'late' AND a = 'early' OR b = 'mid'"))
