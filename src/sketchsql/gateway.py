@@ -277,10 +277,12 @@ class StubScript:
     repeating the last entry once exhausted; the fingerprint ``"*"``
     matches any request without an exact entry.  Fingerprints are the
     task input (generate), the single aligner input sequence (score), the
-    prompt (complete), or the text to encode (encode).
+    prompt (complete), or the text to encode (encode).  Its calls never
+    block, which ``blocking`` declares, so callers need not overlap them.
     """
 
     ROLES = ("generate", "score", "complete", "encode")
+    blocking = False
 
     def __init__(self, sections: dict):
         if not isinstance(sections, dict):

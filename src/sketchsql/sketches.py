@@ -320,11 +320,12 @@ def write_records_jsonl(records, path) -> None:
 # Live candidate generation
 
 def _new_part_pool() -> None:
-    """Make the pool that runs the From and Keywords requests while the
-    calling thread makes the Select one.  One pool serves the process, as
-    an executor per call would start threads for every question; it starts
-    none before its first request.  A forked child, which has none of the
-    parent's pool threads, gets a new pool instead of waiting on them."""
+    """Make the pool that runs a blocking provider's From and Keywords
+    requests while the calling thread makes the Select one.  One pool
+    serves the process, as an executor per call would start threads for
+    every question; it starts none before its first request.  A forked
+    child, which has none of the parent's pool threads, gets a new pool
+    instead of waiting on them."""
     global _part_pool
     _part_pool = ThreadPoolExecutor(thread_name_prefix="sketch-part")
 
@@ -353,15 +354,16 @@ def _request_parts(provider, question: str, schema: DatabaseSchema,
     hypotheses that are empty (or sanitize to nothing) are dropped.
     Duplicates keep their best-ranked occurrence.
 
-    The requests are in flight together: the first in the calling thread,
-    the others on the part pool.  When its own request has returned or
-    raised, the calling thread makes each later one that no pool thread
-    has started itself, in order, and waits only for those a pool thread
-    did start.  So requests that block, as ones over HTTP do, still
-    overlap on the pool, and ones that return at once are mostly made
-    without a thread hand-off.  Every one has finished when this returns
-    or raises; when several fail, the first failure in ``requests`` order
-    is raised.
+    A provider whose ``blocking`` attribute is false answers from memory,
+    so the calling thread makes its requests one after another, in order.
+    For any other provider the requests are in flight together: the first
+    in the calling thread, the others on the part pool.  When its own
+    request has returned or raised, the calling thread makes each later
+    one that no pool thread has started itself, in order, and waits only
+    for those a pool thread did start.  So requests that block, as ones
+    over HTTP do, overlap on the pool.  Every one has finished when this
+    returns or raises; when several fail, the first failure in
+    ``requests`` order is raised.
     """
     def ask(kind: str, k: int) -> tuple:
         task_input = build_task_input(INSTRUCTIONS[kind], question, schema)
@@ -379,6 +381,17 @@ def _request_parts(provider, question: str, schema: DatabaseSchema,
             seen.add(content)
             parts.append(SketchPart(kind, content))
         return tuple(parts)
+
+    if not getattr(provider, "blocking", True):
+        parts, failures = [], []
+        for kind, k in requests:
+            try:
+                parts.append(ask(kind, k))
+            except Exception as exc:
+                failures.append(exc)
+        if failures:
+            raise failures[0]
+        return parts
 
     (kind, k), *rest = requests
     # Copies of the caller's context carry its gateway.recording_calls list.

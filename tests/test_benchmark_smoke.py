@@ -4,7 +4,8 @@ signature that the benchmark uses and the package no longer has, and an
 op whose output changed.  The churn workload also runs on seed 1, whose
 insert and rename probes fail when the value index serves stale values;
 the static workload runs there too, where several matches reach the
-database level, whose kept lane set must give the expected feedback.
+database level, whose kept lane set must give the expected feedback, and
+on seeds 3 and 9, two more generated databases.
 
 The runs share one temporary copy of ``src/``, ``perfbench/`` and
 ``BENCHMARK.json``, so the checkout's ``.perfbench_cache/`` is never
@@ -22,7 +23,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 CASES = [(workload, 0) for workload in ("eval-stub", "translate-rtt",
                                         "calibrate-static", "calibrate-churn")]
-CASES += [("calibrate-churn", 1), ("calibrate-static", 1)]
+CASES += [("calibrate-churn", 1), ("calibrate-static", 1),
+          ("calibrate-static", 3), ("calibrate-static", 9)]
 
 
 @pytest.fixture(scope="module")

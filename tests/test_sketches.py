@@ -4,7 +4,7 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import asdict
 
 import pytest
@@ -23,6 +23,7 @@ from sketchsql.errors import (
     ProtocolError,
     ProviderUnavailableError,
     SchemaMismatchError,
+    StubScriptError,
 )
 from sketchsql.gateway import StubScript, clients_from_script, recording_calls
 from sketchsql.selection import SelectionConfig
@@ -478,12 +479,16 @@ def failure(kind):
     return error(message)
 
 
-@pytest.mark.parametrize("failing,raised", [
+# (parts that fail, the part whose failure is raised)
+FAILURE_ORDERS = [
     ((PART_FROM, PART_KEYWORDS), PART_FROM),
     ((PART_SELECT, PART_FROM, PART_KEYWORDS), PART_SELECT),
     ((PART_SELECT, PART_KEYWORDS), PART_SELECT),
     ((PART_KEYWORDS,), PART_KEYWORDS),
-])
+]
+
+
+@pytest.mark.parametrize("failing,raised", FAILURE_ORDERS)
 def test_first_failure_in_part_order_is_raised(school_schema, failing, raised):
     keywords_failed = threading.Event()
 
@@ -593,12 +598,7 @@ def test_a_started_part_request_is_waited_for_and_not_run_again(
     assert froms == (part(PART_FROM, "FROM t1"),)
 
 
-@pytest.mark.parametrize("failing,raised", [
-    ((PART_FROM, PART_KEYWORDS), PART_FROM),
-    ((PART_SELECT, PART_FROM, PART_KEYWORDS), PART_SELECT),
-    ((PART_SELECT, PART_KEYWORDS), PART_SELECT),
-    ((PART_KEYWORDS,), PART_KEYWORDS),
-])
+@pytest.mark.parametrize("failing,raised", FAILURE_ORDERS)
 def test_caller_run_failures_raise_the_first_after_all_finish(
         school_schema, busy_part_pool, failing, raised):
     finished = []
@@ -638,17 +638,36 @@ def test_part_requests_work_in_a_forked_child(school_schema):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
+class ForwardingProvider:
+    """Sketch provider that forwards to a client and declares nothing
+    about blocking, so its part requests overlap on the part pool."""
+
+    def __init__(self, client):
+        self.client = client
+
+    def generate(self, task_input, k):
+        return self.client.generate(task_input, k)
+
+
+def _stub_report(bundle, script, workers, forward=False):
+    """The traced stubbed report of ``bundle`` as JSON.  With ``forward``
+    the sketch client sits behind a :class:`ForwardingProvider`."""
+    clients = clients_from_script(StubScript(script))
+    provider = clients["sketch"]
+    config = EvalConfig(
+        selection=SelectionConfig(completer=clients["completer"]),
+        provider=ForwardingProvider(provider) if forward else provider,
+        aligner=clients["aligner"], workers=workers, trace=True,
+        record_latency=False)
+    return json.dumps(asdict(evaluate(config, bundle)), sort_keys=True)
+
+
 def test_concurrent_parts_keep_reports_identical(tmp_path):
     bundle = load_dataset(make_benchmark_dataset(tmp_path / "bench", 24))
     script = build_gold_echo_script(bundle)
 
     def report(workers):
-        clients = clients_from_script(StubScript(script))
-        config = EvalConfig(
-            selection=SelectionConfig(completer=clients["completer"]),
-            provider=clients["sketch"], aligner=clients["aligner"],
-            workers=workers, trace=True, record_latency=False)
-        return json.dumps(asdict(evaluate(config, bundle)), sort_keys=True)
+        return _stub_report(bundle, script, workers, forward=True)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -658,3 +677,86 @@ def test_concurrent_parts_keep_reports_identical(tmp_path):
         sys.setswitchinterval(interval)
     assert runs[0] == runs[1] == runs[2]
     assert json.loads(runs[0])["tokens_total"] > 0
+
+
+# --------------------------------------------------------------------------
+# In-process part requests
+
+class RaisingPool(Executor):
+    """A part pool that fails every request handed to it."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        raise AssertionError("a part request reached the part pool")
+
+
+@pytest.fixture
+def raising_part_pool(monkeypatch):
+    monkeypatch.setattr(sketches_module, "_part_pool", RaisingPool())
+
+
+class NotingScript(StubScript):
+    """A stub script that notes the input and thread of each generate
+    call, answered or not."""
+
+    def __init__(self, sections):
+        super().__init__(sections)
+        self.asked = []
+
+    def generate(self, task_input, k):
+        self.asked.append((task_input, threading.current_thread()))
+        return super().generate(task_input, k)
+
+
+def test_stub_parts_run_in_order_on_the_calling_thread(school_schema,
+                                                       raising_part_pool):
+    inputs = _task_inputs("Q?", school_schema)
+    script = NotingScript({"generate": {inputs[kind]: [GOOD_ANSWERS[kind]]
+                                        for kind in PART_KINDS}})
+    with recording_calls() as calls:
+        parts = _request_parts(script, "Q?", school_schema, THREE_PARTS)
+    caller = threading.current_thread()
+    assert script.asked == [(inputs[kind], caller) for kind in PART_KINDS]
+    assert calls == [({"input": inputs[kind]}, GOOD_ANSWERS[kind])
+                     for kind in PART_KINDS]
+    assert parts == [(part(kind, GOOD_ANSWERS[kind][0]),)
+                     for kind in PART_KINDS]
+
+
+@pytest.mark.parametrize("failing,raised", FAILURE_ORDERS)
+def test_stub_part_failures_raise_the_first_after_all_run(
+        school_schema, raising_part_pool, failing, raised):
+    inputs = _task_inputs("Q?", school_schema)
+    script = NotingScript({"generate": {inputs[kind]: [GOOD_ANSWERS[kind]]
+                                        for kind in PART_KINDS
+                                        if kind not in failing}})
+    with pytest.raises(StubScriptError) as caught:
+        _request_parts(script, "Q?", school_schema, THREE_PARTS)
+    caller = threading.current_thread()
+    assert script.asked == [(inputs[kind], caller) for kind in PART_KINDS]
+    with pytest.raises(StubScriptError) as expected:
+        StubScript({"generate": {}}).generate(inputs[raised], 1)
+    assert str(caught.value) == str(expected.value)
+
+
+def test_a_shared_stub_entry_answers_the_parts_in_order(school_schema):
+    responses = [GOOD_ANSWERS[kind] for kind in PART_KINDS]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [_request_parts(StubScript({"generate": {"*": responses}}),
+                               "Q?", school_schema, THREE_PARTS)
+                for _ in range(50)]
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [(part(kind, GOOD_ANSWERS[kind][0]),) for kind in PART_KINDS]
+    assert all(run == expected for run in runs)
+
+
+def test_stub_parts_keep_reports_identical_without_the_pool(tmp_path,
+                                                            monkeypatch):
+    bundle = load_dataset(make_benchmark_dataset(tmp_path / "bench", 24))
+    script = build_gold_echo_script(bundle)
+    pooled = _stub_report(bundle, script, 1, forward=True)
+    monkeypatch.setattr(sketches_module, "_part_pool", RaisingPool())
+    assert _stub_report(bundle, script, 1) == pooled
+    assert _stub_report(bundle, script, 2) == pooled
