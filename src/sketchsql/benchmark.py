@@ -24,14 +24,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import DatasetIntegrityError, SqlParseError
+from .errors import DatasetIntegrityError, SqlParseError, check_ranges
 from .execution import Database, results_equal
 from .gateway import recording_calls
 from .schema import DatabaseSchema, load_schema_file, schema_from_sqlite
 from .selection import (
     SelectionConfig,
     SelectionTrace,
-    check_ranges,
     completion_prompt,
     select_query,
 )

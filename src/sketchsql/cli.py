@@ -46,7 +46,7 @@ from .calibration import (
     SentenceEncoder,
     WordEmbedding,
 )
-from .errors import SketchSqlError
+from .errors import SketchSqlError, check_ranges
 from .execution import Database
 from .gateway import EndpointConfig, HttpClient, StubScript, clients_from_script
 from .schema import load_schema_file, schema_from_sqlite, serialize_schema
@@ -55,7 +55,6 @@ from .selection import (
     STATUS_EXHAUSTED,
     SelectionConfig,
     calibrate_deterministic,
-    check_ranges,
 )
 from .sketches import (
     DEFAULT_K_FROM,

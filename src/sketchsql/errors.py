@@ -2,7 +2,8 @@
 
 Every error raised deliberately by this package derives from
 :class:`SketchSqlError`, so callers can catch one base class at pipeline
-boundaries while tests can assert on precise subclasses.
+boundaries while tests can assert on precise subclasses.  The settings
+check :func:`check_ranges` lives here too, so any module can import it.
 """
 
 
@@ -73,3 +74,18 @@ class StubScriptError(SketchSqlError):
 
 class DatasetIntegrityError(SketchSqlError):
     """A dataset root is missing required files or databases."""
+
+
+def check_ranges(settings, ranges: dict) -> None:
+    """Raise :class:`ValueError` naming the first attribute of ``settings``
+    that is not None and is out of its range in ``ranges``: (least allowed
+    value, whether it is allowed itself, greatest allowed value or None)."""
+    for key, (least, inclusive, most) in ranges.items():
+        value = getattr(settings, key)
+        if value is None or ((value >= least if inclusive else value > least)
+                             and (most is None or value <= most)):
+            continue
+        bound = f"{'at least' if inclusive else 'greater than'} {least}"
+        if most is not None:
+            bound += f" and at most {most}"
+        raise ValueError(f"{key!r} must be {bound}, got {value!r}")

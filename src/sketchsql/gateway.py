@@ -45,6 +45,7 @@ from .errors import (
     ProtocolError,
     ProviderUnavailableError,
     StubScriptError,
+    check_ranges,
 )
 
 log = logging.getLogger(__name__)
@@ -69,19 +70,15 @@ class EndpointConfig:
     backoff: float = DEFAULT_BACKOFF
     chat_adapter: bool = False
 
+    RANGES = {"timeout": (0, False, None), "max_in_flight": (1, True, None),
+              "retries": (0, True, None), "backoff": (0, True, None)}
+
     def __post_init__(self):
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint URL {self.base_url!r} is not an "
                              f"http:// or https:// URL with a host")
-        if self.timeout <= 0:
-            raise ValueError("endpoint timeout must be positive")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
-        if self.retries < 0:
-            raise ValueError("retries must be at least 0")
-        if self.backoff < 0:
-            raise ValueError("backoff must not be negative")
+        check_ranges(self, self.RANGES)
 
 
 # Each path's service label in messages, and the error raised when that
@@ -278,7 +275,7 @@ class StubScript:
     matches any request without an exact entry.  Fingerprints are the
     task input (generate), the single aligner input sequence (score), the
     prompt (complete), or the text to encode (encode).  Its calls never
-    block, which ``blocking`` declares, so callers need not overlap them.
+    block, which ``blocking`` declares, so no part pool overlaps them.
     """
 
     ROLES = ("generate", "score", "complete", "encode")

@@ -24,7 +24,8 @@ from .calibration import (
     replacement_value,
     single_level_match,  # noqa: F401  (perfbench/spans.py traces it here)
 )
-from .errors import EmptyCandidateError, IndexResolutionError, SqlParseError
+from .errors import (EmptyCandidateError, IndexResolutionError,
+                     SqlParseError, check_ranges)
 from .execution import Database, ExecutionOutcome
 from .gateway import request_completion
 from .schema import DatabaseSchema, serialize_schema, translate_indexed_text
@@ -37,21 +38,6 @@ DEFAULT_PATIENCE = 1
 
 STATUS_SELECTED = "Selected"
 STATUS_EXHAUSTED = "Exhausted"
-
-
-def check_ranges(settings, ranges: dict) -> None:
-    """Raise :class:`ValueError` naming the first attribute of ``settings``
-    that is not None and is out of its range in ``ranges``: (least allowed
-    value, whether it is allowed itself, greatest allowed value or None)."""
-    for key, (least, inclusive, most) in ranges.items():
-        value = getattr(settings, key)
-        if value is None or ((value >= least if inclusive else value > least)
-                             and (most is None or value <= most)):
-            continue
-        bound = f"{'at least' if inclusive else 'greater than'} {least}"
-        if most is not None:
-            bound += f" and at most {most}"
-        raise ValueError(f"{key!r} must be {bound}, got {value!r}")
 
 
 @dataclass

@@ -19,7 +19,7 @@ import dataclasses
 import json
 import logging
 import os
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import EmptyCandidateError, SchemaMismatchError, SketchSqlError
@@ -320,10 +320,10 @@ def write_records_jsonl(records, path) -> None:
 # Live candidate generation
 
 def _new_part_pool() -> None:
-    """Make the pool that runs a blocking provider's From and Keywords
-    requests while the calling thread makes the Select one.  One pool
-    serves the process, as an executor per call would start threads for
-    every question; it starts none before its first request.  A forked
+    """Make the pool that may start a blocking provider's From and
+    Keywords requests while the calling thread makes the Select one.  One
+    pool serves the process, as an executor per call would start threads
+    for every question; it starts none before its first request.  A forked
     child, which has none of the parent's pool threads, gets a new pool
     instead of waiting on them."""
     global _part_pool
@@ -332,17 +332,6 @@ def _new_part_pool() -> None:
 
 _new_part_pool()
 os.register_at_fork(after_in_child=_new_part_pool)
-
-
-def _settled(fn, *args) -> Future:
-    """A finished future that holds what ``fn(*args)`` returned or raised,
-    as a pool thread's future would."""
-    future = Future()
-    try:
-        future.set_result(fn(*args))
-    except BaseException as exc:
-        future.set_exception(exc)
-    return future
 
 
 def _request_parts(provider, question: str, schema: DatabaseSchema,
@@ -354,16 +343,17 @@ def _request_parts(provider, question: str, schema: DatabaseSchema,
     hypotheses that are empty (or sanitize to nothing) are dropped.
     Duplicates keep their best-ranked occurrence.
 
-    A provider whose ``blocking`` attribute is false answers from memory,
-    so the calling thread makes its requests one after another, in order.
-    For any other provider the requests are in flight together: the first
-    in the calling thread, the others on the part pool.  When its own
-    request has returned or raised, the calling thread makes each later
-    one that no pool thread has started itself, in order, and waits only
-    for those a pool thread did start.  So requests that block, as ones
-    over HTTP do, overlap on the pool.  Every one has finished when this
-    returns or raises; when several fail, the first failure in
-    ``requests`` order is raised.
+    Unless the provider's ``blocking`` attribute is false, as it is for
+    one that answers from memory, the requests after the first are handed
+    to the part pool first, so requests that block, as ones over HTTP do,
+    overlap there.  The calling thread then walks the requests in order,
+    making each one itself unless a pool thread has started it, in which
+    case it waits for that thread's answer; so while the pool is partly
+    busy it waits for a started request before making a later one.  Every
+    request has finished when this returns or raises an
+    :class:`Exception`, and the first failure in ``requests`` order is
+    raised.  A ``BaseException`` such as :class:`KeyboardInterrupt` in
+    the calling thread propagates at once.
     """
     def ask(kind: str, k: int) -> tuple:
         task_input = build_task_input(INSTRUCTIONS[kind], question, schema)
@@ -382,26 +372,20 @@ def _request_parts(provider, question: str, schema: DatabaseSchema,
             parts.append(SketchPart(kind, content))
         return tuple(parts)
 
-    if not getattr(provider, "blocking", True):
-        parts, failures = [], []
-        for kind, k in requests:
-            try:
-                parts.append(ask(kind, k))
-            except Exception as exc:
-                failures.append(exc)
-        if failures:
-            raise failures[0]
-        return parts
-
-    (kind, k), *rest = requests
+    overlap = getattr(provider, "blocking", True)
     # Copies of the caller's context carry its gateway.recording_calls list.
     later = [_part_pool.submit(contextvars.copy_context().run, ask, kind, k)
-             for kind, k in rest]
-    futures = [_settled(ask, kind, k)]
-    for future, (kind, k) in zip(later, rest):
-        futures.append(_settled(ask, kind, k) if future.cancel() else future)
-    wait(futures)
-    return [future.result() for future in futures]
+             if overlap else None for kind, k in requests[1:]]
+    parts, failures = [], []
+    for future, (kind, k) in zip([None, *later], requests):
+        try:
+            parts.append(ask(kind, k) if future is None or future.cancel()
+                         else future.result())
+        except Exception as exc:
+            failures.append(exc)
+    if failures:
+        raise failures[0]
+    return parts
 
 
 def build_sketches(provider, aligner, question: str, schema: DatabaseSchema,

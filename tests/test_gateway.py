@@ -533,6 +533,10 @@ def test_endpoint_config_validation():
         EndpointConfig("http://x", retries=-1)
     with pytest.raises(ValueError, match="backoff"):
         EndpointConfig("http://x", backoff=-1)
+    with pytest.raises(ValueError, match="timeout"):
+        EndpointConfig("http://x", timeout=float("nan"))
+    with pytest.raises(ValueError, match="backoff"):
+        EndpointConfig("http://x", backoff=float("nan"))
 
 
 def test_role_client_names_are_the_http_client():

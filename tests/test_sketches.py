@@ -598,6 +598,41 @@ def test_a_started_part_request_is_waited_for_and_not_run_again(
     assert froms == (part(PART_FROM, "FROM t1"),)
 
 
+def test_a_partly_busy_pool_makes_each_part_once(school_schema,
+                                                 monkeypatch):
+    """From runs on the pool's one worker while Keywords waits in its
+    queue.  Keywords is then made by the worker or by the calling thread,
+    whichever takes it first; either is correct."""
+    pool = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(sketches_module, "_part_pool", pool)
+    from_started = threading.Event()
+    ran = []
+
+    def run(kind):
+        def call():
+            if kind == PART_SELECT:
+                assert from_started.wait(timeout=5)  # From is on the worker
+            elif kind == PART_FROM:
+                from_started.set()
+                time.sleep(0.05)
+            ran.append((kind, threading.current_thread()))
+            return answer(kind)()
+        return call
+
+    provider = PartProvider("Q?", school_schema,
+                            {kind: run(kind) for kind in PART_KINDS})
+    try:
+        parts = _request_parts(provider, "Q?", school_schema, THREE_PARTS)
+    finally:
+        pool.shutdown()
+    assert parts == [(part(kind, GOOD_ANSWERS[kind][0]),)
+                     for kind in PART_KINDS]
+    assert sorted(kind for kind, _ in ran) == sorted(PART_KINDS)
+    threads = dict(ran)
+    assert threads[PART_SELECT] is threading.current_thread()
+    assert threads[PART_FROM] is not threading.current_thread()
+
+
 @pytest.mark.parametrize("failing,raised", FAILURE_ORDERS)
 def test_caller_run_failures_raise_the_first_after_all_finish(
         school_schema, busy_part_pool, failing, raised):
