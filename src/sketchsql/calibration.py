@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass
@@ -79,6 +80,9 @@ def fuzzy_similarity(a: str, b: str) -> float:
 
 # Longest normalised literal whose LCS bit row fits a uint64 lane.
 _MAX_LANE_LITERAL = 63
+# _BITS[i] is bit i of a uint64: the mask of the literal's i-th character.
+_BITS = np.left_shift(np.uint64(1), np.arange(_MAX_LANE_LITERAL,
+                                              dtype=np.uint64))
 # Longest normalised value laid out as a lane; longer ones are scored one
 # at a time, which bounds the code matrix at values x this many bytes.
 _MAX_LANE_VALUE = 255
@@ -98,13 +102,20 @@ class EncodedValues(Sequence):
 
     The values fall into segments, one per column: ``values[bounds[s]:
     bounds[s + 1]]`` is segment ``s``.  The constructor makes one segment;
-    :meth:`concat` lays several columns out as one lane set.
+    :meth:`concat` lays several columns out as one lane set.  Each set
+    also keeps what :func:`best_match` reads of that layout: ``sizes``,
+    the value count of each segment; ``filled``, the segments that have
+    values, with their ``starts`` and ``counts``; ``rank[i]``, the place
+    of ``values[i]`` in its segment's sorted order; and ``by_rank``, the
+    inverse: ``by_rank[bounds[s] + k]`` is the value of rank ``k`` in
+    segment ``s``.
 
-    ``hashes`` is the exact lookup: ``hashes[i]`` is the hash of
-    ``values[i]``'s normal form.  Under :class:`CharacterFuzzy` only
-    equal normal forms score 1.0, so :func:`exact_matches` finds the
-    values that score 1.0 against a literal by comparing hashes, with no
-    lane pass; at 8 bytes a value, it holds no copy of the normal forms.
+    ``hashes`` is the exact lookup: ``hashes[i]`` is the low 32 bits of
+    the hash of ``values[i]``'s normal form.  Under
+    :class:`CharacterFuzzy` only equal normal forms score 1.0, so
+    :func:`exact_matches` finds the values that score 1.0 against a
+    literal by comparing hashes, with no lane pass; at 4 bytes a value, it
+    holds no copy of the normal forms.
     """
 
     def __init__(self, values):
@@ -127,21 +138,25 @@ class EncodedValues(Sequence):
         self.codes = np.frombuffer(packed.encode("ascii"), np.uint8) \
             .reshape(len(lanes), width).T.copy()
         self.active = _active_lanes(self.lengths, width)
-        # rank[i]: position of values[i] in its segment's sorted order,
-        # for tie-breaks.
-        self.rank = np.empty(n, dtype=np.intp)
-        self.rank[sorted(range(n), key=self.values.__getitem__)] = np.arange(n)
-        self.hashes = np.fromiter(map(hash, normal), np.int64, n)
+        self.by_rank = np.array(sorted(range(n), key=self.values.__getitem__),
+                                dtype=np.int32)
+        self.rank = np.empty(n, dtype=np.int32)
+        self.rank[self.by_rank] = np.arange(n, dtype=np.int32)
+        self.hashes = np.fromiter(map(hash, normal), np.int64, n) \
+            .astype(np.uint32)
+        self._lay_out()
 
     @classmethod
     def concat(cls, columns: list) -> "EncodedValues":
         """The values of ``columns`` (single-segment instances) in order,
         one segment each, as one longest-first lane set.  A single column
-        is returned as it is."""
+        is returned as it is.  The layout is the columns' own, offset:
+        nothing is sorted again but the lanes by length."""
         if len(columns) == 1:
             return columns[0]
         merged = cls.__new__(cls)
-        starts = np.cumsum([0] + [len(c) for c in columns])
+        sizes = [len(c) for c in columns]
+        starts = np.cumsum([0] + sizes)
         merged.bounds = starts
         merged.values = list(chain.from_iterable(c.values for c in columns))
         merged.others = [i + int(s) for c, s in zip(columns, starts)
@@ -164,8 +179,22 @@ class EncodedValues(Sequence):
             at += count
         merged.active = _active_lanes(merged.lengths, width)
         merged.rank = np.concatenate([c.rank for c in columns])
+        merged.by_rank = np.concatenate([c.by_rank for c in columns]) \
+            + np.repeat(starts[:-1].astype(np.int32), sizes)
         merged.hashes = np.concatenate([c.hashes for c in columns])
+        merged._lay_out()
         return merged
+
+    def _lay_out(self) -> None:
+        """The segment layout that scoring reads, from ``bounds``."""
+        self.sizes = np.diff(self.bounds)
+        filled = self.sizes.nonzero()[0]
+        # reduceat reads only the starts of non-empty segments: an empty
+        # segment's start equals the next start, which reduceat would read
+        # as a one-value segment.
+        self.starts = self.bounds[filled]
+        self.counts = self.sizes[filled]
+        self.filled = filled.tolist()
 
     def __len__(self) -> int:
         return len(self.values)
@@ -188,28 +217,36 @@ def _lane_scores(a: str, encoded: EncodedValues) -> np.ndarray:
     :func:`_lcs_length`, one uint64 per lane.  Every mask, and so ``x``,
     lies within the low ``len(a)`` bits, so the final ``x & ...`` does the
     work of ``& full`` there, and the high bits that wrap around in the
-    uint64 subtractions are never kept.  ``lane << 1`` has a zero low bit,
-    so ``(lane << 1) | 1`` is ``(lane << 1) + 1`` and, as ``~z == -z - 1``
-    modulo 2**64, ``~(x - ((lane << 1) | 1)) == (lane << 1) - x``: a step
-    is a take, an or, a shift, a subtraction and an and.
+    uint64 additions and subtractions are never kept.  ``lane << 1`` has
+    a zero low bit, so ``(lane << 1) | 1`` is ``lane + lane + 1`` and, as
+    ``~z == -z - 1`` modulo 2**64, ``~(x - ((lane << 1) | 1)) ==
+    lane + lane - x``: a step is a take, an or, an addition, a
+    subtraction and an and, each written into a buffer.
     """
-    bits: dict[int, int] = {}
-    for i, code in enumerate(a.encode("ascii")):
-        bits[code] = bits.get(code, 0) | (1 << i)
     masks = np.zeros(128, dtype=np.uint64)
-    masks[list(bits)] = list(bits.values())
-    n = len(encoded.lanes)
-    row, xs, ys = (np.zeros(n, dtype=np.uint64) for _ in range(3))
-    for j, k in enumerate(encoded.active):
+    np.bitwise_or.at(masks, np.frombuffer(a.encode("ascii"), np.uint8),
+                     _BITS[:len(a)])
+    row, xs, ys = np.zeros((3, len(encoded.lanes)), dtype=np.uint64)
+    take, add, subtract = masks.take, np.add, np.subtract
+    bitwise_or, bitwise_and = np.bitwise_or, np.bitwise_and
+    for codes, k in zip(encoded.codes, encoded.active):
         lane, x, y = row[:k], xs[:k], ys[:k]
-        masks.take(encoded.codes[j, :k], out=x)
-        np.bitwise_or(x, lane, out=x)
-        np.left_shift(lane, 1, out=y)
-        np.subtract(y, x, out=y)
-        np.bitwise_and(x, y, out=lane)
-    lcs = np.bitwise_count(row).astype(np.int64)
-    indel = len(a) + encoded.lengths - 2 * lcs
-    return np.clip(1.0 - indel / np.minimum(len(a), encoded.lengths), 0.0, 1.0)
+        # The codes are ASCII, below 128, so "wrap" never wraps; it only
+        # spares the bounds check of each code.
+        take(codes[:k], out=x, mode="wrap")
+        bitwise_or(x, lane, x)
+        add(lane, lane, y)
+        subtract(y, x, y)
+        bitwise_and(x, y, lane)
+    # 1 - indel / min(len(a), len(b)), with indel = len(a) + len(b) -
+    # 2 * lcs, in float64, which holds these small integers exactly; the
+    # score cannot exceed 1, so only the clamp at 0 is needed.
+    scores = np.bitwise_count(row) * -2.0
+    scores += encoded.lengths
+    scores += len(a)
+    scores /= np.minimum(encoded.lengths, len(a))
+    np.subtract(1.0, scores, out=scores)
+    return np.maximum(scores, 0.0, out=scores)
 
 
 def _score_each(backend, literal: str, values, wanted=None) -> np.ndarray:
@@ -536,28 +573,22 @@ def best_match(candidates: EncodedValues, value0: str, backend,
     mark.  All values are scored in one :meth:`score_many` call, which
     scores values one at a time only in the wanted segments; equal scores
     go to the lexicographically smaller value."""
-    bounds = candidates.bounds
-    sizes = bounds[1:] - bounds[:-1]
     if wanted is not None:
-        wanted = np.repeat(wanted, sizes)
+        wanted = np.repeat(wanted, candidates.sizes)
     scores = backend.score_many(value0, candidates, wanted)
     if wanted is not None:
         scores[~wanted] = np.nan
-    filled = sizes.nonzero()[0]
-    out = [None] * len(sizes)
-    # reduceat over the starts of non-empty segments only: an empty
-    # segment's start equals the next start, which reduceat would read as
-    # a one-value segment.
-    starts, sizes = bounds[filled], sizes[filled]
+    starts = candidates.starts
     top = np.fmax.reduceat(scores, starts)
-    tied = scores == np.repeat(top, sizes)
+    tied = scores == np.repeat(top, candidates.counts)
     least = np.minimum.reduceat(np.where(tied, candidates.rank, len(scores)),
                                 starts)
-    winners = np.flatnonzero(tied & (candidates.rank == np.repeat(least, sizes)))
-    scored = ~np.isnan(top)
-    for s, score, i in zip(filled[scored].tolist(), top[scored].tolist(),
-                           winners.tolist()):
-        out[s] = (score, candidates[i])
+    # A segment with no score has no tie, and its clipped pick is unread.
+    winners = candidates.by_rank.take(starts + least, mode="clip")
+    out = [None] * len(candidates.sizes)
+    for s, score, i in zip(candidates.filled, top.tolist(), winners.tolist()):
+        if score == score:
+            out[s] = (score, candidates.values[i])
     return out
 
 
@@ -566,47 +597,34 @@ def exact_matches(candidates: EncodedValues, normal: str) -> dict:
     segment, for the segments that hold one: under :class:`CharacterFuzzy`
     the :func:`best_match` results that score 1.0 against a literal of
     that normal form, which only equal normal forms do."""
-    where = np.flatnonzero(candidates.hashes == hash(normal))
-    segments = np.searchsorted(candidates.bounds, where, "right") - 1
+    key = np.uint32(hash(normal) & 0xFFFFFFFF)
     found: dict[int, str] = {}
-    for s, i in zip(segments.tolist(), where.tolist()):
-        value = candidates[i]
+    for i in np.flatnonzero(candidates.hashes == key).tolist():
+        value = candidates.values[i]
         # Equal hashes may come from other normal forms.
-        if value.strip().lower() == normal and (s not in found
-                                                or value < found[s]):
-            found[s] = value
+        if value.strip().lower() == normal:
+            s = bisect_right(candidates.bounds, i) - 1
+            if s not in found or value < found[s]:
+                found[s] = value
     return found
 
 
-def _match_predicate(predicate: Predicate, resolved, r: float, levels,
-                     column_bests) -> MatchResult | None:
-    value0 = _match_value(predicate)
-    overall: MatchResult | None = None
-    for level in levels:
-        # Ties break toward the column name first seen among the columns
-        # that have candidates, then toward the smaller value.
-        order: dict[str, int] = {}
-        best_key, result = None, None
-        for column, count, found in column_bests(value0, level, resolved):
-            if count:
-                rank = order.setdefault(column, len(order))
-            if found is None:
-                continue
-            score, value = found
-            if best_key is None or (-score, rank, value) < best_key:
-                best_key = (-score, rank, value)
-                result = MatchResult(column, value, score, level)
-        if result is None:
-            continue
-        if result.score >= r:
-            return result
-        # Strict > keeps the earliest level on score ties across levels.
-        if overall is None or result.score > overall.score:
-            overall = result
-    if overall is None:
+def _level_best(level: MatchLevel, columns: list, bests: dict,
+                counts) -> MatchResult | None:
+    """The best of ``bests`` (segment -> ``(score, value)``) at ``level``,
+    whose segments are the (table, column) pairs ``columns`` holding
+    ``counts`` values each.  Equal scores go to the column name first seen
+    among the columns that have values, then to the smaller value."""
+    if not bests:
         return None
-    return MatchResult(overall.column, overall.value, overall.score,
-                       overall.level, below_threshold=True)
+    top = max(score for score, _ in bests.values())
+    tied = [s for s, (score, _) in bests.items() if score == top]
+    if len(tied) > 1:
+        names = [column for (_, column), count in zip(columns, counts)
+                 if count]
+        tied.sort(key=lambda s: (names.index(columns[s][1]), bests[s][1]))
+    s = tied[0]
+    return MatchResult(columns[s][1], bests[s][1], top, level)
 
 
 ALL_LEVELS = (MatchLevel.COLUMN, MatchLevel.TABLE, MatchLevel.DATABASE)
@@ -620,12 +638,15 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
     ``levels`` are searched in order (by default Column -> Table ->
     Database), stopping at the first whose best score reaches ``r``; when
     none does, the overall best match is reported with ``below_threshold``
-    set.  Values come from ``db``'s value index, checked against the file
-    once at the start of the call, and each level is scored in one pass
-    over its lane set (see :func:`level_values`).  Each literal's best
-    value in each column is found once per call: a lane pass may score a
-    column that an earlier level scored, and keeps that level's result,
-    but values scored one at a time are scored once.
+    set, the earliest level winning equal scores.  Values come from
+    ``db``'s value index, checked against the file once per call, and
+    only when the query has a text predicate or a double-quoted string;
+    the query's predicates and FROM scope are those its parse noted.  Each
+    level is scored in one pass over its lane set (see
+    :func:`level_values`).  Each literal's best value in each column is
+    found once per call: a lane pass may score a column that an earlier
+    level scored, and keeps that level's result, but values scored one at
+    a time are scored once.
 
     Under :class:`CharacterFuzzy` a score of 1.0 means equal normal forms
     (``strip().lower()``), and no score is higher.  So before a pass, the
@@ -637,65 +658,87 @@ def multi_level_match(db, query: ParsedQuery, r: float, backend,
     """
     if not 0 < r <= 1:
         raise ValueError(f"similarity threshold must be in (0, 1], got {r}")
+    tables, aliases = table_scope(query)
     # A double-quoted string that names a column in scope is that column.
-    quoted = set()
-    if '"' in query.original_text:
+    names = double_quoted_strings(query)
+    if names:
         db.sync()
-        tables, aliases = table_scope(query)
-        for name in double_quoted_strings(query):
-            with suppress(SchemaMismatchError):
-                db.schema.resolve_column(None, name, tables, aliases)
-                quoted.add(name)
+    quoted = set()
+    for name in names:
+        with suppress(SchemaMismatchError):
+            db.schema.resolve_column(None, name, tables, aliases)
+            quoted.add(name)
     predicates = [p for p in extract_predicates(query, quoted)
                   if _match_value(p).strip()]
     if not predicates:
         return CalibrationFeedback()
-    db.sync()
+    if not names:
+        db.sync()
     schema = db.schema
-    tables, aliases = table_scope(query)
-    bests: dict = {}
+    # (literal, (table, column) in schema spelling) -> (value count,
+    # best_match result)
+    known: dict = {}
     fuzzy = isinstance(backend, CharacterFuzzy)
 
-    def column_bests(value0: str, level: MatchLevel, resolved) -> list:
-        """``(column, value count, best_match)`` of each column searched at
-        ``level``.  The columns this call has not scored yet are scored in
-        one pass over the level's lane set; the others keep their first
+    def level_result(value0: str, level: MatchLevel, resolved,
+                     own: str) -> MatchResult | None:
+        """The best match for ``value0`` among the columns of ``level``;
+        ``own`` is the predicate's spelling of its column, which Column
+        level reports.  The columns this call has not scored yet are scored
+        in one pass over the level's lane set; the others keep their first
         result.  Under :class:`CharacterFuzzy`, when some column holds the
-        literal's normal form, the exact lookups settle the level with no
-        pass: those columns give ``(1.0, value)``, the rest None."""
+        literal's normal form, the exact lookup settles the level with no
+        pass."""
         columns = level_columns(level, schema, resolved, tables)
-        keys = [(value0, table.lower(), column.lower())
-                for table, column in columns]
-        wanted = [key not in bests for key in keys]
+        keys = [(value0, column) for column in columns]
+        wanted = [key not in known for key in keys]
+        if level == MatchLevel.COLUMN and columns:
+            columns = [(resolved[0], own)]
         if any(wanted):
             batch = level_values(db, level, schema, resolved, tables, scan_cap)
-            sizes = np.diff(batch.bounds).tolist()
             exact = fuzzy and exact_matches(batch, value0.strip().lower())
             if exact:
-                # Every column, hit or not, so that column names rank in
-                # the order the lane pass would see them.
-                return [(column, size, (1.0, exact[s]) if s in exact else None)
-                        for s, ((_, column), size)
-                        in enumerate(zip(columns, sizes))]
+                return _level_best(level, columns, {
+                    s: (1.0, value) for s, value in exact.items()},
+                    batch.sizes)
             for key, new, size, best in zip(
-                    keys, wanted, sizes,
-                    best_match(batch, value0, backend, wanted)):
+                    keys, wanted, batch.sizes.tolist(),
+                    best_match(batch, value0, backend,
+                               None if all(wanted) else wanted)):
                 if new:
-                    bests[key] = (size, best)
-        return [(column, *bests[key]) for (_, column), key in zip(columns, keys)]
+                    known[key] = (size, best)
+        entries = [known[key] for key in keys]
+        return _level_best(level, columns, {
+            s: best for s, (_, best) in enumerate(entries) if best is not None},
+            [count for count, _ in entries])
 
     replacements = []
     for predicate in predicates:
         ref = predicate.ref
         try:
-            ti, _ = schema.resolve_column(ref.table, ref.name, tables, aliases)
-            # Column level keeps the query's spelling of the column.
-            resolved = (schema.tables[ti].name, ref.name)
+            ti, ci = schema.resolve_column(ref.table, ref.name, tables, aliases)
+            table = schema.tables[ti]
+            resolved = (table.name, table.columns[ci].name)
         except SchemaMismatchError:
             resolved = None
-        result = _match_predicate(predicate, resolved, r, levels, column_bests)
-        if result is not None:
-            replacements.append((predicate, result))
+        value0 = _match_value(predicate)
+        overall = None
+        for level in levels:
+            result = level_result(value0, level, resolved, ref.name)
+            if result is None:
+                continue
+            if result.score >= r:
+                break
+            # Strict > keeps the earliest level on score ties across levels.
+            if overall is None or result.score > overall.score:
+                overall = result
+        else:
+            # No level reached r: the overall best is reported, if any.
+            if overall is None:
+                continue
+            result = MatchResult(overall.column, overall.value, overall.score,
+                                 overall.level, below_threshold=True)
+        replacements.append((predicate, result))
     return CalibrationFeedback(tuple(replacements), frozenset(quoted))
 
 

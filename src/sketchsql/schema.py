@@ -34,6 +34,14 @@ log = logging.getLogger(__name__)
 COLUMN_TYPES = ("text", "integer", "real", "other")
 
 
+def _first_indices(defs) -> dict[str, int]:
+    """Lowercase name -> index of the first of ``defs`` with that name."""
+    indices: dict[str, int] = {}
+    for i, d in enumerate(defs):
+        indices.setdefault(d.name.lower(), i)
+    return indices
+
+
 @dataclass(frozen=True)
 class ColumnDef:
     name: str
@@ -49,13 +57,16 @@ class TableDef:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "columns", tuple(columns))
 
+    @cached_property
+    def _column_indices(self) -> dict[str, int]:
+        """Lowercase column name -> index of the first column so named,
+        built on first use.  It is not a dataclass field, so equality and
+        hashing ignore it."""
+        return _first_indices(self.columns)
+
     def column_index(self, name: str) -> int | None:
         """Case-insensitive column lookup; returns None when absent."""
-        wanted = name.lower()
-        for j, col in enumerate(self.columns):
-            if col.name.lower() == wanted:
-                return j
-        return None
+        return self._column_indices.get(name.lower())
 
 
 @dataclass(frozen=True)
@@ -131,13 +142,16 @@ class DatabaseSchema:
                              f"t{fk.to_table}.c{fk.to_column}")
         return " ".join(parts)
 
+    @cached_property
+    def _table_indices(self) -> dict[str, int]:
+        """Lowercase table name -> index of the first table so named, built
+        on first use; not a dataclass field either."""
+        return _first_indices(self.tables)
+
     def table_index(self, name: str) -> int | None:
-        """Case-insensitive table lookup; returns None when absent."""
-        wanted = name.lower()
-        for i, table in enumerate(self.tables):
-            if table.name.lower() == wanted:
-                return i
-        return None
+        """Case-insensitive table lookup, the first of equal names winning;
+        returns None when absent."""
+        return self._table_indices.get(name.lower())
 
     def require_table(self, name: str) -> int:
         """:meth:`table_index`, raising SchemaMismatchError when absent."""

@@ -23,21 +23,23 @@ The parse tree is immutable.  Rendering is canonical (uppercase keywords,
 single spaces, ``AS`` before aliases) and ``parse -> render -> parse`` is a
 fixpoint; it writes the sketch text.
 
-One tree walk serves every analysis.  Text predicates come from WHERE and
-HAVING clauses at every depth: the outer query and subqueries anywhere in
-it, whether in a condition, a select item, a function argument, a FROM
-source, JOIN ON, GROUP BY, ORDER BY or LIMIT.  Rewriting finds predicates
-with the same walk, so every predicate that is reported can be rewritten.
-A rewrite renders nothing: it splices the changed literal and column
-tokens into the query's own text, so comments, case, spacing and quoting
-everywhere else are kept.
+The parser notes, as it goes, what the later passes read of a query's
+shape, so that none of them walks the tree again: the predicate sites, the
+FROM scope and the double-quoted strings (see :class:`ParsedQuery`).  Text
+predicates come from WHERE and HAVING clauses at every depth: the outer
+query and subqueries anywhere in it, whether in a condition, a select
+item, a function argument, a FROM source, JOIN ON, GROUP BY, ORDER BY or
+LIMIT.  Rewriting reads the same sites, so every predicate that is
+reported can be rewritten.  A rewrite renders nothing: it splices the
+changed literal and column tokens into the query's own text, so comments,
+case, spacing and quoting everywhere else are kept.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import PredicateNotFoundError, SqlParseError
@@ -129,10 +131,11 @@ def tokenize(text: str) -> list[Token]:
 
 
 # --------------------------------------------------------------------------
-# Parse-tree nodes.  Field order matches source order, so a field-order walk
-# visits the query left to right.  The parser gives string literals and
-# column references their ``span``, the (start, end) offsets of their text
-# in the source; it takes no part in equality.
+# Parse-tree nodes.  Field order matches source order (but for LIMIT's
+# `<offset>, <count>` form), so a field-order walk visits the query left to
+# right.  The parser gives string literals and column references their
+# ``span``, the (start, end) offsets of their text in the source; it takes
+# no part in equality.
 
 @dataclass(frozen=True)
 class Literal:
@@ -278,8 +281,23 @@ class SetOp:
 
 @dataclass(frozen=True)
 class ParsedQuery:
+    """A parse tree, its text, and what the parser noted of its shape.
+
+    The notes take no part in equality.  ``sites`` are the ``=``, LIKE and
+    IN-list nodes of WHERE and HAVING clauses at every depth, in the order
+    of a walk of the tree that visits each node before its fields' nodes,
+    in field order.  That is source order, except that of
+    ``LIMIT <offset>, <count>`` the tree holds the count first.  ``tables``
+    and ``aliases`` are the FROM scope (see :func:`table_scope`), and
+    ``double_quoted`` the text of every double-quoted string.
+    """
+
     root: object
     original_text: str
+    sites: tuple = field(compare=False, repr=False)
+    tables: tuple = field(compare=False, repr=False)
+    aliases: dict = field(compare=False, repr=False)
+    double_quoted: frozenset = field(compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -295,6 +313,13 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
+        # Notes for ParsedQuery: whether the parser is in a WHERE or HAVING
+        # clause of the nearest enclosing SELECT, the sites and the FROM
+        # table references in walk order, and the double-quoted strings.
+        self.in_condition = False
+        self.sites: list = []
+        self.sources: list = []
+        self.double_quoted: set = set()
 
     # -- token helpers
 
@@ -356,6 +381,9 @@ class _Parser:
 
     def parse_select_core(self) -> Select:
         self.expect("SELECT")
+        outer, self.in_condition = self.in_condition, False
+        # This SELECT's own tables go before those of the subqueries in it.
+        own = len(self.sources)
         distinct = self.take("DISTINCT", "ALL") == "DISTINCT"
         items = [self.parse_select_item()]
         while self.take(","):
@@ -374,15 +402,18 @@ class _Parser:
                 table = self.parse_table_source()
                 on = self.parse_expr() if self.take("ON") else None
                 joins.append(Join(kind, table, on))
+        self.sources[own:own] = [
+            src for src in (source, *(join.source for join in joins))
+            if type(src) is TableRef]
 
-        where = self.parse_expr() if self.take("WHERE") else None
+        where = self.parse_condition() if self.take("WHERE") else None
         group_by = []
         if self.take("GROUP"):
             self.expect("BY")
             group_by.append(self.parse_expr())
             while self.take(","):
                 group_by.append(self.parse_expr())
-        having = self.parse_expr() if self.take("HAVING") else None
+        having = self.parse_condition() if self.take("HAVING") else None
         order_by = []
         if self.take("ORDER"):
             self.expect("BY")
@@ -391,12 +422,19 @@ class _Parser:
                 order_by.append(self.parse_order_item())
         limit = offset = None
         if self.take("LIMIT"):
+            first = len(self.sites), len(self.sources)
             limit = self.parse_expr(5)
             if self.take("OFFSET"):
                 offset = self.parse_expr(5)
             elif self.take(","):
-                # SQLite's `LIMIT <offset>, <count>` shorthand.
+                # SQLite's `LIMIT <offset>, <count>` shorthand.  The tree
+                # holds the count first, and so do the notes.
+                second = len(self.sites), len(self.sources)
                 offset, limit = limit, self.parse_expr(5)
+                for notes, start, end in zip((self.sites, self.sources),
+                                             first, second):
+                    notes[start:] = notes[end:] + notes[start:end]
+        self.in_condition = outer
         return Select(distinct, tuple(items), source, tuple(joins), where,
                       tuple(group_by), having, tuple(order_by), limit, offset)
 
@@ -440,6 +478,13 @@ class _Parser:
             return tok.text
         return self.advance().text if self.at_name() else None
 
+    def parse_condition(self):
+        """The expression of a WHERE or HAVING clause."""
+        self.in_condition = True
+        node = self.parse_expr()
+        self.in_condition = False
+        return node
+
     def parse_order_item(self) -> OrderItem:
         expr = self.parse_expr()
         return OrderItem(expr, self.take("ASC", "DESC"))
@@ -474,11 +519,21 @@ class _Parser:
             return Unary("NOT", self.parse_not())
         return self.parse_predicate()
 
+    def note_site(self, slot: int, node):
+        """Note ``node``, a predicate site, when it is in a condition: at
+        ``slot``, the count of sites when it began, so before the sites in
+        its operands."""
+        if self.in_condition:
+            self.sites.insert(slot, node)
+        return node
+
     def parse_predicate(self):
+        slot = len(self.sites)
         node = self.parse_expr(5)
         op = self.take("=", "==", "!=", "<>", "<", "<=", ">", ">=")
         if op:
-            return Binary("=" if op == "==" else op, node, self.parse_expr(5))
+            node = Binary("=" if op == "==" else op, node, self.parse_expr(5))
+            return self.note_site(slot, node) if node.op == "=" else node
         if self.take("IS"):
             negated = self.take("NOT") is not None
             self.expect("NULL")
@@ -494,9 +549,9 @@ class _Parser:
             while self.take(","):
                 items.append(self.parse_expr(5))
             self.expect(")")
-            return InList(node, tuple(items), negated)
+            return self.note_site(slot, InList(node, tuple(items), negated))
         if self.take("LIKE"):
-            return Like(node, self.parse_expr(5), negated)
+            return self.note_site(slot, Like(node, self.parse_expr(5), negated))
         if self.take("BETWEEN"):
             low = self.parse_expr(5)
             self.expect("AND")
@@ -516,7 +571,10 @@ class _Parser:
         if self.take("number"):
             return Literal(tok.text, "number")
         if self.take("string"):
-            return Literal(tok.text, "string", (tok.pos, tok.end))
+            node = Literal(tok.text, "string", (tok.pos, tok.end))
+            if tok.text[0] == '"':
+                self.double_quoted.add(node.string_value)
+            return node
         if self.take("NULL"):
             return Literal(tok.text, "null")
         if self.take(*_TIME_WORDS):
@@ -576,11 +634,20 @@ def parse_sql(text: str) -> ParsedQuery:
     Raises :class:`SqlParseError` on invalid input, with the failure
     offset when known, and on a query nested past the recursion limit.
     """
+    parser = _Parser(text)
     try:
-        root = _Parser(text).parse_statement()
+        root = parser.parse_statement()
     except RecursionError:
         raise SqlParseError("query nests too deeply to analyze") from None
-    return ParsedQuery(root, text)
+    names: dict[str, str] = {}
+    aliases: dict[str, str] = {}
+    for src in parser.sources:
+        names.setdefault(src.name.lower(), src.name)
+        aliases.setdefault(src.name.lower(), src.name)
+        if src.alias:
+            aliases.setdefault(src.alias.lower(), src.name)
+    return ParsedQuery(root, text, tuple(parser.sites), tuple(names.values()),
+                       aliases, frozenset(parser.double_quoted))
 
 
 # --------------------------------------------------------------------------
@@ -817,10 +884,9 @@ def _site_predicates(node, quoted_columns) -> tuple:
     return ()
 
 
-def double_quoted_strings(query: ParsedQuery) -> set[str]:
+def double_quoted_strings(query: ParsedQuery) -> frozenset[str]:
     """The text of every double-quoted string in ``query``."""
-    return {node.string_value for node, _ in _walk(query.root)
-            if _is_string(node) and node.text[0] == '"'}
+    return query.double_quoted
 
 
 def extract_predicates(query: ParsedQuery,
@@ -834,16 +900,16 @@ def extract_predicates(query: ParsedQuery,
     names that column, and a site where both operands or neither name a
     column has none.  :func:`rewrite_predicates` can rewrite every one.
     """
-    return [pred for node, in_condition in _walk(query.root)
-            if in_condition for pred in _site_predicates(node, quoted_columns)]
+    return [pred for node in query.sites
+            for pred in _site_predicates(node, quoted_columns)]
 
 
 def rewrite_predicates(query: ParsedQuery, changes,
                        quoted_columns=frozenset()) -> str:
     """The query's text with each ``(predicate, column, value)`` change
-    applied.  One walk finds the sites; then only the changed literal and
-    column tokens are spliced into ``query.original_text``, and every
-    other character, comments included, is kept.
+    applied.  The sites are those the parser noted; only the changed
+    literal and column tokens are spliced into ``query.original_text``,
+    and every other character, comments included, is kept.
 
     Each change takes the first predicate of :func:`extract_predicates`,
     given the same ``quoted_columns``, equal to its own in column
@@ -862,9 +928,7 @@ def rewrite_predicates(query: ParsedQuery, changes,
         wanted.setdefault((old.ref, old.operator, old.value), []).append(
             (column, value))
     sites = {}
-    for node, in_condition in _walk(query.root):
-        if not in_condition:
-            continue
+    for node in query.sites:
         for index, p in enumerate(_site_predicates(node, quoted_columns)):
             queue = wanted.get((p.ref, p.operator, p.value))
             if queue:
@@ -914,66 +978,18 @@ def _column_edit(ref: ColumnRef, column: ColumnRef) -> list:
 
 
 # --------------------------------------------------------------------------
-# The tree walk, and the query-shape helpers used by the sketch and
-# calibration layers
-
-_CONDITION_FIELDS = ("where", "having")
-# Annotations are strings (postponed evaluation); these mark the fields of
-# a node class that hold child nodes.
-_NODE_ANNOTATIONS = ("object", "object | None", "tuple")
-_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
-
-
-def _child_fields(cls) -> tuple[str, ...]:
-    """Names of the fields of ``cls`` that hold a node or a tuple of nodes."""
-    names = _CHILD_FIELDS.get(cls)
-    if names is None:
-        names = _CHILD_FIELDS[cls] = tuple(
-            f.name for f in fields(cls) if f.type in _NODE_ANNOTATIONS)
-    return names
-
-
-def _walk(node, in_condition: bool = False):
-    """Yield ``(node, in_condition)`` for ``node`` and every node under it,
-    in source order.
-
-    ``in_condition`` is true inside the WHERE or HAVING clause of the
-    nearest enclosing Select.
-    """
-    yield node, in_condition
-    is_select = type(node) is Select
-    for name in _child_fields(type(node)):
-        value = getattr(node, name)
-        if value is None:
-            continue
-        condition = name in _CONDITION_FIELDS if is_select else in_condition
-        if type(value) is tuple:
-            for child in value:
-                yield from _walk(child, condition)
-        else:
-            yield from _walk(value, condition)
-
+# Query-shape helpers used by the sketch and calibration layers
 
 def table_scope(query: ParsedQuery) -> tuple[list[str], dict[str, str]]:
     """The FROM scope of ``query`` at any depth: ``(tables, aliases)``.
 
-    Select nodes are visited in document order, each one's source before
-    its joins.  ``tables`` holds the table names, case-insensitively
-    deduplicated with the first spelling kept; ``aliases`` maps each
-    lowercase table name and alias to its table name, first binding kept.
+    Select nodes are taken in the order of the walk that
+    :class:`ParsedQuery` describes, each one's source before its joins.
+    ``tables`` holds the table names, case-insensitively deduplicated with
+    the first spelling kept; ``aliases`` maps each lowercase table name and
+    alias to its table name, first binding kept.
     """
-    names: dict[str, str] = {}
-    aliases: dict[str, str] = {}
-    for node, _ in _walk(query.root):
-        if type(node) is not Select:
-            continue
-        for src in (node.source, *(join.source for join in node.joins)):
-            if isinstance(src, TableRef):
-                names.setdefault(src.name.lower(), src.name)
-                aliases.setdefault(src.name.lower(), src.name)
-                if src.alias:
-                    aliases.setdefault(src.alias.lower(), src.name)
-    return list(names.values()), aliases
+    return list(query.tables), dict(query.aliases)
 
 
 def order_sensitive(query: ParsedQuery) -> bool:

@@ -8,16 +8,119 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from dataclasses import fields
 from pathlib import Path
 
 from sketchsql.calibration import MatchLevel, MatchResult
 from sketchsql.schema import schema_from_spider_record
 from sketchsql.sql_analysis import (
-    extract_predicates,
+    Binary,
+    ColumnRef,
+    InList,
+    Like,
+    Literal,
+    Predicate,
+    Select,
+    TableRef,
     parse_sql,
     split_like_pattern,
-    table_scope,
 )
+
+
+# --------------------------------------------------------------------------
+# Query-shape oracle: a plain walk of the parse tree
+
+def walk(node, in_condition: bool = False):
+    """Yield ``(node, in_condition)`` for ``node`` and every node under it,
+    each node before its fields' nodes, in field order.  ``in_condition``
+    is true inside the WHERE or HAVING clause of the nearest enclosing
+    Select.  A field holds nodes when it holds a tree node or a tuple."""
+    yield node, in_condition
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if type(node) is Select:
+            condition = f.name in ("where", "having")
+        else:
+            condition = in_condition
+        children = value if type(value) is tuple else (value,)
+        for child in children:
+            if hasattr(child, "__dataclass_fields__"):
+                yield from walk(child, condition)
+
+
+def _walk_column(node, quoted):
+    """``node`` as a column: a column reference, or a double-quoted string
+    named in ``quoted``; else None."""
+    if isinstance(node, Literal) and node.kind == "string" \
+            and node.text[0] == '"' and node.string_value in quoted:
+        return ColumnRef(None, node.string_value, node.span)
+    return node if isinstance(node, ColumnRef) else None
+
+
+def _walk_is_text(node, quoted) -> bool:
+    return isinstance(node, Literal) and node.kind == "string" \
+        and _walk_column(node, quoted) is None
+
+
+def walk_sites(parsed, quoted=frozenset()) -> list:
+    """``(predicate, literal node)`` of every text predicate in a WHERE or
+    HAVING clause, in walk order: a column ``=`` a text literal either way
+    round, a column LIKE a text literal, and each text element of a
+    column's IN list."""
+    out = []
+    for node, in_condition in walk(parsed.root):
+        if not in_condition:
+            continue
+        if type(node) is InList:
+            column = _walk_column(node.expr, quoted)
+            if column is not None:
+                out.extend(
+                    (Predicate(column, "IN-element", item.string_value), item)
+                    for item in node.items
+                    if isinstance(item, Literal) and item.kind == "string")
+            continue
+        if type(node) is Like:
+            pairs, operator = [(node.expr, node.pattern)], "LIKE"
+        elif type(node) is Binary and node.op == "=":
+            pairs, operator = [(node.left, node.right),
+                               (node.right, node.left)], "="
+        else:
+            continue
+        for side, other in pairs:
+            column = _walk_column(side, quoted)
+            if column is not None:
+                if _walk_is_text(other, quoted):
+                    out.append((Predicate(column, operator, other.string_value),
+                                other))
+                break
+    return out
+
+
+def walk_predicates(parsed, quoted=frozenset()) -> list:
+    return [predicate for predicate, _ in walk_sites(parsed, quoted)]
+
+
+def walk_table_scope(parsed) -> tuple:
+    """``(tables, aliases)`` of every Select's FROM source and joins, in
+    walk order: names deduplicated case-insensitively, first spelling kept;
+    lowercase table names and aliases to table names, first binding kept."""
+    names, aliases = {}, {}
+    for node, _ in walk(parsed.root):
+        if type(node) is not Select:
+            continue
+        for src in (node.source, *(join.source for join in node.joins)):
+            if isinstance(src, TableRef):
+                names.setdefault(src.name.lower(), src.name)
+                aliases.setdefault(src.name.lower(), src.name)
+                if src.alias:
+                    aliases.setdefault(src.alias.lower(), src.name)
+    return list(names.values()), aliases
+
+
+def walk_double_quoted(parsed) -> set:
+    return {node.string_value for node, _ in walk(parsed.root)
+            if isinstance(node, Literal) and node.kind == "string"
+            and node.text[0] == '"'}
 
 
 # --------------------------------------------------------------------------
@@ -70,7 +173,7 @@ def scan_text_bytes(db_path, table: str, column: str,
 
 
 def _oracle_resolve(schema, parsed, column_text):
-    tables, aliases = table_scope(parsed)
+    tables, aliases = walk_table_scope(parsed)
     if "." in column_text:
         qualifier, column = column_text.split(".", 1)
         table = aliases.get(qualifier.lower(), qualifier)
@@ -97,7 +200,8 @@ def _oracle_candidates(level, schema, db_path, parsed, predicate, cap):
             tables = [resolved[0]]
         else:
             known = {t.name.lower() for t in schema.tables}
-            tables = [t for t in table_scope(parsed)[0] if t.lower() in known]
+            tables = [t for t in walk_table_scope(parsed)[0]
+                      if t.lower() in known]
     else:
         tables = [t.name for t in schema.tables]
     out = []
@@ -130,7 +234,7 @@ def oracle_multi_level(schema, db_path, sql: str, r: float,
     ``similarity`` (by default the indel similarity oracle)."""
     parsed = parse_sql(sql)
     out = []
-    for predicate in extract_predicates(parsed):
+    for predicate in walk_predicates(parsed):
         if predicate.operator == "LIKE":
             value0 = split_like_pattern(predicate.value)[1]
         else:

@@ -511,6 +511,25 @@ def test_exact_hits_keep_every_column_of_the_level(tmp_path, monkeypatch):
         assert semantic == match and calls == [3]
 
 
+def test_exact_hits_take_the_smallest_value_in_any_scan_order(tmp_path):
+    """Under NOCASE a column scans as 'bx', 'Bx ', but 'Bx ' is the smaller
+    value of the two that share the literal's normal form."""
+    path = tmp_path / "nocase.sqlite"
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.executescript("""
+            CREATE TABLE t (name TEXT COLLATE NOCASE);
+            INSERT INTO t VALUES ('bx'), ('Bx '), ('zz');
+        """)
+    sql = "SELECT name FROM t WHERE name = 'BX'"
+    with closing(Database(path)) as db:
+        assert list(column_values(db, "t", "name")) == ["bx", "Bx ", "zz"]
+        (_, match), = multi_level_match(db, parse_sql(sql), 0.65,
+                                        CharacterFuzzy()).replacements
+        assert match == MatchResult("name", "Bx ", 1.0, MatchLevel.COLUMN)
+        assert [m for _, m in oracle_multi_level(db.schema, path, sql, 0.65)] \
+            == [match]
+
+
 _EXACT_WORDS = ["timmy", "ward", "lee", "tîmmy", "ab" * 40, "x" * 300]
 _EXACT_VARIANTS = st.builds(
     lambda word, case, lead, trail: lead + case(word) + trail,
@@ -597,6 +616,38 @@ def test_value_index_holds_one_entry_per_scanned_column(tmp_path):
     assert columns <= scanned
     assert len(db._index) - len(columns) <= (4 + 1) * 2
     db.close()
+
+
+def test_a_match_call_syncs_at_most_once(school_db_path, monkeypatch):
+    """One check of the file per call that has a text predicate, whether
+    or not a double-quoted string needs the schema first; none for a
+    query with neither."""
+    synced = []
+    sync = Database.sync
+
+    def counting_sync(self):
+        synced.append(self)
+        return sync(self)
+
+    monkeypatch.setattr(Database, "sync", counting_sync)
+    cases = [
+        ("SELECT course FROM Student WHERE given_name = 'timmothy'", 1,
+         ("given_name", "timmy")),
+        # a double-quoted column and a double-quoted value
+        ('SELECT course FROM Student WHERE "given_name" = \'timmothy\' '
+         'AND last_name = "wards"', 1,
+         ("given_name", "timmy"), ("last_name", "ward")),
+        ("SELECT course FROM Student WHERE score = 3 AND id = 1", 0),
+        ("SELECT count(*) FROM Student", 0),
+    ]
+    with closing(Database(school_db_path)) as db:
+        for sql, count, *matches in cases:
+            synced.clear()
+            feedback = multi_level_match(db, parse_sql(sql), 0.65,
+                                         CharacterFuzzy())
+            assert len(synced) == count, sql
+            assert [(m.column, m.value) for _, m in feedback.replacements] \
+                == matches, sql
 
 
 def test_sentence_encoder_calls_score_in_search_order(school_db):

@@ -178,6 +178,21 @@ def test_schema_lookups_are_case_insensitive(school_schema):
     assert school_schema.table_index("missing") is None
 
 
+def test_schema_lookups_take_the_first_of_equal_names():
+    tables = [TableDef("Pets", [ColumnDef("a")]),
+              TableDef("pets", [ColumnDef("b"), ColumnDef("B2")]),
+              TableDef("PETS", [ColumnDef("c")])]
+    schema = DatabaseSchema("d", tables)
+    untouched = DatabaseSchema("d", tables)
+    assert [schema.table_index(n) for n in ("pets", "PETS", "pEtS")] == [0] * 3
+    assert schema.tables[1].column_index("b2") == 1
+    assert schema.tables[1].column_index("a") is None
+    # The lookups are kept off the fields: equality and hashing ignore them.
+    assert schema == untouched and hash(schema) == hash(untouched)
+    assert schema.tables[1] == TableDef("pets",
+                                        [ColumnDef("b"), ColumnDef("B2")])
+
+
 def test_schema_from_sqlite_types_and_order(school_schema):
     assert [t.name for t in school_schema.tables] == ["Course", "Student"]
     student = school_schema.tables[1]

@@ -1,3 +1,4 @@
+import random
 import re
 import sqlite3
 from collections import Counter
@@ -8,7 +9,15 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    random_query,
+    walk_double_quoted,
+    walk_predicates,
+    walk_sites,
+    walk_table_scope,
+)
 from sketchsql.errors import PredicateNotFoundError, SqlParseError
+from sketchsql.schema import ColumnDef, DatabaseSchema, TableDef
 from sketchsql.sql_analysis import (
     RESERVED_WORDS,
     Between,
@@ -32,6 +41,7 @@ from sketchsql.sql_analysis import (
     SubqueryTable,
     TableRef,
     Unary,
+    double_quoted_strings,
     extract_predicates,
     merge_like_pattern,
     order_sensitive,
@@ -860,3 +870,92 @@ def test_sqlite_reads_rendering_as_the_statement(e1, e2):
         if got != before:
             after = _rows(conn, text)
         assert got in (before, after), rendered
+
+
+# --------------------------------------------------------------------------
+# The parser's notes answer what a walk of the tree answers
+
+def _assert_notes_agree_with_the_walk(query, quoted):
+    """Predicates with and without ``quoted`` read as columns, the FROM
+    scope and the double-quoted strings equal a plain walk's, and a rewrite
+    of every predicate edits exactly the walk's literal spans."""
+    for columns in (frozenset(), quoted):
+        assert extract_predicates(query, columns) == \
+            walk_predicates(query, columns), columns
+    assert table_scope(query) == walk_table_scope(query)
+    assert double_quoted_strings(query) == walk_double_quoted(query)
+    sites = walk_sites(query, quoted)
+    changes = [(pred, pred.ref, f"v{i}") for i, (pred, _) in enumerate(sites)]
+    expected = query.original_text
+    for (start, end), i in sorted(((literal.span, i) for i, (_, literal)
+                                   in enumerate(sites)), reverse=True):
+        expected = expected[:start] + f"'v{i}'" + expected[end:]
+    assert rewrite_predicates(query, changes, quoted) == expected
+
+
+@pytest.mark.parametrize("sql,quoted", [
+    # subqueries in a condition, a select item, FROM and EXISTS
+    ("SELECT a FROM t WHERE b = 'x' AND c IN "
+     "(SELECT d FROM u WHERE e LIKE '%y%')", ()),
+    ("SELECT (SELECT x FROM v WHERE y = 'z') FROM t AS p "
+     "JOIN u q ON p.id = q.id AND q.k = 'on' WHERE p.b = 'x' "
+     "AND q.c LIKE 'y%'", ()),
+    ("SELECT * FROM (SELECT a FROM t WHERE b = 'x') AS s, u "
+     "WHERE s.a = 'y' AND EXISTS (SELECT 1 FROM w WHERE w.k = 'k')", ()),
+    # HAVING, NOT and IN lists with other elements
+    ("SELECT a, count(*) FROM t GROUP BY a HAVING a = 'x' "
+     "OR NOT b IN ('p', 'q', 3) AND NOT (c NOT LIKE 'r')", ()),
+    # both arms of set operations, one table under several spellings
+    ("SELECT a FROM t WHERE NOT (b = 'x') UNION SELECT a FROM u "
+     "WHERE 'y' = c INTERSECT SELECT a FROM T AS w WHERE w.b = 'x' "
+     "EXCEPT SELECT a FROM t WHERE b = 'x'", ()),
+    # sites inside a site's operands, and duplicate predicates
+    ("SELECT a FROM t WHERE c IN ((b = 'x'), 'y') AND (b = 'x') = 'y' "
+     "AND b = 'x' AND b = 'x'", ()),
+    # double-quoted strings as columns, as values and in IN lists
+    ('SELECT a FROM t WHERE "b" = \'x\' AND c = "y" AND "b" IN '
+     '(\'p\', "q") AND "b" = "c"', ("b", "c")),
+    ('SELECT a FROM t WHERE "b" LIKE "x%" AND d = "b"', ("b",)),
+    # LIMIT <offset>, <count>: the tree, and so the walk, has the count first
+    ("SELECT a FROM t LIMIT (SELECT n FROM u WHERE k = 'a'), "
+     "(SELECT m FROM v WHERE k = 'b')", ()),
+    # no text predicate
+    ("SELECT a FROM t WHERE b = c AND d = 3", ()),
+])
+def test_notes_agree_with_the_walk(sql, quoted):
+    _assert_notes_agree_with_the_walk(parse_sql(sql), frozenset(quoted))
+
+
+_NOTE_SCHEMA = DatabaseSchema("toy", [
+    TableDef(f"tab{i}", map(ColumnDef, ("name", "label", "kind")[:i + 1]))
+    for i in range(3)])
+_NOTE_WRAPS = [
+    "{q}",
+    "SELECT * FROM ({q}) AS s{d} WHERE s{d}.name = 'fig'",
+    "{q} UNION SELECT label FROM tab1 AS x{d} JOIN tab2 y{d} "
+    "ON x{d}.label = y{d}.kind WHERE NOT y{d}.kind = 'pear'",
+    "SELECT kind, count(*) FROM tab2 GROUP BY kind "
+    "HAVING kind IN ({q}) OR kind LIKE 'pea%'",
+    "SELECT ({q} LIMIT 1) FROM tab0 AS t{d} WHERE EXISTS ({q})",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(range(5)),
+                                           max_size=3))
+def test_notes_agree_with_the_walk_on_random_queries(seed, wraps):
+    """Queries of ``random_query`` nested in subqueries, set operations and
+    HAVING, some literals and columns written double-quoted."""
+    rng = random.Random(seed)
+    sql = random_query(_NOTE_SCHEMA, rng)
+    for depth, wrap in enumerate(wraps):
+        sql = _NOTE_WRAPS[wrap].format(q=sql, d=depth)
+    sql = re.sub(r"'([^']*)'", lambda m: f'"{m.group(1)}"'
+                 if rng.random() < 0.3 else m.group(0), sql)
+    sql = re.sub(r"(?<![.\w])(name|label|kind|ghost) (=|LIKE|IN)",
+                 lambda m: f'"{m.group(1)}" {m.group(2)}'
+                 if rng.random() < 0.3 else m.group(0), sql)
+    query = parse_sql(sql)
+    strings = sorted(double_quoted_strings(query))
+    quoted = frozenset(rng.sample(strings, rng.randint(0, len(strings))))
+    _assert_notes_agree_with_the_walk(query, quoted)
